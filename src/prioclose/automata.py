@@ -8,7 +8,7 @@ are expressed that way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 from .core import (
@@ -583,6 +583,57 @@ def closure_regular(nfa: Nfa, order: OrderKind) -> Nfa:
     if order is OrderKind.BLOCK:
         return apply_transduction(_closure_controller(nfa.alphabet), nfa)
     raise ValueError(f"unknown order {order!r}")
+
+
+def _last_letter_nfa(alphabet: PriorityAlphabet, letter: str) -> Nfa:
+    """Words whose final letter is the given one (deterministic)."""
+    edges: list[Edge] = []
+    for a in alphabet.letters:
+        target = "s1" if a == letter else "s0"
+        edges.append(("s0", a, target))
+        edges.append(("s1", a, target))
+    return Nfa(alphabet, ("s0", "s1"), tuple(edges), "s0", ("s1",))
+
+
+def priority_from_skeleton(
+    alphabet: PriorityAlphabet,
+    skeletons: Iterable[tuple[str, Nfa]],
+    with_empty: bool,
+) -> Nfa:
+    """Priority downward closure of a language L from per-letter skeletons.
+
+    ``skeletons`` yields pairs (a, S) where the language of S contains L_a,
+    the words of L that end in a, and lies inside the absorbing block
+    closure of L_a over ``flatten(alphabet)``.  S may carry any alphabet
+    with the same letters; only its language is read.  ``with_empty``
+    says whether L holds the empty word.  The result is the union of the
+    priority images of each S clamped to words ending in a, plus the
+    empty word when asked for.
+
+    This is exact.  Let S_a be S clamped to words ending in a.
+      - S_a contains L_a.
+      - Every word of S_a is absorbing-block-below some word of L_a over
+        the flat alphabet, and both words end in a.
+      - On a flat alphabet, absorbing-block-below with the same last
+        letter implies priority-below.
+      - ``flatten`` only breaks ties between equal priorities, so a flat
+        priority embedding is also one under the original priorities.
+    Hence the priority closure of S_a equals that of L_a, and no block
+    closure of the skeleton is needed.
+    """
+    drop = priority_transducer(alphabet)
+    pieces = [nfa_for_words(alphabet, [()])] if with_empty else []
+    for letter, skeleton in skeletons:
+        clamped = nfa_intersect(
+            replace(skeleton, alphabet=alphabet), _last_letter_nfa(alphabet, letter)
+        )
+        pieces.append(apply_transduction(drop, clamped))
+    if not pieces:
+        return nfa_for_words(alphabet, [])
+    out = pieces[0]
+    for piece in pieces[1:]:
+        out = nfa_union(out, piece)
+    return out
 
 
 def nfa_serialize(nfa: Nfa) -> dict:

@@ -11,7 +11,7 @@ extracted with small letter transducers over a marker-extended alphabet.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
 from .automata import (
@@ -21,13 +21,11 @@ from .automata import (
     _canonical,
     _eps_closure,
     _step,
-    apply_transduction,
     closure_regular,
     nfa_accepts,
     nfa_for_words,
-    nfa_intersect,
     nfa_union,
-    priority_transducer,
+    priority_from_skeleton,
 )
 from .core import (
     OrderKind,
@@ -611,10 +609,6 @@ def _repeat_transducer(
     return Transducer(alpha, tuple(states), tuple(edges), "a", finals)
 
 
-def _with_alphabet_cfg(g: Cfg, alphabet: PriorityAlphabet) -> Cfg:
-    return Cfg(alphabet, g.nonterminals, g.productions, g.start)
-
-
 def _ends_alphabet(hat: HatAlphabet, r: int, s: int) -> PriorityAlphabet:
     cutoff = max(r, s, 1) - 1
     entries = tuple(
@@ -646,7 +640,7 @@ def ends_grammar(g: Cfg, x: str, r: int, s: int) -> Cfg:
     cnf, _ = to_cnf(g)
     pump = _pump_from_cnf(cnf, x, hat)
     out = apply_transducer_to_cfg(_ends_transducer(hat, r, s), pump)
-    return _pruned(_with_alphabet_cfg(out, _ends_alphabet(hat, r, s)))
+    return _pruned(replace(out, alphabet=_ends_alphabet(hat, r, s)))
 
 
 def repeats_grammars(g: Cfg, x: str, r: int, s: int) -> tuple[Cfg, Cfg]:
@@ -670,7 +664,7 @@ def repeats_grammars(g: Cfg, x: str, r: int, s: int) -> tuple[Cfg, Cfg]:
             _repeat_transducer(hat, r, s, side, True), pump
         )
         entries = tuple((a, p) for a, p in hat.base.entries if p <= pri)
-        out.append(_pruned(_with_alphabet_cfg(raw, PriorityAlphabet(entries))))
+        out.append(_pruned(replace(raw, alphabet=PriorityAlphabet(entries))))
     return out[0], out[1]
 
 
@@ -695,18 +689,7 @@ def side_alphabets(g: Cfg, x: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
     hat = HatAlphabet.extend(g.alphabet)
     cnf, _ = to_cnf(g)
     pump = _pump_from_cnf(cnf, x, hat)
-    left = []
-    right = []
-    for a in g.alphabet.letters:
-        if not cfg_intersect_regular_empty(
-            pump, _occurrence_nfa(hat.alphabet, a, hat.mid)
-        ):
-            left.append(a)
-        if not cfg_intersect_regular_empty(
-            pump, _occurrence_nfa(hat.alphabet, hat.mid, a)
-        ):
-            right.append(a)
-    return tuple(left), tuple(right)
+    return _side_sets_from_pump(pump, hat, g.alphabet.letters)
 
 
 def _not_just_mid_nfa(alphabet: PriorityAlphabet, mid: str) -> Nfa:
@@ -877,7 +860,7 @@ def _kleene(
                     _ends_transducer(hat, r, s), pump
                 )
                 ends_cnf, _ = to_cnf(
-                    _with_alphabet_cfg(ends_raw, _ends_alphabet(hat, r, s))
+                    replace(ends_raw, alphabet=_ends_alphabet(hat, r, s))
                 )
                 if not ends_cnf.productions:
                     continue
@@ -897,7 +880,7 @@ def _kleene(
                         (a, q) for a, q in hat.base.entries if q <= max(pri - 1, 0)
                     )
                     run_cnf, run_empty = to_cnf(
-                        _with_alphabet_cfg(raw, PriorityAlphabet(entries))
+                        replace(raw, alphabet=PriorityAlphabet(entries))
                     )
                     wrapper = _fresh(f"W{counter}.{side}", taken)
                     nts.add(wrapper)
@@ -1061,10 +1044,6 @@ def acyclic_nfa(h: KleeneGrammar, max_states: int = 1_000_000) -> Nfa:
     return _canonical(nfa)
 
 
-def _retag_nfa(nfa: Nfa, alphabet: PriorityAlphabet) -> Nfa:
-    return Nfa(alphabet, nfa.states, nfa.edges, nfa.initial, nfa.finals)
-
-
 def cfg_block_closure(g: Cfg, max_states: int = 1_000_000) -> Nfa:
     """Automaton for everything block-below some derivable word."""
     cnf, had_empty = to_cnf(g)
@@ -1073,8 +1052,8 @@ def cfg_block_closure(g: Cfg, max_states: int = 1_000_000) -> Nfa:
         pieces.append(nfa_for_words(g.alphabet, [()]))
     if cnf.productions:
         flat = flatten(g.alphabet)
-        kg = _kleene(_with_alphabet_cfg(cnf, flat), frozenset())
-        skeleton = _retag_nfa(acyclic_nfa(kg, max_states), g.alphabet)
+        kg = _kleene(replace(cnf, alphabet=flat), frozenset())
+        skeleton = replace(acyclic_nfa(kg, max_states), alphabet=g.alphabet)
         pieces.append(closure_regular(skeleton, OrderKind.BLOCK))
     if not pieces:
         return nfa_for_words(g.alphabet, [])
@@ -1094,50 +1073,30 @@ def _ends_with_transducer(alphabet: PriorityAlphabet, letter: str) -> Transducer
     return Transducer(alphabet, ("s0", "s1"), tuple(edges), "s0", ("s1",))
 
 
-def _ends_with_nfa(alphabet: PriorityAlphabet, letter: str) -> Nfa:
-    edges: list[tuple[str, str | None, str]] = []
-    for a in alphabet.letters:
-        target = "s1" if a == letter else "s0"
-        edges.append(("s0", a, target))
-        edges.append(("s1", a, target))
-    return Nfa(alphabet, ("s0", "s1"), tuple(edges), "s0", ("s1",))
-
-
 def cfg_priority_closure(g: Cfg, max_states: int = 1_000_000) -> Nfa:
     """Automaton for everything priority-below some derivable word.
 
-    Words are grouped by their final letter; each group is closed in
-    the block order over the flattened alphabet, clamped back to the
-    group, and imaged through the priority drop transducer.  The empty
-    word sits below every word, so a nonempty language contributes it.
+    Words are grouped by their final letter.  Each group is cut out of
+    the grammar over the flattened alphabet, and the acyclic NFA of its
+    Kleene closure grammar serves as the group's skeleton: it contains
+    the group and lies inside the group's block closure.
+    ``priority_from_skeleton`` turns the skeletons into the closure.
     """
     cnf, had_empty = to_cnf(g)
-    if not had_empty and not cnf.productions:
-        return nfa_for_words(g.alphabet, [])
-    pieces: list[Nfa] = [nfa_for_words(g.alphabet, [()])]
-    if cnf.productions:
-        flat = flatten(g.alphabet)
-        flat_cnf = _with_alphabet_cfg(cnf, flat)
-        drop = priority_transducer(g.alphabet)
+    flat = flatten(g.alphabet)
+    flat_cnf = replace(cnf, alphabet=flat)
+
+    def skeletons():
         for letter in g.alphabet.letters:
             group = apply_transducer_to_cfg(
                 _ends_with_transducer(flat, letter), flat_cnf
             )
             group_cnf, _ = to_cnf(group)
-            if not group_cnf.productions:
-                continue
-            guard = _ends_with_nfa(flat, letter)
-            skeleton = acyclic_nfa(_kleene(group_cnf, frozenset()), max_states)
-            clamped = nfa_intersect(skeleton, guard)
-            closed = closure_regular(clamped, OrderKind.BLOCK)
-            closed = nfa_intersect(closed, guard)
-            pieces.append(
-                apply_transduction(drop, _retag_nfa(closed, g.alphabet))
-            )
-    out = pieces[0]
-    for piece in pieces[1:]:
-        out = nfa_union(out, piece)
-    return _canonical(out, g.alphabet)
+            if group_cnf.productions:
+                kg = _kleene(group_cnf, frozenset())
+                yield letter, acyclic_nfa(kg, max_states)
+
+    return priority_from_skeleton(g.alphabet, skeletons(), had_empty)
 
 
 def cfg_serialize(g: Cfg) -> dict:

@@ -12,6 +12,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 
 from .automata import (
     Nfa,
@@ -22,7 +23,6 @@ from .automata import (
     nfa_to_dot,
 )
 from .cfg import (
-    Cfg,
     cfg_block_closure,
     cfg_enumerate,
     cfg_parse,
@@ -100,10 +100,6 @@ def _zeroed(alphabet: PriorityAlphabet) -> PriorityAlphabet:
     return PriorityAlphabet(tuple((a, 0) for a in alphabet.letters))
 
 
-def _retag(nfa: Nfa, alphabet: PriorityAlphabet) -> Nfa:
-    return Nfa(alphabet, nfa.states, nfa.edges, nfa.initial, nfa.finals)
-
-
 def _as_oca(machine: SimpleOca) -> Oca:
     return Oca(
         machine.alphabet,
@@ -121,25 +117,6 @@ def _oca_block(machine: Oca | SimpleOca) -> Nfa:
     return oca_block_closure(machine)
 
 
-def _with_alphabet(model, alphabet: PriorityAlphabet):
-    if isinstance(model, Nfa):
-        return _retag(model, alphabet)
-    if isinstance(model, SimpleOca):
-        return SimpleOca(
-            alphabet, model.states, model.edges, model.initial, model.final
-        )
-    if isinstance(model, Oca):
-        return Oca(
-            alphabet,
-            model.states,
-            model.edges,
-            model.initial,
-            model.finals,
-            model.accept_mode,
-        )
-    return Cfg(alphabet, model.nonterminals, model.productions, model.start)
-
-
 def build_closure(kind: str, order: OrderKind, model, state_cap: int) -> Nfa:
     """Closure automaton for a parsed model under the requested order."""
     alphabet = model.alphabet
@@ -147,9 +124,9 @@ def build_closure(kind: str, order: OrderKind, model, state_cap: int) -> Nfa:
         # The block order on an all-zero alphabet is the subword order,
         # so the subword closure rides on the block construction.
         flat = build_closure(
-            kind, OrderKind.BLOCK, _with_alphabet(model, _zeroed(alphabet)), state_cap
+            kind, OrderKind.BLOCK, replace(model, alphabet=_zeroed(alphabet)), state_cap
         )
-        return _retag(flat, alphabet)
+        return replace(flat, alphabet=alphabet)
     if kind == "nfa":
         return closure_regular(model, order)
     if kind == "oca":

@@ -16,14 +16,10 @@ from .automata import (
     Nfa,
     _canonical,
     _tag,
-    apply_transduction,
     closure_regular,
-    nfa_for_words,
-    nfa_intersect,
-    nfa_union,
-    priority_transducer,
+    priority_from_skeleton,
 )
-from .core import OrderKind, PriorityAlphabet, Word, flatten
+from .core import OrderKind, PriorityAlphabet, Word
 
 
 class CounterOp(str, Enum):
@@ -429,12 +425,6 @@ def oca_block_closure(oca: Oca) -> Nfa:
     return closure_regular(_glue_nfa(oca), OrderKind.BLOCK)
 
 
-def _last_letter_nfa(alphabet: PriorityAlphabet, letter: str) -> Nfa:
-    edges = [("s0", a, "s0") for a in alphabet.letters]
-    edges.append(("s0", letter, "s1"))
-    return Nfa(alphabet, ("s0", "s1"), tuple(edges), "s0", ("s1",))
-
-
 def _last_letter_oca(oca: Oca, letter: str) -> Oca:
     """Product with the two-state tracker of whether the last letter
     read so far is the chosen one."""
@@ -458,41 +448,22 @@ def _last_letter_oca(oca: Oca, letter: str) -> Oca:
     )
 
 
-def _with_alphabet_nfa(nfa: Nfa, alphabet: PriorityAlphabet) -> Nfa:
-    return Nfa(alphabet, nfa.states, nfa.edges, nfa.initial, nfa.finals)
-
-
-def _with_alphabet_oca(oca: Oca, alphabet: PriorityAlphabet) -> Oca:
-    return Oca(alphabet, oca.states, oca.edges, oca.initial, oca.finals, oca.accept_mode)
-
-
 def oca_priority_closure(oca: Oca) -> Nfa:
     """NFA for the priority downward closure of the OCA language.
 
-    Per last letter: intersect with words ending in it, re-prioritize
-    with the flattened alphabet, take the block closure there (guarded
-    on both sides by the last-letter constraint, which the absorbing
-    closure step does not preserve by itself), then map the result
-    through the priority transducer of the original alphabet.
+    Per last letter, the glued skeleton of the machine restricted to
+    words ending in that letter contains those words and lies inside
+    their block closure.  The glue construction never reads priorities,
+    so this holds over the flattened alphabet as well, which is what
+    ``priority_from_skeleton`` needs to turn the skeletons into the
+    closure.
     """
-    alphabet = oca.alphabet
-    flat = flatten(alphabet)
-    pieces: list[Nfa] = []
-    for letter in alphabet.letters:
-        lifted = _with_alphabet_oca(_last_letter_oca(oca, letter), flat)
-        glue = nfa_intersect(_glue_nfa(lifted), _last_letter_nfa(flat, letter))
-        closed = closure_regular(glue, OrderKind.BLOCK)
-        closed = nfa_intersect(closed, _last_letter_nfa(flat, letter))
-        retagged = _with_alphabet_nfa(closed, alphabet)
-        pieces.append(apply_transduction(priority_transducer(alphabet), retagged))
-    if oca_accepts_bounded(oca, (), counter_cap=len(oca.states) ** 2):
-        pieces.append(nfa_for_words(alphabet, [()]))
-    if not pieces:
-        return nfa_for_words(alphabet, [])
-    out = pieces[0]
-    for piece in pieces[1:]:
-        out = nfa_union(out, piece)
-    return out
+    skeletons = (
+        (letter, _glue_nfa(_last_letter_oca(oca, letter)))
+        for letter in oca.alphabet.letters
+    )
+    with_empty = oca_accepts_bounded(oca, (), counter_cap=len(oca.states) ** 2)
+    return priority_from_skeleton(oca.alphabet, skeletons, with_empty)
 
 
 def oca_serialize(oca: Oca) -> dict:
