@@ -9,7 +9,7 @@ are expressed that way.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import (
     OrderKind,
@@ -235,48 +235,24 @@ def nfa_concat(a: Nfa, b: Nfa) -> Nfa:
     )
 
 
-def nfa_intersect(a: Nfa, b: Nfa) -> Nfa:
+def nfa_intersect(a: Nfa, b: Nfa, max_states: int = 1_000_000) -> Nfa:
+    """Product NFA for the intersection, trimmed to states on accepting paths.
+
+    ``b`` acts as the identity transducer restricted to its language, so
+    this is the product engine of ``apply_transduction``.
+    """
     if a.alphabet != b.alphabet:
         raise ValueError("intersect requires matching alphabets")
-    adj_a, adj_b = _adjacency(a), _adjacency(b)
-
-    def name(p: str, q: str) -> str:
-        return f"{p}&{q}"
-
-    start = (a.initial, b.initial)
-    seen = {start}
-    queue = [start]
-    edges: list[Edge] = []
-    while queue:
-        p, q = queue.pop(0)
-        moves: list[tuple[str | None, tuple[str, str]]] = []
-        for label, dp in adj_a[p]:
-            if label is None:
-                moves.append((None, (dp, q)))
-            else:
-                for lb, dq in adj_b[q]:
-                    if lb == label:
-                        moves.append((label, (dp, dq)))
-        for label, dq in adj_b[q]:
-            if label is None:
-                moves.append((None, (p, dq)))
-        for label, pair in moves:
-            edges.append((name(p, q), label, name(*pair)))
-            if pair not in seen:
-                seen.add(pair)
-                queue.append(pair)
-    finals = tuple(
-        name(p, q) for (p, q) in seen if p in set(a.finals) and q in set(b.finals)
-    )
-    return _canonical(
-        Nfa(
-            a.alphabet,
-            tuple(name(p, q) for (p, q) in seen),
-            tuple(edges),
-            name(*start),
-            finals,
+    ids, eps, on, final = _nfa_index(b)
+    table = [
+        (
+            [(None, dst) for dst in eps[i]],
+            {letter: [(letter, dst) for dst in dsts] for letter, dsts in on[i]},
+            final[i],
         )
-    )
+        for i in range(len(ids))
+    ]
+    return _product(a, ids[b.initial], table.__getitem__, max_states, "intersection product")
 
 
 def nfa_equivalent_up_to(a: Nfa, b: Nfa, bound: int) -> Word | None:
@@ -399,52 +375,142 @@ def block_transducer(alphabet: PriorityAlphabet) -> Transducer:
     return Transducer(alphabet, tuple(states), tuple(edges), "b0", ("b0",))
 
 
-def apply_transduction(transducer: Transducer, nfa: Nfa) -> Nfa:
-    """Image NFA of the language under the transducer (product states)."""
+def _nfa_index(nfa: Nfa):
+    """States numbered in order, with epsilon and per-letter successors."""
+    ids = {q: i for i, q in enumerate(nfa.states)}
+    eps: list[list[int]] = [[] for _ in ids]
+    on: list[dict[str, list[int]]] = [{} for _ in ids]
+    for src, label, dst in nfa.edges:
+        if label is None:
+            eps[ids[src]].append(ids[dst])
+        else:
+            on[ids[src]].setdefault(label, []).append(ids[dst])
+    final = [False] * len(ids)
+    for f in nfa.finals:
+        final[ids[f]] = True
+    return ids, eps, [list(moves.items()) for moves in on], final
+
+
+# A transducer state's moves: (emitted, target) pairs that consume
+# nothing, the same pairs keyed by the letter they consume, and whether
+# the state is final.  Emitted is a letter or None; states are ints.
+TMoves = tuple[list[tuple[str | None, int]], dict[str, list[tuple[str | None, int]]], bool]
+
+
+def _transducer_moves(transducer: Transducer):
+    """Initial state id and move lookup for a materialised transducer."""
+    ids = {q: i for i, q in enumerate(transducer.states)}
+    finals = set(transducer.finals)
+    table: list[TMoves] = [([], {}, q in finals) for q in transducer.states]
+    for src, consumed, emitted, dst in transducer.edges:
+        eps, on, _ = table[ids[src]]
+        move = (emitted[0] if emitted else None, ids[dst])
+        if consumed:
+            on.setdefault(consumed[0], []).append(move)
+        else:
+            eps.append(move)
+    return ids[transducer.initial], table.__getitem__
+
+
+def _product(
+    nfa: Nfa,
+    t_initial: int,
+    t_moves: Callable[[int], TMoves],
+    max_states: int,
+    what: str,
+) -> Nfa:
+    """Image of the NFA's language under a letter transducer, trimmed.
+
+    ``t_moves(t)`` gives the moves of transducer state t (see ``TMoves``);
+    it is called once per state, so a transducer may be built on demand.
+    Product states are numbered in breadth-first discovery order.  States
+    that cannot reach a final state are dropped, except the initial one,
+    so an empty image is one state with no finals; the survivors are
+    named q0..qN in the same order.  More than ``max_states`` discovered
+    states raise ResourceLimit naming ``what``.
+    """
+    ids, n_eps, n_on, n_final = _nfa_index(nfa)
+    n = len(ids)
+    # A product state (t, q) is the key t * n + q.  Memoised moves carry
+    # the target's t * n, so a product target is that plus the NFA's q.
+    memo: dict[int, TMoves] = {}
+    start = t_initial * n + ids[nfa.initial]
+    index = {start: 0}
+    order = [start]
+    edges: list[tuple[int, str | None, int]] = []
+    finals: list[int] = []
+    src = 0
+    while src < len(order):
+        key = order[src]
+        nq = key % n
+        base = key - nq
+        moves = memo.get(base)
+        if moves is None:
+            eps, on, final = t_moves(base // n)
+            moves = memo[base] = (
+                [(label, t * n) for label, t in eps],
+                {a: [(label, t * n) for label, t in ms] for a, ms in on.items()},
+                final,
+            )
+        t_eps, t_on, t_final = moves
+        if t_final and n_final[nq]:
+            finals.append(src)
+        targets = [(label, b + nq) for label, b in t_eps]
+        for letter, dsts in n_on[nq]:
+            t_moves_on = t_on.get(letter)
+            if t_moves_on:
+                targets += [(label, b + q) for label, b in t_moves_on for q in dsts]
+        targets += [(None, base + q) for q in n_eps[nq]]
+        for label, key in targets:
+            dst = index.get(key)
+            if dst is None:
+                dst = index[key] = len(order)
+                order.append(key)
+            edges.append((src, label, dst))
+        if len(order) > max_states:
+            raise ResourceLimit(f"{what} exceeded {max_states} states")
+        src += 1
+
+    preds: list[list[int]] = [[] for _ in order]
+    for s, _, d in edges:
+        preds[d].append(s)
+    live = bytearray(len(order))
+    for f in finals:
+        live[f] = 1
+    stack = list(finals)
+    while stack:
+        for p in preds[stack.pop()]:
+            if not live[p]:
+                live[p] = 1
+                stack.append(p)
+    names: list[str | None] = [None] * len(order)
+    names[0] = "q0"
+    count = 1
+    for i in range(1, len(order)):
+        if live[i]:
+            names[i] = f"q{count}"
+            count += 1
+    return Nfa(
+        nfa.alphabet,
+        tuple(q for q in names if q is not None),
+        tuple([(names[s], label, names[d]) for s, label, d in edges if live[s] and live[d]]),
+        "q0",
+        tuple(names[f] for f in finals),
+    )
+
+
+def apply_transduction(
+    transducer: Transducer, nfa: Nfa, max_states: int = 1_000_000
+) -> Nfa:
+    """Image NFA of the language under the transducer.
+
+    The product is trimmed: every state is reachable and reaches a final
+    state, apart from the lone initial state of an empty image.
+    """
     if transducer.alphabet != nfa.alphabet:
         raise ValueError("transduction requires matching alphabets")
-    t_out: dict[str, list[tuple[Word, Word, str]]] = {q: [] for q in transducer.states}
-    for src, consumed, emitted, dst in transducer.edges:
-        t_out[src].append((consumed, emitted, dst))
-    adj = _adjacency(nfa)
-
-    def name(tq: str, nq: str) -> str:
-        return f"{tq}@{nq}"
-
-    start = (transducer.initial, nfa.initial)
-    seen = {start}
-    queue = [start]
-    edges: list[Edge] = []
-    while queue:
-        tq, nq = queue.pop(0)
-        targets: list[tuple[str | None, tuple[str, str]]] = []
-        for consumed, emitted, tq2 in t_out[tq]:
-            label = emitted[0] if emitted else None
-            if not consumed:
-                targets.append((label, (tq2, nq)))
-            else:
-                for lb, nq2 in adj[nq]:
-                    if lb == consumed[0]:
-                        targets.append((label, (tq2, nq2)))
-        for lb, nq2 in adj[nq]:
-            if lb is None:
-                targets.append((None, (tq, nq2)))
-        for label, pair in targets:
-            edges.append((name(tq, nq), label, name(*pair)))
-            if pair not in seen:
-                seen.add(pair)
-                queue.append(pair)
-    t_fin, n_fin = set(transducer.finals), set(nfa.finals)
-    finals = tuple(name(tq, nq) for (tq, nq) in seen if tq in t_fin and nq in n_fin)
-    return _canonical(
-        Nfa(
-            nfa.alphabet,
-            tuple(name(tq, nq) for (tq, nq) in seen),
-            tuple(edges),
-            name(*start),
-            finals,
-        )
-    )
+    initial, moves = _transducer_moves(transducer)
+    return _product(nfa, initial, moves, max_states, "transduction product")
 
 
 # Frame configurations for the block-closure controller.  A stack of
@@ -485,10 +551,6 @@ Frame = tuple[int, str]
 Stack = tuple[Frame, ...]
 
 
-def _stack_name(stack: Stack) -> str:
-    return "c[" + ".".join(f"{lvl}{cfg}" for lvl, cfg in stack) + "]"
-
-
 def _chain_closable(frames: Stack) -> bool:
     if not frames:
         return True
@@ -497,47 +559,47 @@ def _chain_closable(frames: Stack) -> bool:
     return all(cfg == _XMID for _, cfg in frames[:-1])
 
 
-def _closure_controller(alphabet: PriorityAlphabet) -> Transducer:
+def _block_controller(alphabet: PriorityAlphabet):
     """Transducer whose image of {v} is the absorbing block cone below v.
 
-    Stratified by the top priority p of the output word.  Within a
-    stratum the stack of frames mirrors the recursive block matching:
-    a frame either skips dropped material between kept separators or
-    opens a sub-frame that embeds one emitted block into one input
-    block.  Empty emitted blocks simply never open a frame, so the
-    material they face is dropped without inspection.
+    Returns its initial state id and a move lookup for ``_product``, which
+    asks for each state's moves once; states are numbered as they are
+    first named.  State 0 guesses the top priority p of the output word:
+    state 1 handles p = 0, and every other state is a stack of frames.
+    Within a stratum the stack mirrors the recursive block matching: a
+    frame either skips dropped material between kept separators or opens
+    a sub-frame that embeds one emitted block into one input block.
+    Empty emitted blocks simply never open a frame, so the material they
+    face is dropped without inspection.
     """
     d = alphabet.max_assigned_priority
     letters = [(a, alphabet.priority(a)) for a in alphabet.letters]
-    edges: list[tuple[str, Word, Word, str]] = [("init", (), (), "all0")]
-    states: set[str] = {"init", "all0"}
-    finals: set[str] = {"all0"}
-    for a, s in letters:
-        if s == 0:
-            edges.append(("all0", (a,), (a,), "all0"))
-            edges.append(("all0", (a,), (), "all0"))
+    stacks: list[Stack] = [(), ()]
+    ids: dict[Stack, int] = {}
 
-    seeds: list[Stack] = [((p, _START),) for p in range(1, d + 1)]
-    seen: set[Stack] = set(seeds)
-    queue: list[Stack] = list(seeds)
-    for stack in seeds:
-        edges.append(("init", (), (), _stack_name(stack)))
+    def sid(stack: Stack) -> int:
+        i = ids.get(stack)
+        if i is None:
+            i = ids[stack] = len(stacks)
+            stacks.append(stack)
+        return i
 
-    def emit(src: Stack, letter: str | None, out: Word, dst: Stack) -> None:
-        consumed: Word = (letter,) if letter is not None else ()
-        edges.append((_stack_name(src), consumed, out, _stack_name(dst)))
-        if dst not in seen:
-            seen.add(dst)
-            queue.append(dst)
-
-    while queue:
-        stack = queue.pop(0)
+    def moves(t: int) -> TMoves:
+        if t == 0:
+            eps = [(None, 1)] + [(None, sid(((p, _START),))) for p in range(1, d + 1)]
+            return eps, {}, False
+        if t == 1:
+            return [], {a: [(a, 1), (None, 1)] for a, s in letters if s == 0}, True
+        stack = stacks[t]
+        on: dict[str, list[tuple[str | None, int]]] = {}
         k = len(stack) - 1
         top_level = stack[0][0]
         for a, s in letters:
             if s > top_level:
                 continue
-            j = max(i for i, (lvl, _) in enumerate(stack) if lvl >= s)
+            j = k  # the lowest frame at level >= s; levels fall downward
+            while stack[j][0] < s:
+                j -= 1
             if not _chain_closable(stack[j + 1 :]):
                 continue
             level, cfg = stack[j]
@@ -545,44 +607,47 @@ def _closure_controller(alphabet: PriorityAlphabet) -> Transducer:
                 # the frame below just closed; only its separator may follow
                 if s != level:
                     continue
-                keep_tail = stack[:j] + ((level, _POSTF),)
                 drop_cfg = _GAPF if cfg == _XMID else _PRE
-                emit(stack, a, (a,), keep_tail)
-                emit(stack, a, (), stack[:j] + ((level, drop_cfg),))
+                keep = stack[:j] + ((level, _POSTF),)
+                drop = stack[:j] + ((level, drop_cfg),)
             elif level == 0:
-                emit(stack, a, (a,), stack[:j] + ((0, _E1),))
-                emit(stack, a, (), stack)
+                keep, drop = stack[:j] + ((0, _E1),), stack
             elif s < level:
-                emit(stack, a, (), stack[:j] + ((level, _CONTENT_MAP[cfg]),))
+                on[a] = [(None, sid(stack[:j] + ((level, _CONTENT_MAP[cfg]),)))]
+                continue
             else:
                 keep_cfg, drop_cfg = _SEP_MAP[cfg]
-                emit(stack, a, (a,), stack[:j] + ((level, keep_cfg),))
-                emit(stack, a, (), stack[:j] + ((level, drop_cfg),))
+                keep = stack[:j] + ((level, keep_cfg),)
+                drop = stack[:j] + ((level, drop_cfg),)
+            on[a] = [(a, sid(keep)), (None, sid(drop))]
+        eps: list[tuple[str | None, int]] = []
         level, cfg = stack[-1]
         if level >= 1 and cfg in (_START, _POSTF):
             opened = _XSTART if cfg == _START else _XMID
             for sub_level in range(level):
                 sub: Frame = (sub_level, _START) if sub_level >= 1 else (0, _E0)
-                emit(stack, None, (), stack[:-1] + ((level, opened), sub))
+                eps.append((None, sid(stack[:-1] + ((level, opened), sub))))
+        return eps, on, _chain_closable(stack)
 
-    for stack in seen:
-        states.add(_stack_name(stack))
-        if _chain_closable(stack):
-            finals.add(_stack_name(stack))
-    return Transducer(
-        alphabet, tuple(states), tuple(edges), "init", tuple(sorted(finals))
-    )
+    return 0, moves
 
 
-def closure_regular(nfa: Nfa, order: OrderKind) -> Nfa:
-    """NFA for the downward closure of the language under the order."""
+def closure_regular(nfa: Nfa, order: OrderKind, max_states: int = 1_000_000) -> Nfa:
+    """NFA for the downward closure of the language under the order.
+
+    The result is trimmed: every state is reachable and reaches a final
+    state, apart from the lone initial state of an empty closure.  More
+    than ``max_states`` product states raise ResourceLimit.
+    """
     if order is OrderKind.SUBWORD:
-        return apply_transduction(subword_transducer(nfa.alphabet), nfa)
-    if order is OrderKind.PRIORITY:
-        return apply_transduction(priority_transducer(nfa.alphabet), nfa)
-    if order is OrderKind.BLOCK:
-        return apply_transduction(_closure_controller(nfa.alphabet), nfa)
-    raise ValueError(f"unknown order {order!r}")
+        initial, moves = _transducer_moves(subword_transducer(nfa.alphabet))
+    elif order is OrderKind.PRIORITY:
+        initial, moves = _transducer_moves(priority_transducer(nfa.alphabet))
+    elif order is OrderKind.BLOCK:
+        initial, moves = _block_controller(nfa.alphabet)
+    else:
+        raise ValueError(f"unknown order {order!r}")
+    return _product(nfa, initial, moves, max_states, f"{order.value} closure product")
 
 
 def _last_letter_nfa(alphabet: PriorityAlphabet, letter: str) -> Nfa:
@@ -599,6 +664,7 @@ def priority_from_skeleton(
     alphabet: PriorityAlphabet,
     skeletons: Iterable[tuple[str, Nfa]],
     with_empty: bool,
+    max_states: int = 1_000_000,
 ) -> Nfa:
     """Priority downward closure of a language L from per-letter skeletons.
 
@@ -608,7 +674,8 @@ def priority_from_skeleton(
     with the same letters; only its language is read.  ``with_empty``
     says whether L holds the empty word.  The result is the union of the
     priority images of each S clamped to words ending in a, plus the
-    empty word when asked for.
+    empty word when asked for.  It is trimmed, and ``max_states`` caps
+    each product.
 
     This is exact.  Let S_a be S clamped to words ending in a.
       - S_a contains L_a.
@@ -625,15 +692,21 @@ def priority_from_skeleton(
     pieces = [nfa_for_words(alphabet, [()])] if with_empty else []
     for letter, skeleton in skeletons:
         clamped = nfa_intersect(
-            replace(skeleton, alphabet=alphabet), _last_letter_nfa(alphabet, letter)
+            replace(skeleton, alphabet=alphabet),
+            _last_letter_nfa(alphabet, letter),
+            max_states,
         )
-        pieces.append(apply_transduction(drop, clamped))
-    if not pieces:
-        return nfa_for_words(alphabet, [])
-    out = pieces[0]
-    for piece in pieces[1:]:
-        out = nfa_union(out, piece)
-    return out
+        pieces.append(apply_transduction(drop, clamped, max_states))
+    return _union_trimmed(alphabet, pieces)
+
+
+def _union_trimmed(alphabet: PriorityAlphabet, pieces: Iterable[Nfa]) -> Nfa:
+    """Union of trimmed NFAs, skipping empty ones so the union stays trimmed."""
+    out = None
+    for piece in pieces:
+        if piece.finals:
+            out = piece if out is None else nfa_union(out, piece)
+    return out if out is not None else nfa_for_words(alphabet, [])
 
 
 def nfa_serialize(nfa: Nfa) -> dict:

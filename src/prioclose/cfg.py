@@ -21,10 +21,10 @@ from .automata import (
     _canonical,
     _eps_closure,
     _step,
+    _union_trimmed,
     closure_regular,
     nfa_accepts,
     nfa_for_words,
-    nfa_union,
     priority_from_skeleton,
 )
 from .core import (
@@ -623,6 +623,12 @@ def _check_range(alphabet: PriorityAlphabet, r: int, s: int) -> None:
         raise ValueError(f"priorities ({r}, {s}) out of range [0, {p}]")
 
 
+def _ends_from_pump(pump: Cfg, hat: HatAlphabet, r: int, s: int) -> Cfg:
+    """Unpruned ``ends_grammar`` of the pump grammar at one nonterminal."""
+    out = apply_transducer_to_cfg(_ends_transducer(hat, r, s), pump)
+    return replace(out, alphabet=_ends_alphabet(hat, r, s))
+
+
 def ends_grammar(g: Cfg, x: str, r: int, s: int) -> Cfg:
     """Grammar for the marked outer runs of pumps at ``x``.
 
@@ -639,8 +645,7 @@ def ends_grammar(g: Cfg, x: str, r: int, s: int) -> Cfg:
     hat = HatAlphabet.extend(g.alphabet)
     cnf, _ = to_cnf(g)
     pump = _pump_from_cnf(cnf, x, hat)
-    out = apply_transducer_to_cfg(_ends_transducer(hat, r, s), pump)
-    return _pruned(replace(out, alphabet=_ends_alphabet(hat, r, s)))
+    return _pruned(_ends_from_pump(pump, hat, r, s))
 
 
 def repeats_grammars(g: Cfg, x: str, r: int, s: int) -> tuple[Cfg, Cfg]:
@@ -856,12 +861,7 @@ def _kleene(
             for s in range(p + 1):
                 if s >= 1 and not alpha.letters_of(s):
                     continue
-                ends_raw = apply_transducer_to_cfg(
-                    _ends_transducer(hat, r, s), pump
-                )
-                ends_cnf, _ = to_cnf(
-                    replace(ends_raw, alphabet=_ends_alphabet(hat, r, s))
-                )
+                ends_cnf, _ = to_cnf(_ends_from_pump(pump, hat, r, s))
                 if not ends_cnf.productions:
                     continue
                 counter += 1
@@ -871,6 +871,11 @@ def _kleene(
                 if stats is not None:
                     stats["pairs"] += 1
                     stats["inner"].append(len(ends_closed.nonterminals))
+                # Not repeats_grammars: a positive-priority run here leaves
+                # its closing separator out (with_separator=False), because
+                # the wrapper below appends z[pri] itself; with no
+                # separator left, the run's alphabet is cut at
+                # max(pri - 1, 0) instead of pri.
                 side_starts: dict[str, str | None] = {}
                 for side, pri in (("left", r), ("right", s)):
                     raw = apply_transducer_to_cfg(
@@ -1054,13 +1059,8 @@ def cfg_block_closure(g: Cfg, max_states: int = 1_000_000) -> Nfa:
         flat = flatten(g.alphabet)
         kg = _kleene(replace(cnf, alphabet=flat), frozenset())
         skeleton = replace(acyclic_nfa(kg, max_states), alphabet=g.alphabet)
-        pieces.append(closure_regular(skeleton, OrderKind.BLOCK))
-    if not pieces:
-        return nfa_for_words(g.alphabet, [])
-    out = pieces[0]
-    for piece in pieces[1:]:
-        out = nfa_union(out, piece)
-    return _canonical(out, g.alphabet)
+        pieces.append(closure_regular(skeleton, OrderKind.BLOCK, max_states))
+    return _union_trimmed(g.alphabet, pieces)
 
 
 def _ends_with_transducer(alphabet: PriorityAlphabet, letter: str) -> Transducer:
@@ -1096,7 +1096,7 @@ def cfg_priority_closure(g: Cfg, max_states: int = 1_000_000) -> Nfa:
                 kg = _kleene(group_cnf, frozenset())
                 yield letter, acyclic_nfa(kg, max_states)
 
-    return priority_from_skeleton(g.alphabet, skeletons(), had_empty)
+    return priority_from_skeleton(g.alphabet, skeletons(), had_empty, max_states)
 
 
 def cfg_serialize(g: Cfg) -> dict:

@@ -70,7 +70,8 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _dump_json(data) -> str:
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    # indent would switch json to its pure-Python encoder
+    return json.dumps(data, sort_keys=True) + "\n"
 
 
 def _parse_simple_oca(data, alphabet: PriorityAlphabet) -> SimpleOca:
@@ -111,10 +112,10 @@ def _as_oca(machine: SimpleOca) -> Oca:
     )
 
 
-def _oca_block(machine: Oca | SimpleOca) -> Nfa:
+def _oca_block(machine: Oca | SimpleOca, state_cap: int) -> Nfa:
     if isinstance(machine, SimpleOca):
-        return closure_regular(soca_closure_nfa(machine), OrderKind.BLOCK)
-    return oca_block_closure(machine)
+        return closure_regular(soca_closure_nfa(machine), OrderKind.BLOCK, state_cap)
+    return oca_block_closure(machine, state_cap)
 
 
 def build_closure(kind: str, order: OrderKind, model, state_cap: int) -> Nfa:
@@ -128,12 +129,12 @@ def build_closure(kind: str, order: OrderKind, model, state_cap: int) -> Nfa:
         )
         return replace(flat, alphabet=alphabet)
     if kind == "nfa":
-        return closure_regular(model, order)
+        return closure_regular(model, order, state_cap)
     if kind == "oca":
         if order is OrderKind.BLOCK:
-            return _oca_block(model)
+            return _oca_block(model, state_cap)
         machine = _as_oca(model) if isinstance(model, SimpleOca) else model
-        return oca_priority_closure(machine)
+        return oca_priority_closure(machine, state_cap)
     if order is OrderKind.BLOCK:
         return cfg_block_closure(model, state_cap)
     return cfg_priority_closure(model, state_cap)

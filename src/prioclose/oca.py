@@ -420,9 +420,9 @@ def _glue_nfa(oca: Oca) -> Nfa:
     )
 
 
-def oca_block_closure(oca: Oca) -> Nfa:
+def oca_block_closure(oca: Oca, max_states: int = 1_000_000) -> Nfa:
     """NFA for the block downward closure of the OCA language."""
-    return closure_regular(_glue_nfa(oca), OrderKind.BLOCK)
+    return closure_regular(_glue_nfa(oca), OrderKind.BLOCK, max_states)
 
 
 def _last_letter_oca(oca: Oca, letter: str) -> Oca:
@@ -448,7 +448,7 @@ def _last_letter_oca(oca: Oca, letter: str) -> Oca:
     )
 
 
-def oca_priority_closure(oca: Oca) -> Nfa:
+def oca_priority_closure(oca: Oca, max_states: int = 1_000_000) -> Nfa:
     """NFA for the priority downward closure of the OCA language.
 
     Per last letter, the glued skeleton of the machine restricted to
@@ -463,7 +463,7 @@ def oca_priority_closure(oca: Oca) -> Nfa:
         for letter in oca.alphabet.letters
     )
     with_empty = oca_accepts_bounded(oca, (), counter_cap=len(oca.states) ** 2)
-    return priority_from_skeleton(oca.alphabet, skeletons, with_empty)
+    return priority_from_skeleton(oca.alphabet, skeletons, with_empty, max_states)
 
 
 def oca_serialize(oca: Oca) -> dict:

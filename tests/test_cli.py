@@ -284,6 +284,43 @@ class TestClosure:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("order", ["priority", "block"])
+    @pytest.mark.parametrize("kind", ["nfa", "oca", "cfg"])
+    def test_state_cap_every_kind(self, files, capsys, kind, order):
+        tmp_path, save = files
+        if kind == "nfa":
+            alpha = alphabet_file(save, "ex.json", EX)
+            model = save(
+                "word.json", nfa_serialize(nfa_for_words(EX, [w("0a,1b,0a,2a")]))
+            )
+        elif kind == "oca":
+            alpha = alphabet_file(save, "ab.json", AB01)
+            model = save("soca.json", SOCA_ANBN_JSON)
+        else:
+            alpha = alphabet_file(save, "p12.json", P12)
+            model = save("flagship.json", FLAGSHIP_JSON)
+        code = main(
+            [
+                "closure",
+                "--type",
+                kind,
+                "--order",
+                order,
+                "--alphabet",
+                alpha,
+                "--input",
+                model,
+                "--output",
+                str(tmp_path / "closure.json"),
+                "--state-cap",
+                "5",
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "exceeded 5 states" in err
+        assert "Traceback" not in err
+
     def test_malformed_model(self, files, capsys):
         tmp_path, save = files
         alpha = alphabet_file(save, "p12.json", P12)
