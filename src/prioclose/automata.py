@@ -9,7 +9,7 @@ are expressed that way.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .core import (
     OrderKind,
@@ -151,88 +151,123 @@ def nfa_enumerate(nfa: Nfa, bound: int) -> list[Word]:
     return sorted(set(found), key=_word_key)
 
 
-def _canonical(nfa: Nfa, alphabet: PriorityAlphabet | None = None) -> Nfa:
-    """Rename reachable states q0..qN in BFS order, dropping the rest."""
-    if alphabet is None:
-        alphabet = nfa.alphabet
-    adj = _adjacency(nfa)
-    order: dict[str, str] = {nfa.initial: "q0"}
-    queue = [nfa.initial]
-    while queue:
-        q = queue.pop(0)
-        for label, dst in sorted(adj[q], key=lambda e: (e[0] is not None, e[0] or "", e[1])):
-            if dst not in order:
-                order[dst] = f"q{len(order)}"
-                queue.append(dst)
-    edges = tuple(
-        (order[src], label, order[dst])
-        for src, label, dst in nfa.edges
-        if src in order and dst in order
-    )
-    finals = tuple(order[f] for f in nfa.finals if f in order)
+def _explore(
+    alphabet: PriorityAlphabet,
+    initial: Hashable,
+    successors: Callable[[Hashable], tuple[bool, list[tuple[str | None, Hashable]]]],
+    max_states: int,
+    what: str,
+) -> Nfa:
+    """Trimmed NFA of the states reachable from ``initial``.
+
+    States are any hashable keys.  ``successors(key)`` gives whether the
+    state is final and its (label, target key) moves; it is called once
+    per key, in breadth-first discovery order.  More than ``max_states``
+    discovered keys raise ResourceLimit naming ``what``.  States that
+    cannot reach a final state are dropped, except the initial one, so
+    an empty language is one state with no finals; the survivors are
+    named q0..qN in discovery order.
+    """
+    index = {initial: 0}
+    order = [initial]
+    edges: list[tuple[int, str | None, int]] = []
+    finals: list[int] = []
+    src = 0
+    while src < len(order):
+        final, targets = successors(order[src])
+        if final:
+            finals.append(src)
+        for label, key in targets:
+            dst = index.get(key)
+            if dst is None:
+                dst = index[key] = len(order)
+                order.append(key)
+            edges.append((src, label, dst))
+        if len(order) > max_states:
+            raise ResourceLimit(f"{what} exceeded {max_states} states")
+        src += 1
+
+    preds: list[list[int]] = [[] for _ in order]
+    for s, _, d in edges:
+        preds[d].append(s)
+    live = bytearray(len(order))
+    for f in finals:
+        live[f] = 1
+    stack = list(finals)
+    while stack:
+        for p in preds[stack.pop()]:
+            if not live[p]:
+                live[p] = 1
+                stack.append(p)
+    names: list[str | None] = [None] * len(order)
+    names[0] = "q0"
+    count = 1
+    for i in range(1, len(order)):
+        if live[i]:
+            names[i] = f"q{count}"
+            count += 1
     return Nfa(
-        alphabet=alphabet,
-        states=tuple(order.values()),
-        edges=edges,
-        initial="q0",
-        finals=finals,
+        alphabet,
+        tuple(q for q in names if q is not None),
+        tuple([(names[s], label, names[d]) for s, label, d in edges if live[s] and live[d]]),
+        "q0",
+        tuple(names[f] for f in finals),
     )
 
 
 def nfa_for_words(alphabet: PriorityAlphabet, words: Sequence[Iterable[str]]) -> Nfa:
-    """Finite-language NFA; a spine of fresh states per word."""
-    states = ["s"]
-    edges: list[Edge] = []
-    finals: list[str] = []
-    for i, w in enumerate(words):
-        prev = "s"
-        for j, letter in enumerate(tuple(w)):
-            cur = f"w{i}_{j}"
-            states.append(cur)
-            edges.append((prev, letter, cur))
-            prev = cur
-        finals.append(prev)
-    return _canonical(
-        Nfa(
-            alphabet=alphabet,
-            states=tuple(states),
-            edges=tuple(edges),
-            initial="s",
-            finals=tuple(set(finals)),
-        )
-    )
+    """Finite-language NFA, trimmed; a spine of fresh states per word.
 
+    The key (i, j) is word i after j letters; None is the initial state.
+    """
+    words = [tuple(w) for w in words]
 
-def _tag(nfa: Nfa, tag: str) -> Nfa:
-    ren = {q: f"{tag}:{q}" for q in nfa.states}
-    return Nfa(
-        alphabet=nfa.alphabet,
-        states=tuple(ren.values()),
-        edges=tuple((ren[s], l, ren[d]) for s, l, d in nfa.edges),
-        initial=ren[nfa.initial],
-        finals=tuple(ren[f] for f in nfa.finals),
-    )
+    def successors(key):
+        if key is None:
+            return () in words, [(w[0], (i, 1)) for i, w in enumerate(words) if w]
+        i, j = key
+        word = words[i]
+        if j == len(word):
+            return True, []
+        return False, [(word[j], (i, j + 1))]
+
+    return _explore(alphabet, None, successors, 1 + sum(map(len, words)), "word automaton")
 
 
 def nfa_union(a: Nfa, b: Nfa) -> Nfa:
+    """NFA for the union, trimmed; the key (side, q) is state q of a or b."""
     if a.alphabet != b.alphabet:
         raise ValueError("union requires matching alphabets")
-    a, b = _tag(a, "a"), _tag(b, "b")
-    states = ("u",) + a.states + b.states
-    edges = a.edges + b.edges + (("u", None, a.initial), ("u", None, b.initial))
-    return _canonical(
-        Nfa(a.alphabet, states, edges, "u", a.finals + b.finals)
-    )
+    sides = [(_adjacency(nfa), set(nfa.finals)) for nfa in (a, b)]
+
+    def successors(key):
+        if key is None:
+            return False, [(None, (0, a.initial)), (None, (1, b.initial))]
+        side, q = key
+        adj, finals = sides[side]
+        return q in finals, [(label, (side, dst)) for label, dst in adj[q]]
+
+    # the inputs bound the size, so this cap never fires
+    size = 1 + len(a.states) + len(b.states)
+    return _explore(a.alphabet, None, successors, size, "union")
 
 
 def nfa_concat(a: Nfa, b: Nfa) -> Nfa:
+    """NFA for the concatenation, trimmed; keys as in ``nfa_union``."""
     if a.alphabet != b.alphabet:
         raise ValueError("concat requires matching alphabets")
-    a, b = _tag(a, "a"), _tag(b, "b")
-    bridge = tuple((f, None, b.initial) for f in a.finals)
-    return _canonical(
-        Nfa(a.alphabet, a.states + b.states, a.edges + b.edges + bridge, a.initial, b.finals)
-    )
+    sides = [(_adjacency(nfa), set(nfa.finals)) for nfa in (a, b)]
+
+    def successors(key):
+        side, q = key
+        adj, finals = sides[side]
+        moves = [(label, (side, dst)) for label, dst in adj[q]]
+        if side == 0 and q in finals:
+            moves.append((None, (1, b.initial)))
+        return side == 1 and q in finals, moves
+
+    size = len(a.states) + len(b.states)
+    return _explore(a.alphabet, (0, a.initial), successors, size, "concatenation")
 
 
 def nfa_intersect(a: Nfa, b: Nfa, max_states: int = 1_000_000) -> Nfa:
@@ -423,25 +458,15 @@ def _product(
 
     ``t_moves(t)`` gives the moves of transducer state t (see ``TMoves``);
     it is called once per state, so a transducer may be built on demand.
-    Product states are numbered in breadth-first discovery order.  States
-    that cannot reach a final state are dropped, except the initial one,
-    so an empty image is one state with no finals; the survivors are
-    named q0..qN in the same order.  More than ``max_states`` discovered
-    states raise ResourceLimit naming ``what``.
+    ``_explore`` walks the product, caps it at ``max_states`` and trims it.
     """
     ids, n_eps, n_on, n_final = _nfa_index(nfa)
     n = len(ids)
     # A product state (t, q) is the key t * n + q.  Memoised moves carry
     # the target's t * n, so a product target is that plus the NFA's q.
     memo: dict[int, TMoves] = {}
-    start = t_initial * n + ids[nfa.initial]
-    index = {start: 0}
-    order = [start]
-    edges: list[tuple[int, str | None, int]] = []
-    finals: list[int] = []
-    src = 0
-    while src < len(order):
-        key = order[src]
+
+    def successors(key: int):
         nq = key % n
         base = key - nq
         moves = memo.get(base)
@@ -453,50 +478,16 @@ def _product(
                 final,
             )
         t_eps, t_on, t_final = moves
-        if t_final and n_final[nq]:
-            finals.append(src)
         targets = [(label, b + nq) for label, b in t_eps]
         for letter, dsts in n_on[nq]:
             t_moves_on = t_on.get(letter)
             if t_moves_on:
                 targets += [(label, b + q) for label, b in t_moves_on for q in dsts]
         targets += [(None, base + q) for q in n_eps[nq]]
-        for label, key in targets:
-            dst = index.get(key)
-            if dst is None:
-                dst = index[key] = len(order)
-                order.append(key)
-            edges.append((src, label, dst))
-        if len(order) > max_states:
-            raise ResourceLimit(f"{what} exceeded {max_states} states")
-        src += 1
+        return t_final and n_final[nq], targets
 
-    preds: list[list[int]] = [[] for _ in order]
-    for s, _, d in edges:
-        preds[d].append(s)
-    live = bytearray(len(order))
-    for f in finals:
-        live[f] = 1
-    stack = list(finals)
-    while stack:
-        for p in preds[stack.pop()]:
-            if not live[p]:
-                live[p] = 1
-                stack.append(p)
-    names: list[str | None] = [None] * len(order)
-    names[0] = "q0"
-    count = 1
-    for i in range(1, len(order)):
-        if live[i]:
-            names[i] = f"q{count}"
-            count += 1
-    return Nfa(
-        nfa.alphabet,
-        tuple(q for q in names if q is not None),
-        tuple([(names[s], label, names[d]) for s, label, d in edges if live[s] and live[d]]),
-        "q0",
-        tuple(names[f] for f in finals),
-    )
+    start = t_initial * n + ids[nfa.initial]
+    return _explore(nfa.alphabet, start, successors, max_states, what)
 
 
 def apply_transduction(
@@ -718,21 +709,34 @@ def nfa_serialize(nfa: Nfa) -> dict:
     }
 
 
+def _name(value, what: str) -> str:
+    """A state or symbol name read from model data; it must be a string."""
+    if not isinstance(value, str):
+        raise ValueError(f"{what} {value!r} is not a string")
+    return value
+
+
+def _parse_edge(item, arity: int) -> tuple:
+    """An edge [src, label, ..., dst] read from model data, shape-checked."""
+    if (
+        not isinstance(item, (list, tuple))
+        or len(item) != arity
+        or not (isinstance(item[0], str) and isinstance(item[-1], str))
+        or not (item[1] is None or isinstance(item[1], str))
+    ):
+        raise ValueError(f"malformed edge {item!r}")
+    return tuple(item)
+
+
 def nfa_parse(data: Mapping, alphabet: PriorityAlphabet) -> Nfa:
     try:
-        states = tuple(data["states"])
-        initial = data["initial"]
-        finals = tuple(data["finals"])
-        raw_edges = data["edges"]
+        states = tuple(_name(q, "state") for q in data["states"])
+        initial = _name(data["initial"], "state")
+        finals = tuple(_name(q, "state") for q in data["finals"])
+        edges = tuple(_parse_edge(item, 3) for item in data["edges"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed nfa data: {exc}") from exc
-    edges = []
-    for item in raw_edges:
-        if len(item) != 3:
-            raise ValueError(f"malformed edge {item!r}")
-        src, label, dst = item
-        edges.append((src, label, dst))
-    return Nfa(alphabet, states, tuple(edges), initial, finals)
+    return Nfa(alphabet, states, edges, initial, finals)
 
 
 def nfa_to_dot(nfa: Nfa, name: str = "nfa") -> str:

@@ -18,8 +18,9 @@ from .automata import (
     Nfa,
     Transducer,
     _adjacency,
-    _canonical,
     _eps_closure,
+    _explore,
+    _name,
     _step,
     _union_trimmed,
     closure_regular,
@@ -974,79 +975,46 @@ def kleene_closure_grammar(g: Cfg) -> KleeneGrammar:
 def acyclic_nfa(h: KleeneGrammar, max_states: int = 1_000_000) -> Nfa:
     """Automaton for the words with a repetition-free derivation path.
 
-    States encode the stack of open productions with their cursors in a
-    preorder walk; a nonterminal already on the stack cannot be opened
-    again, while starred items may open any number of children.  States
-    materialize lazily, and exceeding ``max_states`` raises a resource
-    error rather than thrashing.
+    States are the stacks of open productions with their cursors in a
+    preorder walk, plus None for the final state; a nonterminal already
+    on the stack cannot be opened again, while starred items may open
+    any number of children.  States materialize lazily, and exceeding
+    ``max_states`` raises a resource error rather than thrashing.  The
+    result is trimmed.
     """
     by_head: dict[str, list[tuple[KItem, ...]]] = {}
     for lhs, rhs in h.productions:
         by_head.setdefault(lhs, []).append(rhs)
     Frame = tuple[str, int, int]
 
-    def name(stack: tuple[Frame, ...]) -> str:
-        if not stack:
-            return "@i"
-        return "|".join(f"{nt}^{j}^{pos}" for nt, j, pos in stack)
-
-    def pushes(
-        stack: tuple[Frame, ...], nt: str
-    ) -> list[tuple[Frame, ...]]:
+    def pushes(stack: tuple[Frame, ...], nt: str) -> list[tuple[None, tuple[Frame, ...]]]:
         if any(f[0] == nt for f in stack):
             return []
-        return [stack + ((nt, j, 0),) for j in range(len(by_head.get(nt, ())))]
+        return [(None, stack + ((nt, j, 0),)) for j in range(len(by_head.get(nt, ())))]
 
-    states: set[str] = {"@i", "@f"}
-    edges: list[tuple[str, str | None, str]] = []
-    seen: set[tuple[Frame, ...]] = {()}
-    frontier: list[tuple[Frame, ...]] = [()]
-
-    def visit(src: str, label: str | None, stack: tuple[Frame, ...]) -> None:
-        target = name(stack)
-        edges.append((src, label, target))
-        if target not in states:
-            states.add(target)
-        if stack not in seen:
-            seen.add(stack)
-            frontier.append(stack)
-        if len(states) > max_states:
-            raise ResourceLimit(
-                f"acyclic automaton exceeded {max_states} states"
-            )
-
-    while frontier:
-        stack = frontier.pop()
-        src = name(stack)
+    def successors(stack: tuple[Frame, ...] | None):
+        if stack is None:
+            return True, []
         if not stack:
-            for nxt in pushes((), h.start):
-                visit(src, None, nxt)
-            continue
+            return False, pushes((), h.start)
         nt, j, pos = stack[-1]
         rhs = by_head[nt][j]
         if pos == len(rhs):
             if len(stack) == 1:
-                edges.append((src, None, "@f"))
-                continue
+                return False, [(None, None)]
             pnt, pj, ppos = stack[-2]
-            pkind = by_head[pnt][pj][ppos][0]
-            if pkind == STAR:
-                visit(src, None, stack[:-1])
-            else:
-                visit(src, None, stack[:-2] + ((pnt, pj, ppos + 1),))
-            continue
+            if by_head[pnt][pj][ppos][0] == STAR:
+                return False, [(None, stack[:-1])]
+            return False, [(None, stack[:-2] + ((pnt, pj, ppos + 1),))]
         kind, sym = rhs[pos]
+        advanced = stack[:-1] + ((nt, j, pos + 1),)
         if kind == LIT:
-            visit(src, sym, stack[:-1] + ((nt, j, pos + 1),))
-        elif kind == NT:
-            for nxt in pushes(stack, sym):
-                visit(src, None, nxt)
-        else:
-            visit(src, None, stack[:-1] + ((nt, j, pos + 1),))
-            for nxt in pushes(stack, sym):
-                visit(src, None, nxt)
-    nfa = Nfa(h.alphabet, tuple(states), tuple(edges), "@i", ("@f",))
-    return _canonical(nfa)
+            return False, [(sym, advanced)]
+        if kind == NT:
+            return False, pushes(stack, sym)
+        return False, [(None, advanced)] + pushes(stack, sym)
+
+    return _explore(h.alphabet, (), successors, max_states, "acyclic automaton")
 
 
 def cfg_block_closure(g: Cfg, max_states: int = 1_000_000) -> Nfa:
@@ -1110,11 +1078,12 @@ def cfg_serialize(g: Cfg) -> dict:
 
 def cfg_parse(data: Mapping, alphabet: PriorityAlphabet) -> Cfg:
     try:
-        start = data["start"]
-        nts = tuple(data["nonterminals"])
-        terminals = list(data.get("terminals", alphabet.letters))
+        start = _name(data["start"], "nonterminal")
+        nts = tuple(_name(x, "nonterminal") for x in data["nonterminals"])
+        terminals = [_name(a, "terminal") for a in data.get("terminals", alphabet.letters)]
         prods = tuple(
-            (lhs, tuple(rhs)) for lhs, rhs in data["productions"]
+            (_name(lhs, "nonterminal"), tuple(_name(sym, "symbol") for sym in rhs))
+            for lhs, rhs in data["productions"]
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed grammar data: {exc}") from exc

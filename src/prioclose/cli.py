@@ -114,7 +114,8 @@ def _as_oca(machine: SimpleOca) -> Oca:
 
 def _oca_block(machine: Oca | SimpleOca, state_cap: int) -> Nfa:
     if isinstance(machine, SimpleOca):
-        return closure_regular(soca_closure_nfa(machine), OrderKind.BLOCK, state_cap)
+        skeleton = soca_closure_nfa(machine, state_cap)
+        return closure_regular(skeleton, OrderKind.BLOCK, state_cap)
     return oca_block_closure(machine, state_cap)
 
 

@@ -10,12 +10,14 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Hashable, Iterable, Mapping
 
 from .automata import (
     Nfa,
-    _canonical,
-    _tag,
+    _adjacency,
+    _explore,
+    _name,
+    _parse_edge,
     closure_regular,
     priority_from_skeleton,
 )
@@ -246,7 +248,7 @@ def oca_enumerate(
     return sorted(set(found), key=lambda w: (len(w), w))
 
 
-def soca_closure_nfa(soca: SimpleOca) -> Nfa:
+def soca_closure_nfa(soca: SimpleOca, max_states: int = 1_000_000) -> Nfa:
     """Three-mode NFA sandwiched between the language and its block closure.
 
     Mode 1 simulates exactly while the counter stays <= K; the increment
@@ -255,79 +257,48 @@ def soca_closure_nfa(soca: SimpleOca) -> Nfa:
     updates; a decrement from K+1 may switch to mode 3, which again
     simulates exactly below K.  Spontaneous loops store the counter they
     froze so returning cannot jump it.
+
+    The key (mode, q, c) is state q with counter c in mode 1, 2 or 3;
+    (anchor, q, c) is a loop from state ``anchor`` that has reached q.
+    The result is trimmed, and more than ``max_states`` states raise
+    ResourceLimit.
     """
     k = len(soca.states)
     cap_u = k * k + k + 1
-
-    def m1(q: str, c: int) -> str:
-        return f"m1:{q}:{c}"
-
-    def m2(q: str, c: int) -> str:
-        return f"m2:{q}:{c}"
-
-    def m3(q: str, c: int) -> str:
-        return f"m3:{q}:{c}"
-
-    def walk(q: str, anchor: str, c: int) -> str:
-        return f"w:{q}:{anchor}:{c}"
-
-    states: list[str] = []
-    for q in soca.states:
-        states.extend(m1(q, c) for c in range(k + 1))
-        states.extend(m3(q, c) for c in range(k + 1))
-        states.extend(m2(q, c) for c in range(cap_u + 1))
-        for anchor in soca.states:
-            states.extend(walk(q, anchor, c) for c in range(cap_u + 1))
-
-    edges: list[tuple[str, str | None, str]] = []
+    out: dict[str, list[tuple[str | None, CounterOp, str]]] = {}
     for src, label, op, dst in soca.edges:
-        for c in range(k + 1):
-            if op is CounterOp.INC:
-                target = m1(dst, c + 1) if c < k else m2(dst, k + 1)
-                edges.append((m1(src, c), label, target))
-            elif op is CounterOp.DEC:
-                if c > 0:
-                    edges.append((m1(src, c), label, m1(dst, c - 1)))
-            else:
-                edges.append((m1(src, c), label, m1(dst, c)))
-        for c in range(cap_u + 1):
-            if op is CounterOp.INC:
-                if c < cap_u:
-                    edges.append((m2(src, c), label, m2(dst, c + 1)))
-            elif op is CounterOp.DEC:
-                if c > 0:
-                    edges.append((m2(src, c), label, m2(dst, c - 1)))
-                if c == k + 1:
-                    # nondeterministic door into the exact final descent
-                    edges.append((m2(src, c), label, m3(dst, k)))
-            else:
-                edges.append((m2(src, c), label, m2(dst, c)))
-        for c in range(k + 1):
-            if op is CounterOp.INC:
-                if c < k:
-                    edges.append((m3(src, c), label, m3(dst, c + 1)))
-            elif op is CounterOp.DEC:
-                if c > 0:
-                    edges.append((m3(src, c), label, m3(dst, c - 1)))
-            else:
-                edges.append((m3(src, c), label, m3(dst, c)))
-        # spontaneous loops read letters but ignore counter updates
-        for anchor in soca.states:
-            for c in range(cap_u + 1):
-                edges.append((walk(src, anchor, c), label, walk(dst, anchor, c)))
-    for q in soca.states:
-        for c in range(cap_u + 1):
-            edges.append((m2(q, c), None, walk(q, q, c)))
-            edges.append((walk(q, q, c), None, m2(q, c)))
+        out.setdefault(src, []).append((label, op, dst))
 
-    return _canonical(
-        Nfa(
-            soca.alphabet,
-            tuple(states),
-            tuple(edges),
-            m1(soca.initial, 0),
-            (m1(soca.final, 0), m3(soca.final, 0)),
-        )
+    def successors(key):
+        mode, q, c = key
+        if isinstance(mode, str):
+            # spontaneous loops read letters but ignore counter updates
+            moves = [(label, (mode, dst, c)) for label, _, dst in out.get(q, ())]
+            if mode == q:
+                moves.append((None, (2, q, c)))
+            return False, moves
+        top = cap_u if mode == 2 else k
+        moves = []
+        for label, op, dst in out.get(q, ()):
+            if op is CounterOp.INC:
+                if c < top:
+                    moves.append((label, (mode, dst, c + 1)))
+                elif mode == 1:
+                    moves.append((label, (2, dst, k + 1)))
+            elif op is CounterOp.DEC:
+                if c > 0:
+                    moves.append((label, (mode, dst, c - 1)))
+                if mode == 2 and c == k + 1:
+                    # nondeterministic door into the exact final descent
+                    moves.append((label, (3, dst, k)))
+            else:
+                moves.append((label, (mode, dst, c)))
+        if mode == 2:
+            moves.append((None, (q, q, c)))
+        return mode != 2 and q == soca.final and c == 0, moves
+
+    return _explore(
+        soca.alphabet, (1, soca.initial, 0), successors, max_states, "one-counter skeleton"
     )
 
 
@@ -359,70 +330,67 @@ def _trim_soca(soca: SimpleOca) -> SimpleOca | None:
     return SimpleOca(soca.alphabet, tuple(keep), edges, soca.initial, soca.final)
 
 
-def _glue_nfa(oca: Oca) -> Nfa:
+def _glue_nfa(oca: Oca, max_states: int = 1_000_000) -> Nfa:
     """Skeleton of zero tests with closure-approximating pieces glued in.
 
     Pieces are the three-mode NFAs of the zero-test-free fragments
     between zero configurations; anyCounter acceptance routes drained
     variants (a spontaneous discarding decrement at the final state)
     into one fresh global final.
+
+    The key ("z", q) is state q at a zero configuration, (i, p) is state
+    p of piece i, and None is the global final.  The result is trimmed,
+    and ``max_states`` caps it and each piece.
     """
     alphabet = oca.alphabet
     zero_free = tuple(e for e in oca.edges if e[2] is not CounterOp.ZERO)
     zero_edges = tuple(e for e in oca.edges if e[2] is CounterOp.ZERO)
 
+    zero_finals = set(oca.finals) if oca.accept_mode is AcceptMode.ZERO_COUNTER else set()
     sources = {oca.initial} | {dst for _, _, _, dst in zero_edges}
-    sinks = {src for src, _, _, _ in zero_edges}
-    if oca.accept_mode is AcceptMode.ZERO_COUNTER:
-        sinks |= set(oca.finals)
+    sinks = {src for src, _, _, _ in zero_edges} | zero_finals
+    # per zero-configuration state: its zero-test moves, then piece entries
+    zero_moves: dict[str, list[tuple[str | None, Hashable]]] = {q: [] for q in oca.states}
+    for src, label, _, dst in zero_edges:
+        zero_moves[src].append((label, ("z", dst)))
+    pieces: list[tuple[dict, set[str], Hashable]] = []  # adjacency, finals, exit
 
-    def skeleton(q: str) -> str:
-        return f"z:{q}"
+    def glue(entry: str, soca: SimpleOca, exit_key: Hashable) -> None:
+        trimmed = _trim_soca(soca)
+        if trimmed is not None:
+            piece = soca_closure_nfa(trimmed, max_states)
+            zero_moves[entry].append((None, (len(pieces), piece.initial)))
+            pieces.append((_adjacency(piece), set(piece.finals), exit_key))
 
-    states: list[str] = [skeleton(q) for q in oca.states]
-    edges: list[tuple[str, str | None, str]] = [
-        (skeleton(src), label, skeleton(dst)) for src, label, _, dst in zero_edges
-    ]
-    finals: list[str] = []
-
-    pieces: list[tuple[str, SimpleOca, str | None]] = []
     for p in sorted(sources):
         for q in sorted(sinks):
-            pieces.append((p, SimpleOca(alphabet, oca.states, zero_free, p, q), skeleton(q)))
+            glue(p, SimpleOca(alphabet, oca.states, zero_free, p, q), ("z", q))
     if oca.accept_mode is AcceptMode.ANY_COUNTER:
-        states.append("acc")
-        finals.append("acc")
         for p in sorted(sources):
             for f in oca.finals:
                 drained = zero_free + ((f, None, CounterOp.DEC, f),)
-                pieces.append((p, SimpleOca(alphabet, oca.states, drained, p, f), "acc"))
-    else:
-        finals.extend(skeleton(f) for f in oca.finals)
+                glue(p, SimpleOca(alphabet, oca.states, drained, p, f), None)
 
-    for i, (entry, soca, exit_state) in enumerate(pieces):
-        trimmed = _trim_soca(soca)
-        if trimmed is None:
-            continue
-        piece = _tag(soca_closure_nfa(trimmed), f"g{i}")
-        states.extend(piece.states)
-        edges.extend(piece.edges)
-        edges.append((skeleton(entry), None, piece.initial))
-        edges.extend((f, None, exit_state) for f in piece.finals)
+    def successors(key):
+        if key is None:
+            return True, []
+        i, q = key
+        if i == "z":
+            return q in zero_finals, zero_moves[q]
+        adj, finals, exit_key = pieces[i]
+        moves = [(label, (i, dst)) for label, dst in adj[q]]
+        if q in finals:
+            moves.append((None, exit_key))
+        return False, moves
 
-    return _canonical(
-        Nfa(
-            alphabet,
-            tuple(states),
-            tuple(edges),
-            skeleton(oca.initial),
-            tuple(finals),
-        )
+    return _explore(
+        alphabet, ("z", oca.initial), successors, max_states, "glued one-counter skeleton"
     )
 
 
 def oca_block_closure(oca: Oca, max_states: int = 1_000_000) -> Nfa:
     """NFA for the block downward closure of the OCA language."""
-    return closure_regular(_glue_nfa(oca), OrderKind.BLOCK, max_states)
+    return closure_regular(_glue_nfa(oca, max_states), OrderKind.BLOCK, max_states)
 
 
 def _last_letter_oca(oca: Oca, letter: str) -> Oca:
@@ -459,7 +427,7 @@ def oca_priority_closure(oca: Oca, max_states: int = 1_000_000) -> Nfa:
     closure.
     """
     skeletons = (
-        (letter, _glue_nfa(_last_letter_oca(oca, letter)))
+        (letter, _glue_nfa(_last_letter_oca(oca, letter), max_states))
         for letter in oca.alphabet.letters
     )
     with_empty = oca_accepts_bounded(oca, (), counter_cap=len(oca.states) ** 2)
@@ -478,11 +446,11 @@ def oca_serialize(oca: Oca) -> dict:
 
 def oca_parse(data: Mapping, alphabet: PriorityAlphabet) -> Oca:
     try:
-        states = tuple(data["states"])
-        initial = data["initial"]
-        finals = tuple(data["finals"])
+        states = tuple(_name(q, "state") for q in data["states"])
+        initial = _name(data["initial"], "state")
+        finals = tuple(_name(q, "state") for q in data["finals"])
         mode = data["acceptMode"]
-        raw_edges = data["edges"]
+        raw_edges = tuple(_parse_edge(item, 4) for item in data["edges"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed oca data: {exc}") from exc
     try:
@@ -490,10 +458,7 @@ def oca_parse(data: Mapping, alphabet: PriorityAlphabet) -> Oca:
     except ValueError as exc:
         raise ValueError(f"unknown acceptMode {mode!r}") from exc
     edges = []
-    for item in raw_edges:
-        if len(item) != 4:
-            raise ValueError(f"malformed edge {item!r}")
-        src, label, op, dst = item
+    for src, label, op, dst in raw_edges:
         try:
             op = CounterOp(op)
         except ValueError as exc:

@@ -44,6 +44,21 @@ SOCA_ANBN_JSON = {
     ],
 }
 
+NFA_AB_JSON = {
+    "states": ["q0", "q1"],
+    "initial": "q0",
+    "finals": ["q1"],
+    "edges": [["q0", "a", "q1"], ["q1", "b", "q1"]],
+}
+
+OCA_AB_JSON = {
+    "states": ["q0", "q1"],
+    "initial": "q0",
+    "finals": ["q1"],
+    "acceptMode": "anyCounter",
+    "edges": [["q0", "a", "inc", "q1"], ["q1", "b", "dec", "q1"]],
+}
+
 
 @pytest.fixture
 def files(tmp_path):
@@ -341,6 +356,52 @@ class TestClosure:
             ]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "kind, model",
+        [
+            ("nfa", dict(NFA_AB_JSON, edges=[5])),
+            ("nfa", dict(NFA_AB_JSON, edges=[["q0", ["a"], "q1"]])),
+            ("nfa", dict(NFA_AB_JSON, states=["q0", "q1", ["x"]])),
+            ("oca", dict(OCA_AB_JSON, edges=[5])),
+            ("oca", dict(OCA_AB_JSON, edges=[["q0", ["a"], "inc", "q1"]])),
+            ("oca", dict(OCA_AB_JSON, states=["q0", "q1", ["x"]])),
+            ("cfg", dict(ANBN_JSON, nonterminals=["S", ["T"]])),
+            ("cfg", dict(ANBN_JSON, productions=[["S", ["a", ["S"], "b"]]])),
+        ],
+        ids=[
+            "nfa-edge-int",
+            "nfa-label-list",
+            "nfa-state-list",
+            "oca-edge-int",
+            "oca-label-list",
+            "oca-state-list",
+            "cfg-nonterminal-list",
+            "cfg-symbol-list",
+        ],
+    )
+    def test_malformed_shapes(self, files, capsys, kind, model):
+        tmp_path, save = files
+        alpha = alphabet_file(save, "ab.json", AB01)
+        code = main(
+            [
+                "closure",
+                "--type",
+                kind,
+                "--order",
+                "block",
+                "--alphabet",
+                alpha,
+                "--input",
+                save("bad.json", model),
+                "--output",
+                str(tmp_path / "closure.json"),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err
 
 
 class TestVerify:

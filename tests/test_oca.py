@@ -8,7 +8,7 @@ from prioclose.automata import (
     nfa_enumerate,
     nfa_equivalent_up_to,
 )
-from prioclose.core import OrderKind, PriorityAlphabet, parse_word
+from prioclose.core import OrderKind, PriorityAlphabet, ResourceLimit, parse_word
 from prioclose.oca import (
     AcceptMode,
     CounterOp,
@@ -206,6 +206,20 @@ class TestClosureNfa:
             for j in range(1, 8 - i)
         }
         assert set(nfa_enumerate(closed, 7)) == expect
+
+    def test_state_cap(self):
+        # a increments one step round a 5-cycle, b decrements two steps on
+        edges = []
+        for i in range(5):
+            edges.append((f"q{i}", "a", CounterOp.INC, f"q{(i + 1) % 5}"))
+            edges.append((f"q{i}", "b", CounterOp.DEC, f"q{(i + 2) % 5}"))
+        states = tuple(f"q{i}" for i in range(5))
+        cycle = SimpleOca(ab_alphabet(0, 1), states, tuple(edges), "q0", "q0")
+        assert len(soca_closure_nfa(cycle).states) > 50
+        with pytest.raises(ResourceLimit, match="one-counter skeleton exceeded 50 states"):
+            soca_closure_nfa(cycle, max_states=50)
+        with pytest.raises(ResourceLimit, match="skeleton exceeded 20 states"):
+            oca_block_closure(oca_anbnc(), max_states=20)
 
 
 class TestBlockClosure:

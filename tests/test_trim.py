@@ -8,19 +8,31 @@ import pytest
 from prioclose.automata import (
     Nfa,
     closure_regular,
+    nfa_concat,
     nfa_enumerate,
+    nfa_for_words,
     nfa_parse,
     nfa_serialize,
+    nfa_union,
 )
-from prioclose.cfg import Cfg, cfg_block_closure, cfg_priority_closure
+from prioclose.cfg import (
+    Cfg,
+    acyclic_nfa,
+    cfg_block_closure,
+    cfg_priority_closure,
+    kleene_closure_grammar,
+)
 from prioclose.cli import main
 from prioclose.core import OrderKind, PriorityAlphabet
 from prioclose.oca import (
     AcceptMode,
     CounterOp,
     Oca,
+    SimpleOca,
+    _glue_nfa,
     oca_block_closure,
     oca_priority_closure,
+    soca_closure_nfa,
 )
 
 ORDERS = [OrderKind.SUBWORD, OrderKind.PRIORITY, OrderKind.BLOCK]
@@ -134,3 +146,61 @@ def test_cli_writes_and_rereads_empty_closure(tmp_path, capsys):
     closed = nfa_parse(json.loads(out.read_text(encoding="utf-8")), FLAT3)
     assert (closed.states, closed.finals) == (("q0",), ())
     assert nfa_enumerate(closed, 4) == []
+
+
+# q2 is reachable but cannot reach the final state q1.
+WITH_DEAD = Nfa(
+    AB01,
+    ("q0", "q1", "q2"),
+    (("q0", "a", "q1"), ("q0", "b", "q2"), ("q1", "b", "q1"), ("q2", "a", "q2")),
+    "q0",
+    ("q1",),
+)
+FLAGSHIP = Cfg(P12, ("X",), (("X", ("1", "X", "1")), ("X", ("2",))), "X")
+RING = Cfg(
+    PriorityAlphabet.from_map({"a": 0, "b": 1, "c": 2, "d": 0}),
+    ("X",),
+    (("X", ("a", "b", "X", "c")), ("X", ("d",))),
+    "X",
+)
+# Loops anchored at q0 that have moved on to q1 never return.
+SOCA_ANBN = SimpleOca(
+    AB01,
+    ("q0", "q1"),
+    (
+        ("q0", "a", CounterOp.INC, "q0"),
+        ("q0", None, CounterOp.NOOP, "q1"),
+        ("q1", "b", CounterOp.DEC, "q1"),
+    ),
+    "q0",
+    "q1",
+)
+OCA_ANBNC = Oca(
+    PriorityAlphabet.from_map({"a": 0, "b": 0, "c": 1}),
+    ("q0", "q1", "f"),
+    (
+        ("q0", "a", CounterOp.INC, "q0"),
+        ("q0", "b", CounterOp.DEC, "q1"),
+        ("q1", "b", CounterOp.DEC, "q1"),
+        ("q1", "c", CounterOp.ZERO, "f"),
+        ("q0", "c", CounterOp.ZERO, "f"),
+    ),
+    "q0",
+    ("f",),
+    AcceptMode.ZERO_COUNTER,
+)
+BUILDERS = {
+    "acyclic-flagship": lambda: acyclic_nfa(kleene_closure_grammar(FLAGSHIP)),
+    "acyclic-ring": lambda: acyclic_nfa(kleene_closure_grammar(RING)),
+    "soca": lambda: soca_closure_nfa(SOCA_ANBN),
+    "glue": lambda: _glue_nfa(OCA_ANBNC),
+    "union": lambda: nfa_union(WITH_DEAD, nfa_for_words(AB01, [("b", "b")])),
+    "concat": lambda: nfa_concat(WITH_DEAD, WITH_DEAD),
+    "words": lambda: nfa_for_words(AB01, [("a", "b"), (), ("a", "b"), ("b",)]),
+    "no-words": lambda: nfa_for_words(AB01, []),
+}
+
+
+@pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS.keys())
+def test_skeleton_builders_are_trimmed(build):
+    assert_trimmed(build())
