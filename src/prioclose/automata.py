@@ -216,22 +216,21 @@ def _explore(
 
 
 def nfa_for_words(alphabet: PriorityAlphabet, words: Sequence[Iterable[str]]) -> Nfa:
-    """Finite-language NFA, trimmed; a spine of fresh states per word.
+    """Finite-language NFA, trimmed: the prefix tree of the words.
 
-    The key (i, j) is word i after j letters; None is the initial state.
+    The key of a state is the prefix it has read.  Children are explored
+    in sorted letter order, so the numbering does not depend on hashing.
     """
-    words = [tuple(w) for w in words]
+    words = {tuple(w) for w in words}
+    nexts: dict[Word, set[str]] = {}
+    for word in words:
+        for j in range(len(word)):
+            nexts.setdefault(word[:j], set()).add(word[j])
 
-    def successors(key):
-        if key is None:
-            return () in words, [(w[0], (i, 1)) for i, w in enumerate(words) if w]
-        i, j = key
-        word = words[i]
-        if j == len(word):
-            return True, []
-        return False, [(word[j], (i, j + 1))]
+    def successors(prefix: Word):
+        return prefix in words, [(a, prefix + (a,)) for a in sorted(nexts.get(prefix, ()))]
 
-    return _explore(alphabet, None, successors, 1 + sum(map(len, words)), "word automaton")
+    return _explore(alphabet, (), successors, 1 + sum(map(len, words)), "word automaton")
 
 
 def nfa_union(a: Nfa, b: Nfa) -> Nfa:

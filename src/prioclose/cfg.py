@@ -17,14 +17,11 @@ from typing import Iterable, Mapping
 from .automata import (
     Nfa,
     Transducer,
-    _adjacency,
-    _eps_closure,
     _explore,
+    _last_letter_nfa,
     _name,
-    _step,
     _union_trimmed,
     closure_regular,
-    nfa_accepts,
     nfa_for_words,
     priority_from_skeleton,
 )
@@ -300,49 +297,18 @@ def cfg_enumerate(g: Cfg, bound: int) -> list[Word]:
     return sorted(yields[g.start], key=lambda w: (len(w), w))
 
 
+def _identity(nfa: Nfa) -> Transducer:
+    """The transducer that copies the automaton's words and nothing else."""
+    edges = []
+    for src, label, dst in nfa.edges:
+        word = () if label is None else (label,)
+        edges.append((src, word, word, dst))
+    return Transducer(nfa.alphabet, nfa.states, tuple(edges), nfa.initial, nfa.finals)
+
+
 def cfg_intersect_regular_empty(g: Cfg, r: Nfa) -> bool:
     """Decide whether the grammar and the automaton share no word."""
-    if g.alphabet != r.alphabet:
-        raise ValueError("alphabet mismatch")
-    cnf, had_empty = to_cnf(g)
-    if had_empty and nfa_accepts(r, ()):
-        return False
-    adj = _adjacency(r)
-    finals = set(r.finals)
-    letter_moves: dict[str, list[tuple[str, str]]] = {}
-    for p in r.states:
-        closed = _eps_closure(adj, [p])
-        seen_letters = {label for q in closed for label, _ in adj[q] if label}
-        for a in seen_letters:
-            for q in _step(adj, closed, a):
-                letter_moves.setdefault(a, []).append((p, q))
-    derivable: set[tuple[str, str, str]] = set()
-    for lhs, rhs in cnf.productions:
-        if len(rhs) == 1:
-            for p, q in letter_moves.get(rhs[0], ()):
-                derivable.add((p, lhs, q))
-    binary = [(lhs, rhs) for lhs, rhs in cnf.productions if len(rhs) == 2]
-    changed = True
-    while changed:
-        changed = False
-        by_left: dict[tuple[str, str], set[str]] = {}
-        for p, a, q in derivable:
-            by_left.setdefault((p, a), set()).add(q)
-        for lhs, (b, c) in binary:
-            for p, a, m in list(derivable):
-                if a != b:
-                    continue
-                for q in by_left.get((m, c), ()):
-                    trip = (p, lhs, q)
-                    if trip not in derivable:
-                        derivable.add(trip)
-                        changed = True
-    start_closed = _eps_closure(adj, [r.initial])
-    for p in start_closed:
-        for q in finals:
-            if (p, cnf.start, q) in derivable:
-                return False
-    return True
+    return not apply_transducer_to_cfg(_identity(r), g).productions
 
 
 def _pump_from_cnf(cnf: Cfg, x: str, hat: HatAlphabet) -> Cfg:
@@ -386,61 +352,101 @@ def pump_pair_grammar(g: Cfg, x: str) -> Cfg:
     return _pump_from_cnf(cnf, x, hat)
 
 
-def apply_transducer_to_cfg(t: Transducer, g: Cfg) -> Cfg:
+def apply_transducer_to_cfg(
+    t: Transducer, g: Cfg, max_states: int = 1_000_000
+) -> Cfg:
     """Image of a grammar under a letter transducer, as a grammar.
 
-    Classic triple construction: a nonterminal per (entry state, source
-    nonterminal, exit state).  The nonterminal count is at most the
-    normalized source size times the squared state count.
+    Triple construction: the nonterminal ``I.p.A.q`` derives what the
+    transducer emits while it reads, from state p to state q, a word of
+    the normalized source nonterminal A.  Only triples that derive a word
+    are built.  A worklist seeds them from the letter rules and the
+    consuming edges, joins each new triple through the binary rules with
+    the triples already derived, and moves its entry and exit along the
+    spontaneous edges.  The start triple also takes the productions of
+    the other finals' start triples.  The output keeps the triples
+    reachable from the start, so it is pruned; there are at most the
+    normalized source size times the squared state count.  More than
+    ``max_states`` derived triples raise ResourceLimit; its message
+    counts them as states, like every other cap.
     """
     if t.alphabet != g.alphabet:
         raise ValueError("alphabet mismatch")
     cnf, had_empty = to_cnf(g)
-    states = t.states
     if not t.finals:
         return Cfg(g.alphabet, (cnf.start,), (), cnf.start)
-    taken = set(g.alphabet.letters)
-    trip: dict[tuple[str, str, str], str] = {}
-    for p in states:
-        for a in cnf.nonterminals:
-            for q in states:
-                trip[(p, a, q)] = _fresh(f"I.{p}.{a}.{q}", taken)
-    prods: list[tuple[str, tuple[str, ...]]] = []
     eats: dict[str, list[tuple[str, Word, str]]] = {}
-    spontaneous: list[tuple[str, Word, str]] = []
+    leaving: dict[str, list[tuple[Word, str]]] = {}
+    entering: dict[str, list[tuple[str, Word]]] = {}
     for src, consumed, emitted, dst in t.edges:
         if consumed:
             eats.setdefault(consumed[0], []).append((src, emitted, dst))
         else:
-            spontaneous.append((src, emitted, dst))
+            leaving.setdefault(src, []).append((emitted, dst))
+            entering.setdefault(dst, []).append((src, emitted))
+    as_left: dict[str, list[tuple[str, str]]] = {}
+    as_right: dict[str, list[tuple[str, str]]] = {}
+    for lhs, rhs in cnf.productions:
+        if len(rhs) == 2:
+            as_left.setdefault(rhs[0], []).append((lhs, rhs[1]))
+            as_right.setdefault(rhs[1], []).append((lhs, rhs[0]))
+
+    start = (t.initial, cnf.start, t.finals[0])  # finals are sorted
+    aliases = {(t.initial, cnf.start, f) for f in t.finals[1:]}
+    prods: dict[tuple[str, str, str], list[tuple]] = {}
+    queue: list[tuple[str, str, str]] = []
+
+    def derive(trip: tuple[str, str, str], rhs: tuple) -> None:
+        # the other finals' start triples hand their productions to the start
+        for head in (trip, start) if trip in aliases else (trip,):
+            if head not in prods:
+                prods[head] = []
+                queue.append(head)
+                if len(prods) > max_states:
+                    raise ResourceLimit(f"grammar transduction exceeded {max_states} states")
+            prods[head].append(rhs)
+
     for lhs, rhs in cnf.productions:
         if len(rhs) == 1:
             for src, emitted, dst in eats.get(rhs[0], ()):
-                prods.append((trip[(src, lhs, dst)], emitted))
-        else:
-            b, c = rhs
-            for p in states:
-                for m in states:
-                    for q in states:
-                        prods.append(
-                            (trip[(p, lhs, q)], (trip[(p, b, m)], trip[(m, c, q)]))
-                        )
-    for src, emitted, dst in spontaneous:
-        for a in cnf.nonterminals:
-            for q in states:
-                prods.append((trip[(src, a, q)], emitted + (trip[(dst, a, q)],)))
-                prods.append((trip[(q, a, dst)], (trip[(q, a, src)],) + emitted))
-    finals = sorted(set(t.finals))
-    start = trip[(t.initial, cnf.start, finals[0])]
-    for f in finals[1:]:
-        alias = trip[(t.initial, cnf.start, f)]
-        prods.extend((start, rhs) for lhs, rhs in list(prods) if lhs == alias)
+                derive((src, lhs, dst), emitted)
     if had_empty:
         for w in _empty_input_image(t):
-            prods.append((start, w))
-    out = Cfg(g.alphabet, tuple(trip.values()), tuple(prods), start)
-    assert len(out.nonterminals) <= len(cnf.nonterminals) * len(states) ** 2
-    return _pruned(out)
+            derive(start, w)
+    ends_at: dict[tuple[str, str], list[str]] = {}  # (A, q) -> entries p
+    starts_at: dict[tuple[str, str], list[str]] = {}  # (p, A) -> exits q
+    while queue:
+        trip = queue.pop()
+        p, a, q = trip
+        ends_at.setdefault((a, q), []).append(p)
+        starts_at.setdefault((p, a), []).append(q)
+        for lhs, c in as_left.get(a, ()):
+            for r in starts_at.get((q, c), ()):
+                derive((p, lhs, r), (trip, (q, c, r)))
+        for lhs, b in as_right.get(a, ()):
+            for m in ends_at.get((b, p), ()):
+                derive((m, lhs, q), ((m, b, p), trip))
+        for src, emitted in entering.get(p, ()):
+            derive((src, a, q), emitted + (trip,))
+        for emitted, dst in leaving.get(q, ()):
+            derive((p, a, dst), (trip,) + emitted)
+
+    reachable = {start}
+    frontier = [start]
+    while frontier:
+        for rhs in prods.get(frontier.pop(), ()):
+            for sym in rhs:
+                if isinstance(sym, tuple) and sym not in reachable:
+                    reachable.add(sym)
+                    frontier.append(sym)
+    taken = set(g.alphabet.letters)
+    names = {trip: _fresh("I.{}.{}.{}".format(*trip), taken) for trip in sorted(reachable)}
+    out = [
+        (names[lhs], tuple(names[s] if isinstance(s, tuple) else s for s in rhs))
+        for lhs in reachable
+        for rhs in prods.get(lhs, ())
+    ]
+    return Cfg(g.alphabet, tuple(names.values()), tuple(out), names[start])
 
 
 def _empty_input_image(t: Transducer) -> set[Word]:
@@ -625,7 +631,7 @@ def _check_range(alphabet: PriorityAlphabet, r: int, s: int) -> None:
 
 
 def _ends_from_pump(pump: Cfg, hat: HatAlphabet, r: int, s: int) -> Cfg:
-    """Unpruned ``ends_grammar`` of the pump grammar at one nonterminal."""
+    """``ends_grammar`` of the pump grammar at one nonterminal."""
     out = apply_transducer_to_cfg(_ends_transducer(hat, r, s), pump)
     return replace(out, alphabet=_ends_alphabet(hat, r, s))
 
@@ -641,12 +647,9 @@ def ends_grammar(g: Cfg, x: str, r: int, s: int) -> Cfg:
     """
     _check_range(g.alphabet, r, s)
     _require_flat(g.alphabet)
-    if x not in g.nonterminals:
-        raise ValueError(f"nonterminal {x!r} not declared")
     hat = HatAlphabet.extend(g.alphabet)
-    cnf, _ = to_cnf(g)
-    pump = _pump_from_cnf(cnf, x, hat)
-    return _pruned(_ends_from_pump(pump, hat, r, s))
+    pump = pump_pair_grammar(g, x)
+    return _ends_from_pump(pump, hat, r, s)
 
 
 def repeats_grammars(g: Cfg, x: str, r: int, s: int) -> tuple[Cfg, Cfg]:
@@ -659,18 +662,15 @@ def repeats_grammars(g: Cfg, x: str, r: int, s: int) -> tuple[Cfg, Cfg]:
     """
     _check_range(g.alphabet, r, s)
     _require_flat(g.alphabet)
-    if x not in g.nonterminals:
-        raise ValueError(f"nonterminal {x!r} not declared")
     hat = HatAlphabet.extend(g.alphabet)
-    cnf, _ = to_cnf(g)
-    pump = _pump_from_cnf(cnf, x, hat)
+    pump = pump_pair_grammar(g, x)
     out = []
     for side, pri in (("left", r), ("right", s)):
         raw = apply_transducer_to_cfg(
             _repeat_transducer(hat, r, s, side, True), pump
         )
         entries = tuple((a, p) for a, p in hat.base.entries if p <= pri)
-        out.append(_pruned(replace(raw, alphabet=PriorityAlphabet(entries))))
+        out.append(replace(raw, alphabet=PriorityAlphabet(entries)))
     return out[0], out[1]
 
 
@@ -690,11 +690,8 @@ def _occurrence_nfa(
 
 def side_alphabets(g: Cfg, x: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """Letters that can recur left respectively right of pumps at ``x``."""
-    if x not in g.nonterminals:
-        raise ValueError(f"nonterminal {x!r} not declared")
     hat = HatAlphabet.extend(g.alphabet)
-    cnf, _ = to_cnf(g)
-    pump = _pump_from_cnf(cnf, x, hat)
+    pump = pump_pair_grammar(g, x)
     return _side_sets_from_pump(pump, hat, g.alphabet.letters)
 
 
@@ -1031,16 +1028,6 @@ def cfg_block_closure(g: Cfg, max_states: int = 1_000_000) -> Nfa:
     return _union_trimmed(g.alphabet, pieces)
 
 
-def _ends_with_transducer(alphabet: PriorityAlphabet, letter: str) -> Transducer:
-    """Identity on words whose final letter is the given one."""
-    edges: list[tuple[str, Word, Word, str]] = []
-    for a in alphabet.letters:
-        target = "s1" if a == letter else "s0"
-        edges.append(("s0", (a,), (a,), target))
-        edges.append(("s1", (a,), (a,), target))
-    return Transducer(alphabet, ("s0", "s1"), tuple(edges), "s0", ("s1",))
-
-
 def cfg_priority_closure(g: Cfg, max_states: int = 1_000_000) -> Nfa:
     """Automaton for everything priority-below some derivable word.
 
@@ -1057,7 +1044,7 @@ def cfg_priority_closure(g: Cfg, max_states: int = 1_000_000) -> Nfa:
     def skeletons():
         for letter in g.alphabet.letters:
             group = apply_transducer_to_cfg(
-                _ends_with_transducer(flat, letter), flat_cnf
+                _identity(_last_letter_nfa(flat, letter)), flat_cnf, max_states
             )
             group_cnf, _ = to_cnf(group)
             if group_cnf.productions:
@@ -1076,15 +1063,21 @@ def cfg_serialize(g: Cfg) -> dict:
     }
 
 
+def _production(item) -> tuple[str, tuple[str, ...]]:
+    """A production [head, [symbol, ...]] read from grammar data, shape-checked."""
+    if not isinstance(item, (list, tuple)) or len(item) != 2 or not isinstance(
+        item[1], (list, tuple)
+    ):
+        raise ValueError(f"malformed production {item!r}")
+    return _name(item[0], "nonterminal"), tuple(_name(sym, "symbol") for sym in item[1])
+
+
 def cfg_parse(data: Mapping, alphabet: PriorityAlphabet) -> Cfg:
     try:
         start = _name(data["start"], "nonterminal")
         nts = tuple(_name(x, "nonterminal") for x in data["nonterminals"])
         terminals = [_name(a, "terminal") for a in data.get("terminals", alphabet.letters)]
-        prods = tuple(
-            (_name(lhs, "nonterminal"), tuple(_name(sym, "symbol") for sym in rhs))
-            for lhs, rhs in data["productions"]
-        )
+        prods = tuple(_production(item) for item in data["productions"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed grammar data: {exc}") from exc
     unknown = [a for a in terminals if a not in alphabet]

@@ -1,6 +1,10 @@
 """Automata, transducers, and regular closure tests."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -43,6 +47,7 @@ AB = PriorityAlphabet.from_map({"a": 0, "b": 1})
 FLAT3 = PriorityAlphabet.from_map({"0": 0, "1": 1, "2": 2})
 
 w = parse_word
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def astar_b() -> Nfa:
@@ -92,6 +97,34 @@ class TestNfaBasics:
         n = nfa_for_words(AB, [w("a,b"), w("b"), ()])
         got = set(nfa_enumerate(n, 4))
         assert got == {w("a,b"), w("b"), ()}
+
+    def test_for_words_shares_prefixes(self):
+        n = nfa_for_words(AB, [w("a,b"), (), w("a,b"), w("b")])
+        assert len(n.states) == 4
+        assert set(nfa_enumerate(n, 4)) == {w("a,b"), w("b"), ()}
+
+    def test_for_words_numbering_ignores_hash_seed(self):
+        script = (
+            "import json\n"
+            "from prioclose.automata import nfa_for_words, nfa_serialize\n"
+            "from prioclose.core import PriorityAlphabet\n"
+            "alpha = PriorityAlphabet.from_map({'a': 0, 'b': 1, 'c': 1})\n"
+            "words = [('b', 'a'), ('c',), ('a', 'c', 'b'), ('a', 'b'), ('b', 'b')]\n"
+            "print(json.dumps(nfa_serialize(nfa_for_words(alpha, words))))\n"
+        )
+        outputs = set()
+        for seed in ("0", "1", "2"):
+            env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": seed}
+            done = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=60,
+                check=True,
+            )
+            outputs.add(done.stdout)
+        assert len(outputs) == 1
 
     def test_serialize_round_trip(self):
         n = astar_b()

@@ -272,6 +272,14 @@ class TestApplyTransducer:
         out = apply_transducer_to_cfg(subword_transducer(AB0), anbn_eps())
         assert () in set(cfg_enumerate(out, 2))
 
+    def test_state_cap(self):
+        with pytest.raises(ResourceLimit, match="grammar transduction exceeded 2 states"):
+            apply_transducer_to_cfg(subword_transducer(AB0), anbn(), max_states=2)
+
+    def test_priority_closure_caps_the_last_letter_split(self):
+        with pytest.raises(ResourceLimit, match="grammar transduction exceeded 3 states"):
+            cfg_priority_closure(flagship(), max_states=3)
+
 
 class TestEndsGrammar:
     def test_flagship_both_positive(self):

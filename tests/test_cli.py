@@ -368,6 +368,8 @@ class TestClosure:
             ("oca", dict(OCA_AB_JSON, states=["q0", "q1", ["x"]])),
             ("cfg", dict(ANBN_JSON, nonterminals=["S", ["T"]])),
             ("cfg", dict(ANBN_JSON, productions=[["S", ["a", ["S"], "b"]]])),
+            ("cfg", dict(ANBN_JSON, productions=[["S", "ab"]])),
+            ("cfg", dict(ANBN_JSON, productions=["Sa"])),
         ],
         ids=[
             "nfa-edge-int",
@@ -378,6 +380,8 @@ class TestClosure:
             "oca-state-list",
             "cfg-nonterminal-list",
             "cfg-symbol-list",
+            "cfg-rhs-string",
+            "cfg-production-string",
         ],
     )
     def test_malformed_shapes(self, files, capsys, kind, model):
