@@ -3,7 +3,8 @@
 NFAs carry their priority alphabet.  Epsilon edges use the label ``None``.
 Transducers read and write at most one letter per edge; applying one to
 an NFA is a plain product construction, and all three closure operators
-are expressed that way.
+are expressed that way.  ``nfa_reduce`` turns an NFA into its canonical
+minimal DFA when the subset construction stays within the NFA's size.
 """
 
 from __future__ import annotations
@@ -299,27 +300,8 @@ def nfa_equivalent_up_to(a: Nfa, b: Nfa, bound: int) -> Word | None:
     return min(diff, key=_word_key)
 
 
-def _determinize(nfa: Nfa) -> tuple[dict, frozenset[str], set[frozenset[str]]]:
-    adj = _adjacency(nfa)
-    start = _eps_closure(adj, [nfa.initial])
-    letters = nfa.alphabet.letters
-    trans: dict[tuple[frozenset[str], str], frozenset[str]] = {}
-    seen = {start}
-    queue = [start]
-    while queue:
-        cur = queue.pop(0)
-        for letter in letters:
-            nxt = _step(adj, cur, letter)
-            trans[(cur, letter)] = nxt
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    finals = {s for s in seen if s & set(nfa.finals)}
-    return trans, start, finals
-
-
 def nfa_equivalent(a: Nfa, b: Nfa, state_cap: int = 12) -> bool:
-    """Exact language equivalence via determinization.
+    """Exact language equivalence: the two canonical minimal DFAs agree.
 
     Refuses NFAs above ``state_cap`` states instead of risking an
     exponential blow-up; use nfa_equivalent_up_to for bounded checks.
@@ -331,20 +313,217 @@ def nfa_equivalent(a: Nfa, b: Nfa, state_cap: int = 12) -> bool:
             raise ResourceLimit(
                 f"nfa has {len(nfa.states)} states, cap is {state_cap}"
             )
-    ta, sa, fa = _determinize(a)
-    tb, sb, fb = _determinize(b)
-    seen = {(sa, sb)}
-    queue = [(sa, sb)]
-    while queue:
-        pa, pb = queue.pop(0)
-        if (pa in fa) != (pb in fb):
-            return False
-        for letter in a.alphabet.letters:
-            pair = (ta.get((pa, letter), frozenset()), tb.get((pb, letter), frozenset()))
-            if pair not in seen:
-                seen.add(pair)
-                queue.append(pair)
-    return True
+    # n states have at most 2^n - 1 nonempty subsets, so neither call gives up
+    return _minimal_dfa(a, 1 << len(a.states)) == _minimal_dfa(b, 1 << len(b.states))
+
+
+def _eps_closures(eps: list[list[int]], pos: list[int]) -> list[int]:
+    """Per state, the bitmask of the states it reaches by epsilon.
+
+    State q is bit ``pos[q]`` of a mask, or left out when that is -1.
+
+    Tarjan's algorithm finishes a strongly connected component of the
+    epsilon graph after every component it reaches, so each component's
+    closure is one union over its members and their finished successors.
+    """
+    n = len(eps)
+    closure = [0] * n
+    index = [-1] * n
+    low = [0] * n
+    on_stack = bytearray(n)
+    spot = [0] * n  # position on the stack
+    stack: list[int] = []
+    count = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = count
+        count += 1
+        spot[root] = len(stack)
+        stack.append(root)
+        on_stack[root] = 1
+        work = [(root, iter(eps[root]))]
+        while work:
+            v, targets = work[-1]
+            for w in targets:
+                if index[w] < 0:
+                    index[w] = low[w] = count
+                    count += 1
+                    spot[w] = len(stack)
+                    stack.append(w)
+                    on_stack[w] = 1
+                    work.append((w, iter(eps[w])))
+                    break
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] < index[v]:
+                    continue
+                members = stack[spot[v] :]
+                del stack[spot[v] :]
+                mask = 0
+                for w in members:
+                    on_stack[w] = 0
+                    if pos[w] >= 0:
+                        mask |= 1 << pos[w]
+                    for x in eps[w]:
+                        mask |= closure[x]  # 0 inside this component
+                for w in members:
+                    closure[w] = mask
+    return closure
+
+
+def _coarsest_partition(delta: list[list[int]], final: list[bool], k: int) -> list[int]:
+    """Hopcroft's refinement of a partial DFA into language classes.
+
+    ``delta[s][c]`` is the target of state s on letter column c, or -1.
+    Missing moves go to an added sink, state ``len(delta)``; the class of
+    each state is returned, the sink's included, and every state that
+    accepts nothing shares the sink's class.
+    """
+    n = len(delta)
+    sink = n
+    inv: list[dict[int, list[int]]] = [{} for _ in range(k)]
+    for s, row in enumerate(delta):
+        for c, t in enumerate(row):
+            inv[c].setdefault(t if t >= 0 else sink, []).append(s)
+    for c in range(k):
+        inv[c].setdefault(sink, []).append(sink)
+    accepting = {s for s in range(n) if final[s]}
+    blocks = [accepting, set(range(n + 1)) - accepting]
+    block_of = [1] * (n + 1)
+    for s in accepting:
+        block_of[s] = 0
+    smaller = 0 if len(blocks[0]) <= len(blocks[1]) else 1
+    work = [(smaller, c) for c in range(k)]
+    while work:
+        b, c = work.pop()
+        inv_c = inv[c]
+        touched: dict[int, list[int]] = {}
+        for t in blocks[b]:
+            for s in inv_c.get(t, ()):
+                touched.setdefault(block_of[s], []).append(s)
+        for y, movers in touched.items():
+            block = blocks[y]
+            if len(movers) == len(block):
+                continue
+            if 2 * len(movers) > len(block):
+                movers = list(block.difference(movers))
+            # The smaller half becomes the new block.  It is the splitter to
+            # add whether or not the old block is still waiting: if it is,
+            # it now stands for the larger half only.
+            new = len(blocks)
+            block.difference_update(movers)
+            blocks.append(set(movers))
+            for s in movers:
+                block_of[s] = new
+            work.extend((new, c2) for c2 in range(k))
+    return block_of
+
+
+def _minimal_dfa(nfa: Nfa, cap: int) -> Nfa | None:
+    """Canonical minimal DFA of the NFA, or None past ``cap`` subsets.
+
+    The subset construction keeps, of each epsilon-closed subset, only
+    the states with a letter move and the final ones, which decide its
+    future; the empty subset, the dead sink, is never built.  Hopcroft's
+    refinement then merges equivalent subsets and drops those that
+    accept nothing.  States are numbered q0..qN in breadth-first order
+    from the initial state, letters taken in sorted order, so one
+    language always gives the same automaton.  An empty language is one
+    state with no finals.
+    """
+    ids, eps, on, final = _nfa_index(nfa)
+    pos = [-1] * len(ids)
+    kept: list[int] = []
+    for i in range(len(ids)):
+        if on[i] or final[i]:
+            pos[i] = len(kept)
+            kept.append(i)
+    closure = _eps_closures(eps, pos)
+    letters = sorted(nfa.alphabet.letters)
+    column = {a: c for c, a in enumerate(letters)}
+    steps = []
+    for i in kept:
+        row = []
+        for a, dsts in on[i]:
+            mask = closure[dsts[0]]  # shared, not copied, when it is the only one
+            for d in dsts[1:]:
+                mask |= closure[d]
+            if mask:
+                row.append((column[a], mask))
+        steps.append(row)
+    final_mask = sum(1 << j for j, i in enumerate(kept) if final[i])
+
+    start = closure[ids[nfa.initial]]
+    index = {start: 0}
+    subsets = [start]
+    delta: list[list[int]] = []
+    k = len(letters)
+    for subset in subsets:
+        moves = [0] * k
+        bits = bin(subset)  # "0b..." with the highest kept state first
+        top = len(bits) - 1
+        i = bits.find("1", 2)
+        while i >= 0:
+            for c, mask in steps[top - i]:
+                moves[c] |= mask
+            i = bits.find("1", i + 1)
+        row = []
+        for mask in moves:
+            t = -1
+            if mask:
+                t = index.get(mask, -1)
+                if t < 0:
+                    t = index[mask] = len(subsets)
+                    subsets.append(mask)
+                    if len(subsets) > cap:
+                        return None
+            row.append(t)
+        delta.append(row)
+
+    block_of = _coarsest_partition(delta, [bool(s & final_mask) for s in subsets], k)
+    dead = block_of[len(delta)]
+    if block_of[0] == dead:
+        return nfa_for_words(nfa.alphabet, [])
+    member = {}
+    for s in range(len(delta)):
+        member.setdefault(block_of[s], s)
+    number = {block_of[0]: 0}
+    order = [block_of[0]]
+    edges: list[Edge] = []
+    for src, b in enumerate(order):
+        for c, t in enumerate(delta[member[b]]):
+            if t < 0 or block_of[t] == dead:
+                continue
+            dst = number.get(block_of[t])
+            if dst is None:
+                dst = number[block_of[t]] = len(order)
+                order.append(block_of[t])
+            edges.append((f"q{src}", letters[c], f"q{dst}"))
+    return Nfa(
+        nfa.alphabet,
+        tuple(f"q{i}" for i in range(len(order))),
+        tuple(edges),
+        "q0",
+        tuple(f"q{i}" for i, b in enumerate(order) if subsets[member[b]] & final_mask),
+    )
+
+
+def nfa_reduce(nfa: Nfa) -> Nfa:
+    """The minimal DFA of the language when it is no larger, else the NFA.
+
+    The DFA is the canonical one of ``_minimal_dfa``: trimmed, with no
+    dead sink, numbered in breadth-first order with letters sorted.  It
+    is returned when the subset construction stays within the NFA's own
+    state count; past that the subset construction stops and the NFA
+    comes back unchanged.  The result never has more states than the
+    input.
+    """
+    return _minimal_dfa(nfa, len(nfa.states)) or nfa
 
 
 def subword_transducer(alphabet: PriorityAlphabet) -> Transducer:
@@ -664,7 +843,10 @@ def priority_from_skeleton(
     with the same letters; only its language is read.  ``with_empty``
     says whether L holds the empty word.  The result is the union of the
     priority images of each S clamped to words ending in a, plus the
-    empty word when asked for.  It is trimmed, and ``max_states`` caps
+    empty word when asked for.  Each skeleton and the union go through
+    ``nfa_reduce``, so the result is the canonical minimal DFA whenever
+    its subset construction stays within the union's size: trimmed, no
+    dead sink, numbered in breadth-first order.  ``max_states`` caps
     each product.
 
     This is exact.  Let S_a be S clamped to words ending in a.
@@ -682,12 +864,35 @@ def priority_from_skeleton(
     pieces = [nfa_for_words(alphabet, [()])] if with_empty else []
     for letter, skeleton in skeletons:
         clamped = nfa_intersect(
-            replace(skeleton, alphabet=alphabet),
+            nfa_reduce(replace(skeleton, alphabet=alphabet)),
             _last_letter_nfa(alphabet, letter),
             max_states,
         )
         pieces.append(apply_transduction(drop, clamped, max_states))
-    return _union_trimmed(alphabet, pieces)
+    return nfa_reduce(_union_trimmed(alphabet, pieces))
+
+
+def block_from_skeleton(
+    alphabet: PriorityAlphabet,
+    skeleton: Nfa,
+    with_empty: bool,
+    max_states: int = 1_000_000,
+) -> Nfa:
+    """Block downward closure of a language L from one skeleton.
+
+    The language of ``skeleton`` contains L, or L without the empty word,
+    and lies inside the block closure of L.  It may carry any alphabet
+    with the same letters.  ``with_empty`` adds the empty word.  The
+    skeleton goes through ``nfa_reduce`` before the block product, and
+    so does the result: the canonical minimal DFA whenever its subset
+    construction stays within the product's size, trimmed, with no dead
+    sink, numbered in breadth-first order.  An empty closure is one
+    state with no finals.  ``max_states`` caps the product.
+    """
+    reduced = nfa_reduce(replace(skeleton, alphabet=alphabet))
+    pieces = [nfa_for_words(alphabet, [()])] if with_empty else []
+    pieces.append(closure_regular(reduced, OrderKind.BLOCK, max_states))
+    return nfa_reduce(_union_trimmed(alphabet, pieces))
 
 
 def _union_trimmed(alphabet: PriorityAlphabet, pieces: Iterable[Nfa]) -> Nfa:

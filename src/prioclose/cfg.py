@@ -20,13 +20,11 @@ from .automata import (
     _explore,
     _last_letter_nfa,
     _name,
-    _union_trimmed,
-    closure_regular,
+    block_from_skeleton,
     nfa_for_words,
     priority_from_skeleton,
 )
 from .core import (
-    OrderKind,
     PriorityAlphabet,
     ResourceLimit,
     Word,
@@ -308,7 +306,14 @@ def _identity(nfa: Nfa) -> Transducer:
 
 def cfg_intersect_regular_empty(g: Cfg, r: Nfa) -> bool:
     """Decide whether the grammar and the automaton share no word."""
-    return not apply_transducer_to_cfg(_identity(r), g).productions
+    if r.alphabet != g.alphabet:
+        raise ValueError("alphabet mismatch")
+    return not _meets(to_cnf(g), r)
+
+
+def _meets(normal: tuple[Cfg, bool], r: Nfa) -> bool:
+    """Whether a grammar normalised by ``to_cnf`` shares a word with r."""
+    return bool(_transduce_cnf(_identity(r), normal).productions)
 
 
 def _pump_from_cnf(cnf: Cfg, x: str, hat: HatAlphabet) -> Cfg:
@@ -372,9 +377,21 @@ def apply_transducer_to_cfg(
     """
     if t.alphabet != g.alphabet:
         raise ValueError("alphabet mismatch")
-    cnf, had_empty = to_cnf(g)
+    return _transduce_cnf(t, to_cnf(g), max_states)
+
+
+def _transduce_cnf(
+    t: Transducer, normal: tuple[Cfg, bool], max_states: int = 1_000_000
+) -> Cfg:
+    """``apply_transducer_to_cfg`` on a grammar already normalised.
+
+    ``normal`` is what ``to_cnf`` returns: the binary grammar and whether
+    the language held the empty word.  One normalisation thus serves
+    every transduction of the same grammar.
+    """
+    cnf, had_empty = normal
     if not t.finals:
-        return Cfg(g.alphabet, (cnf.start,), (), cnf.start)
+        return Cfg(cnf.alphabet, (cnf.start,), (), cnf.start)
     eats: dict[str, list[tuple[str, Word, str]]] = {}
     leaving: dict[str, list[tuple[Word, str]]] = {}
     entering: dict[str, list[tuple[str, Word]]] = {}
@@ -439,14 +456,14 @@ def apply_transducer_to_cfg(
                 if isinstance(sym, tuple) and sym not in reachable:
                     reachable.add(sym)
                     frontier.append(sym)
-    taken = set(g.alphabet.letters)
+    taken = set(cnf.alphabet.letters)
     names = {trip: _fresh("I.{}.{}.{}".format(*trip), taken) for trip in sorted(reachable)}
     out = [
         (names[lhs], tuple(names[s] if isinstance(s, tuple) else s for s in rhs))
         for lhs in reachable
         for rhs in prods.get(lhs, ())
     ]
-    return Cfg(g.alphabet, tuple(names.values()), tuple(out), names[start])
+    return Cfg(cnf.alphabet, tuple(names.values()), tuple(out), names[start])
 
 
 def _empty_input_image(t: Transducer) -> set[Word]:
@@ -630,9 +647,11 @@ def _check_range(alphabet: PriorityAlphabet, r: int, s: int) -> None:
         raise ValueError(f"priorities ({r}, {s}) out of range [0, {p}]")
 
 
-def _ends_from_pump(pump: Cfg, hat: HatAlphabet, r: int, s: int) -> Cfg:
-    """``ends_grammar`` of the pump grammar at one nonterminal."""
-    out = apply_transducer_to_cfg(_ends_transducer(hat, r, s), pump)
+def _ends_from_pump(
+    pump: tuple[Cfg, bool], hat: HatAlphabet, r: int, s: int
+) -> Cfg:
+    """``ends_grammar`` of the normalised pump grammar at one nonterminal."""
+    out = _transduce_cnf(_ends_transducer(hat, r, s), pump)
     return replace(out, alphabet=_ends_alphabet(hat, r, s))
 
 
@@ -648,8 +667,7 @@ def ends_grammar(g: Cfg, x: str, r: int, s: int) -> Cfg:
     _check_range(g.alphabet, r, s)
     _require_flat(g.alphabet)
     hat = HatAlphabet.extend(g.alphabet)
-    pump = pump_pair_grammar(g, x)
-    return _ends_from_pump(pump, hat, r, s)
+    return _ends_from_pump(to_cnf(pump_pair_grammar(g, x)), hat, r, s)
 
 
 def repeats_grammars(g: Cfg, x: str, r: int, s: int) -> tuple[Cfg, Cfg]:
@@ -663,12 +681,10 @@ def repeats_grammars(g: Cfg, x: str, r: int, s: int) -> tuple[Cfg, Cfg]:
     _check_range(g.alphabet, r, s)
     _require_flat(g.alphabet)
     hat = HatAlphabet.extend(g.alphabet)
-    pump = pump_pair_grammar(g, x)
+    pump = to_cnf(pump_pair_grammar(g, x))
     out = []
     for side, pri in (("left", r), ("right", s)):
-        raw = apply_transducer_to_cfg(
-            _repeat_transducer(hat, r, s, side, True), pump
-        )
+        raw = _transduce_cnf(_repeat_transducer(hat, r, s, side, True), pump)
         entries = tuple((a, p) for a, p in hat.base.entries if p <= pri)
         out.append(replace(raw, alphabet=PriorityAlphabet(entries)))
     return out[0], out[1]
@@ -691,7 +707,7 @@ def _occurrence_nfa(
 def side_alphabets(g: Cfg, x: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """Letters that can recur left respectively right of pumps at ``x``."""
     hat = HatAlphabet.extend(g.alphabet)
-    pump = pump_pair_grammar(g, x)
+    pump = to_cnf(pump_pair_grammar(g, x))
     return _side_sets_from_pump(pump, hat, g.alphabet.letters)
 
 
@@ -756,18 +772,15 @@ def _kleene_prune(
 
 
 def _side_sets_from_pump(
-    pump: Cfg, hat: HatAlphabet, letters: Iterable[str]
+    pump: tuple[Cfg, bool], hat: HatAlphabet, letters: Iterable[str]
 ) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Side letters of a pump grammar normalised by ``to_cnf``."""
     left = []
     right = []
     for a in letters:
-        if not cfg_intersect_regular_empty(
-            pump, _occurrence_nfa(hat.alphabet, a, hat.mid)
-        ):
+        if _meets(pump, _occurrence_nfa(hat.alphabet, a, hat.mid)):
             left.append(a)
-        if not cfg_intersect_regular_empty(
-            pump, _occurrence_nfa(hat.alphabet, hat.mid, a)
-        ):
+        if _meets(pump, _occurrence_nfa(hat.alphabet, hat.mid, a)):
             right.append(a)
     return tuple(left), tuple(right)
 
@@ -788,7 +801,7 @@ def _kleene_base(cnf: Cfg, protected: frozenset[str]) -> KleeneGrammar:
     rt = {x: _fresh(f"R.{x}", taken) for x in cnf.nonterminals}
     prods: list[tuple[str, tuple[KItem, ...]]] = []
     for x in cnf.nonterminals:
-        pump = _pump_from_cnf(cnf, x, hat)
+        pump = to_cnf(_pump_from_cnf(cnf, x, hat))
         gl, gr = _side_sets_from_pump(pump, hat, cnf.alphabet.letters)
         for a in gl:
             prods.append((lt[x], ((LIT, a),)))
@@ -848,10 +861,8 @@ def _kleene(
     hat = HatAlphabet.extend(alpha)
     counter = 0
     for x in cnf.nonterminals:
-        pump = _pump_from_cnf(cnf, x, hat)
-        if cfg_intersect_regular_empty(
-            pump, _not_just_mid_nfa(hat.alphabet, hat.mid)
-        ):
+        pump = to_cnf(_pump_from_cnf(cnf, x, hat))
+        if not _meets(pump, _not_just_mid_nfa(hat.alphabet, hat.mid)):
             continue
         for r in range(p + 1):
             if r >= 1 and not alpha.letters_of(r):
@@ -876,7 +887,7 @@ def _kleene(
                 # max(pri - 1, 0) instead of pri.
                 side_starts: dict[str, str | None] = {}
                 for side, pri in (("left", r), ("right", s)):
-                    raw = apply_transducer_to_cfg(
+                    raw = _transduce_cnf(
                         _repeat_transducer(hat, r, s, side, False), pump
                     )
                     entries = tuple(
@@ -1015,17 +1026,21 @@ def acyclic_nfa(h: KleeneGrammar, max_states: int = 1_000_000) -> Nfa:
 
 
 def cfg_block_closure(g: Cfg, max_states: int = 1_000_000) -> Nfa:
-    """Automaton for everything block-below some derivable word."""
+    """Automaton for everything block-below some derivable word.
+
+    The acyclic NFA of the Kleene closure grammar, built over the
+    flattened alphabet, is the skeleton: it contains the language without
+    the empty word and lies inside its block closure.
+    ``block_from_skeleton`` turns it into the closure, which comes back
+    as its minimal DFA whenever the subset construction stays small.
+    """
     cnf, had_empty = to_cnf(g)
-    pieces: list[Nfa] = []
-    if had_empty:
-        pieces.append(nfa_for_words(g.alphabet, [()]))
     if cnf.productions:
-        flat = flatten(g.alphabet)
-        kg = _kleene(replace(cnf, alphabet=flat), frozenset())
-        skeleton = replace(acyclic_nfa(kg, max_states), alphabet=g.alphabet)
-        pieces.append(closure_regular(skeleton, OrderKind.BLOCK, max_states))
-    return _union_trimmed(g.alphabet, pieces)
+        kg = _kleene(replace(cnf, alphabet=flatten(g.alphabet)), frozenset())
+        skeleton = acyclic_nfa(kg, max_states)
+    else:
+        skeleton = nfa_for_words(g.alphabet, [])
+    return block_from_skeleton(g.alphabet, skeleton, had_empty, max_states)
 
 
 def cfg_priority_closure(g: Cfg, max_states: int = 1_000_000) -> Nfa:
@@ -1035,16 +1050,18 @@ def cfg_priority_closure(g: Cfg, max_states: int = 1_000_000) -> Nfa:
     the grammar over the flattened alphabet, and the acyclic NFA of its
     Kleene closure grammar serves as the group's skeleton: it contains
     the group and lies inside the group's block closure.
-    ``priority_from_skeleton`` turns the skeletons into the closure.
+    ``priority_from_skeleton`` turns the skeletons into the closure,
+    which comes back as its minimal DFA whenever the subset construction
+    stays small.
     """
     cnf, had_empty = to_cnf(g)
     flat = flatten(g.alphabet)
-    flat_cnf = replace(cnf, alphabet=flat)
+    flat_normal = to_cnf(replace(cnf, alphabet=flat))
 
     def skeletons():
         for letter in g.alphabet.letters:
-            group = apply_transducer_to_cfg(
-                _identity(_last_letter_nfa(flat, letter)), flat_cnf, max_states
+            group = _transduce_cnf(
+                _identity(_last_letter_nfa(flat, letter)), flat_normal, max_states
             )
             group_cnf, _ = to_cnf(group)
             if group_cnf.productions:

@@ -16,6 +16,7 @@ from dataclasses import replace
 
 from .automata import (
     Nfa,
+    block_from_skeleton,
     closure_regular,
     nfa_enumerate,
     nfa_parse,
@@ -115,7 +116,9 @@ def _as_oca(machine: SimpleOca) -> Oca:
 def _oca_block(machine: Oca | SimpleOca, state_cap: int) -> Nfa:
     if isinstance(machine, SimpleOca):
         skeleton = soca_closure_nfa(machine, state_cap)
-        return closure_regular(skeleton, OrderKind.BLOCK, state_cap)
+        return block_from_skeleton(
+            machine.alphabet, skeleton, with_empty=False, max_states=state_cap
+        )
     return oca_block_closure(machine, state_cap)
 
 

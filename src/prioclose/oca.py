@@ -18,10 +18,10 @@ from .automata import (
     _explore,
     _name,
     _parse_edge,
-    closure_regular,
+    block_from_skeleton,
     priority_from_skeleton,
 )
-from .core import OrderKind, PriorityAlphabet, Word
+from .core import PriorityAlphabet, Word
 
 
 class CounterOp(str, Enum):
@@ -389,8 +389,17 @@ def _glue_nfa(oca: Oca, max_states: int = 1_000_000) -> Nfa:
 
 
 def oca_block_closure(oca: Oca, max_states: int = 1_000_000) -> Nfa:
-    """NFA for the block downward closure of the OCA language."""
-    return closure_regular(_glue_nfa(oca, max_states), OrderKind.BLOCK, max_states)
+    """Automaton for the block downward closure of the OCA language.
+
+    The glued skeleton contains the language and lies inside its block
+    closure; ``block_from_skeleton`` turns it into the closure, which
+    comes back as its minimal DFA whenever the subset construction stays
+    small.
+    """
+    skeleton = _glue_nfa(oca, max_states)
+    return block_from_skeleton(
+        oca.alphabet, skeleton, with_empty=False, max_states=max_states
+    )
 
 
 def _last_letter_oca(oca: Oca, letter: str) -> Oca:
@@ -424,7 +433,8 @@ def oca_priority_closure(oca: Oca, max_states: int = 1_000_000) -> Nfa:
     their block closure.  The glue construction never reads priorities,
     so this holds over the flattened alphabet as well, which is what
     ``priority_from_skeleton`` needs to turn the skeletons into the
-    closure.
+    closure.  That comes back as its minimal DFA whenever the subset
+    construction stays small.
     """
     skeletons = (
         (letter, _glue_nfa(_last_letter_oca(oca, letter), max_states))

@@ -1,7 +1,11 @@
 """Closure outputs are trimmed: every state lies on an accepting path."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,9 +24,10 @@ from prioclose.cfg import (
     acyclic_nfa,
     cfg_block_closure,
     cfg_priority_closure,
+    cfg_serialize,
     kleene_closure_grammar,
 )
-from prioclose.cli import main
+from prioclose.cli import build_closure, main
 from prioclose.core import OrderKind, PriorityAlphabet
 from prioclose.oca import (
     AcceptMode,
@@ -35,6 +40,7 @@ from prioclose.oca import (
     soca_closure_nfa,
 )
 
+ROOT = Path(__file__).resolve().parents[1]
 ORDERS = [OrderKind.SUBWORD, OrderKind.PRIORITY, OrderKind.BLOCK]
 AB01 = PriorityAlphabet.from_map({"a": 0, "b": 1})
 FLAT3 = PriorityAlphabet.from_map({"a": 0, "b": 1, "c": 2})
@@ -83,7 +89,14 @@ def test_regular_closures_are_trimmed(order):
                 assert_trimmed(closure_regular(random_nfa(alphabet, rng, n_states), order))
 
 
+def assert_deterministic(nfa: Nfa) -> None:
+    moves = [(src, label) for src, label, _ in nfa.edges]
+    assert None not in {label for _, label in moves}
+    assert len(moves) == len(set(moves))
+
+
 def test_grammar_and_counter_closures_are_trimmed():
+    """Every grammar and counter-machine closure is a trimmed DFA."""
     flagship = Cfg(
         P12, ("X",), (("X", ("1", "X", "1")), ("X", ("2",))), "X"
     )
@@ -99,14 +112,43 @@ def test_grammar_and_counter_closures_are_trimmed():
         ("q1",),
         AcceptMode.ZERO_COUNTER,
     )
-    for closed in (
+    closures = [
         cfg_block_closure(flagship),
         cfg_priority_closure(flagship),
         oca_block_closure(anbn),
         oca_priority_closure(anbn),
-    ):
+        oca_block_closure(OCA_ANBNC),
+        oca_priority_closure(OCA_ANBNC),
+    ]
+    for order in ORDERS:
+        closures.append(build_closure("cfg", order, RING, 1_000_000))
+        closures.append(build_closure("oca", order, SOCA_ANBN, 1_000_000))
+    for closed in closures:
         assert closed.finals
         assert_trimmed(closed)
+        assert_deterministic(closed)
+
+
+def test_cli_grammar_closure_ignores_hash_seed(tmp_path):
+    alpha = tmp_path / "alphabet.json"
+    alpha.write_text(RING.alphabet.to_json(), encoding="utf-8")
+    model = tmp_path / "ring.json"
+    model.write_text(json.dumps(cfg_serialize(RING)), encoding="utf-8")
+    outputs = set()
+    for seed in ("0", "1", "2"):
+        out = tmp_path / f"closure-{seed}.json"
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": seed}
+        subprocess.run(
+            [sys.executable, "-m", "prioclose.cli", "closure", "--type", "cfg",
+             "--order", "priority", "--alphabet", str(alpha), "--input", str(model),
+             "--output", str(out)],
+            env=env,
+            capture_output=True,
+            timeout=120,
+            check=True,
+        )
+        outputs.add(out.read_bytes())
+    assert len(outputs) == 1
 
 
 NO_FINALS = Nfa(
