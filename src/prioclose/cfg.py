@@ -6,13 +6,15 @@ self-embedding nonterminal, rebuild them as starred productions of a
 Kleene grammar, turn acyclic derivations of that grammar into an NFA,
 and finish with the regular closure operator.  Pump ends and repeats are
 extracted with small letter transducers over a marker-extended alphabet.
+The letters that can stand on either side of a pump's seam come from one
+least fixpoint over the seam-marked pump grammar, with no automaton.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .automata import (
     Nfa,
@@ -147,39 +149,57 @@ class HatAlphabet:
         return cls(base=base, alphabet=full, mid=mid, left=left, right=right)
 
 
-def _pruned(g: Cfg) -> Cfg:
-    """Drop nonterminals that derive nothing or are unreachable."""
-    letters = set(g.alphabet.letters)
+def _items(rhs: tuple[str, ...], letters: set[str]) -> tuple[KItem, ...]:
+    return tuple((LIT, s) if s in letters else (NT, s) for s in rhs)
+
+
+def _prune(
+    prods: list[tuple[str, tuple[KItem, ...]]], start: str
+) -> tuple[set[str], list[tuple[str, tuple[KItem, ...]]]]:
+    """Nonterminals and productions of the productive, reachable part.
+
+    Productions are over tagged items.  A production counts once every
+    plain nonterminal item in it derives a word; starred items never
+    block it, since they may repeat zero times, and starred items that
+    derive nothing are dropped.  The start always stays, so a grammar
+    with an empty language comes back production-free.
+    """
     productive: set[str] = set()
     changed = True
     while changed:
         changed = False
-        for lhs, rhs in g.productions:
-            if lhs in productive:
-                continue
-            if all(sym in letters or sym in productive for sym in rhs):
+        for lhs, rhs in prods:
+            if lhs not in productive and all(
+                kind != NT or sym in productive for kind, sym in rhs
+            ):
                 productive.add(lhs)
                 changed = True
-    kept = [
-        (lhs, rhs)
-        for lhs, rhs in g.productions
-        if lhs in productive
-        and all(sym in letters or sym in productive for sym in rhs)
-    ]
-    reachable = {g.start}
-    frontier = [g.start]
-    by_head: dict[str, list[tuple[str, ...]]] = {}
-    for lhs, rhs in kept:
-        by_head.setdefault(lhs, []).append(rhs)
+    by_head: dict[str, list[tuple[KItem, ...]]] = {}
+    for lhs, rhs in prods:
+        if all(kind != NT or sym in productive for kind, sym in rhs):
+            by_head.setdefault(lhs, []).append(
+                tuple(item for item in rhs if item[0] != STAR or item[1] in productive)
+            )
+    reachable = {start}
+    frontier = [start]
     while frontier:
-        head = frontier.pop()
-        for rhs in by_head.get(head, ()):
-            for sym in rhs:
-                if sym not in letters and sym not in reachable:
+        for rhs in by_head.get(frontier.pop(), ()):
+            for kind, sym in rhs:
+                if kind != LIT and sym not in reachable:
                     reachable.add(sym)
                     frontier.append(sym)
-    final = [(lhs, rhs) for lhs, rhs in kept if lhs in reachable]
-    return Cfg(g.alphabet, tuple(reachable), tuple(final), g.start)
+    return reachable, [
+        (lhs, rhs) for lhs in reachable for rhs in by_head.get(lhs, ())
+    ]
+
+
+def _pruned(g: Cfg) -> Cfg:
+    """Drop nonterminals that derive nothing or are unreachable."""
+    letters = set(g.alphabet.letters)
+    tagged = [(lhs, _items(rhs, letters)) for lhs, rhs in g.productions]
+    nts, prods = _prune(tagged, g.start)
+    final = [(lhs, tuple(sym for _, sym in rhs)) for lhs, rhs in prods]
+    return Cfg(g.alphabet, tuple(nts), tuple(final), g.start)
 
 
 def to_cnf(g: Cfg) -> tuple[Cfg, bool]:
@@ -306,14 +326,7 @@ def _identity(nfa: Nfa) -> Transducer:
 
 def cfg_intersect_regular_empty(g: Cfg, r: Nfa) -> bool:
     """Decide whether the grammar and the automaton share no word."""
-    if r.alphabet != g.alphabet:
-        raise ValueError("alphabet mismatch")
-    return not _meets(to_cnf(g), r)
-
-
-def _meets(normal: tuple[Cfg, bool], r: Nfa) -> bool:
-    """Whether a grammar normalised by ``to_cnf`` shares a word with r."""
-    return bool(_transduce_cnf(_identity(r), normal).productions)
+    return not apply_transducer_to_cfg(_identity(r), g).productions
 
 
 def _pump_from_cnf(cnf: Cfg, x: str, hat: HatAlphabet) -> Cfg:
@@ -648,10 +661,14 @@ def _check_range(alphabet: PriorityAlphabet, r: int, s: int) -> None:
 
 
 def _ends_from_pump(
-    pump: tuple[Cfg, bool], hat: HatAlphabet, r: int, s: int
+    pump: tuple[Cfg, bool],
+    hat: HatAlphabet,
+    r: int,
+    s: int,
+    max_states: int = 1_000_000,
 ) -> Cfg:
     """``ends_grammar`` of the normalised pump grammar at one nonterminal."""
-    out = _transduce_cnf(_ends_transducer(hat, r, s), pump)
+    out = _transduce_cnf(_ends_transducer(hat, r, s), pump, max_states)
     return replace(out, alphabet=_ends_alphabet(hat, r, s))
 
 
@@ -690,99 +707,57 @@ def repeats_grammars(g: Cfg, x: str, r: int, s: int) -> tuple[Cfg, Cfg]:
     return out[0], out[1]
 
 
-def _occurrence_nfa(
-    alphabet: PriorityAlphabet, first: str, second: str
-) -> Nfa:
-    """Words containing ``first`` somewhere before ``second``."""
-    edges: list[tuple[str, str | None, str]] = []
-    for a in alphabet.letters:
-        edges.append(("n0", a, "n0"))
-        edges.append(("n1", a, "n1"))
-        edges.append(("n2", a, "n2"))
-    edges.append(("n0", first, "n1"))
-    edges.append(("n1", second, "n2"))
-    return Nfa(alphabet, ("n0", "n1", "n2"), tuple(edges), "n0", ("n2",))
+def _mid_sides(g: Cfg, mid: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Letters before, respectively after, a ``mid`` in the words of g.
 
-
-def side_alphabets(g: Cfg, x: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Letters that can recur left respectively right of pumps at ``x``."""
-    hat = HatAlphabet.extend(g.alphabet)
-    pump = to_cnf(pump_pair_grammar(g, x))
-    return _side_sets_from_pump(pump, hat, g.alphabet.letters)
-
-
-def _not_just_mid_nfa(alphabet: PriorityAlphabet, mid: str) -> Nfa:
-    """All words except the one-letter seam word."""
-    edges: list[tuple[str, str | None, str]] = []
-    for a in alphabet.letters:
-        if a != mid:
-            edges.append(("q0", a, "qq"))
-        edges.append(("qm", a, "qq"))
-        edges.append(("qq", a, "qq"))
-    edges.append(("q0", mid, "qm"))
-    return Nfa(alphabet, ("q0", "qm", "qq"), tuple(edges), "q0", ("q0", "qq"))
-
-
-def _items(rhs: tuple[str, ...], letters: set[str]) -> tuple[KItem, ...]:
-    return tuple((LIT, s) if s in letters else (NT, s) for s in rhs)
-
-
-def _kleene_prune(
-    alphabet: PriorityAlphabet,
-    prods: list[tuple[str, tuple[KItem, ...]]],
-    start: str,
-) -> KleeneGrammar:
-    """Starred items never block production, and dead stars are dropped."""
-    productive: set[str] = set()
+    One least fixpoint over a pruned grammar, in the style of the
+    useful-symbol analyses (Hopcroft & Ullman, §7.4).  ``occurs`` holds
+    the letters of each symbol's words.  ``sides`` holds, for each symbol
+    whose words can contain ``mid``, the letters that can stand left and
+    right of it: a rule N -> X1...Xk with such an Xi gives N those of Xi,
+    plus what X1...Xi-1 hold on the left and Xi+1...Xk on the right.
+    Every other item derives some word because the grammar is pruned, so
+    the sets are exact.
+    """
+    occurs: dict[str, set[str]] = {a: {a} for a in g.alphabet.letters}
+    occurs.update((n, set()) for n in g.nonterminals)
+    sides: dict[str, tuple[set[str], set[str]]] = {mid: (set(), set())}
     changed = True
     while changed:
         changed = False
-        for lhs, rhs in prods:
-            if lhs in productive:
-                continue
-            if all(kind != NT or sym in productive for kind, sym in rhs):
-                productive.add(lhs)
-                changed = True
-    cleaned: list[tuple[str, tuple[KItem, ...]]] = []
-    for lhs, rhs in prods:
-        if lhs not in productive:
-            continue
-        if any(kind == NT and sym not in productive for kind, sym in rhs):
-            continue
-        kept = tuple(
-            (kind, sym)
-            for kind, sym in rhs
-            if kind != STAR or sym in productive
-        )
-        cleaned.append((lhs, kept))
-    reachable = {start}
-    frontier = [start]
-    by_head: dict[str, list[tuple[KItem, ...]]] = {}
-    for lhs, rhs in cleaned:
-        by_head.setdefault(lhs, []).append(rhs)
-    while frontier:
-        head = frontier.pop()
-        for rhs in by_head.get(head, ()):
-            for kind, sym in rhs:
-                if kind in (NT, STAR) and sym not in reachable:
-                    reachable.add(sym)
-                    frontier.append(sym)
-    final = [(lhs, rhs) for lhs, rhs in cleaned if lhs in reachable]
-    return KleeneGrammar(alphabet, tuple(reachable), tuple(final), start)
+        for lhs, rhs in g.productions:
+            seen = occurs[lhs]
+            size = len(seen)
+            for sym in rhs:
+                seen |= occurs[sym]
+            changed = changed or len(seen) != size
+            for i, sym in enumerate(rhs):
+                if sym not in sides:
+                    continue
+                if lhs not in sides:
+                    sides[lhs] = (set(), set())
+                    changed = True
+                left, right = sides[lhs]
+                more_left = sides[sym][0].union(*(occurs[s] for s in rhs[:i]))
+                more_right = sides[sym][1].union(*(occurs[s] for s in rhs[i + 1 :]))
+                if not (more_left <= left and more_right <= right):
+                    left |= more_left
+                    right |= more_right
+                    changed = True
+    left, right = sides.get(g.start, ((), ()))
+    return (
+        tuple(a for a in g.alphabet.letters if a in left),
+        tuple(a for a in g.alphabet.letters if a in right),
+    )
 
 
-def _side_sets_from_pump(
-    pump: tuple[Cfg, bool], hat: HatAlphabet, letters: Iterable[str]
-) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Side letters of a pump grammar normalised by ``to_cnf``."""
-    left = []
-    right = []
-    for a in letters:
-        if _meets(pump, _occurrence_nfa(hat.alphabet, a, hat.mid)):
-            left.append(a)
-        if _meets(pump, _occurrence_nfa(hat.alphabet, hat.mid, a)):
-            right.append(a)
-    return tuple(left), tuple(right)
+def side_alphabets(g: Cfg, x: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Letters that can recur left respectively right of pumps at ``x``.
+
+    They are read off the seam-marked pump grammar by one grammar
+    fixpoint, ``_mid_sides``: the letters before and after the seam.
+    """
+    return _mid_sides(pump_pair_grammar(g, x), HatAlphabet.extend(g.alphabet).mid)
 
 
 def _kleene_base(cnf: Cfg, protected: frozenset[str]) -> KleeneGrammar:
@@ -801,8 +776,7 @@ def _kleene_base(cnf: Cfg, protected: frozenset[str]) -> KleeneGrammar:
     rt = {x: _fresh(f"R.{x}", taken) for x in cnf.nonterminals}
     prods: list[tuple[str, tuple[KItem, ...]]] = []
     for x in cnf.nonterminals:
-        pump = to_cnf(_pump_from_cnf(cnf, x, hat))
-        gl, gr = _side_sets_from_pump(pump, hat, cnf.alphabet.letters)
+        gl, gr = _mid_sides(_pump_from_cnf(cnf, x, hat), hat.mid)
         for a in gl:
             prods.append((lt[x], ((LIT, a),)))
         for a in gr:
@@ -819,19 +793,21 @@ def _kleene_base(cnf: Cfg, protected: frozenset[str]) -> KleeneGrammar:
                 droppable = droppable or rhs[0] not in protected
         if droppable:
             prods.append((mid[x], ()))
-    nts = tuple(
-        itertools.chain(cl.values(), mid.values(), lt.values(), rt.values())
-    )
-    grammar = KleeneGrammar(cnf.alphabet, nts, tuple(prods), cl[cnf.start])
-    return _kleene_prune(
-        grammar.alphabet, list(grammar.productions), grammar.start
-    )
+    kept, pruned = _prune(prods, cl[cnf.start])
+    return KleeneGrammar(cnf.alphabet, tuple(kept), tuple(pruned), cl[cnf.start])
 
 
 def _kleene(
-    cnf: Cfg, protected: frozenset[str], stats: dict | None = None
+    cnf: Cfg,
+    protected: frozenset[str],
+    stats: dict | None = None,
+    max_states: int = 1_000_000,
 ) -> KleeneGrammar:
-    """Recursive Kleene rebuild; see kleene_closure_grammar."""
+    """Recursive Kleene rebuild; see kleene_closure_grammar.
+
+    ``max_states`` caps every grammar transduction inside, as in
+    ``apply_transducer_to_cfg``.
+    """
     alpha = cnf.alphabet
     p = alpha.max_assigned_priority
     if stats is not None:
@@ -849,11 +825,9 @@ def _kleene(
     prods: list[tuple[str, tuple[KItem, ...]]] = [
         (lhs, _items(rhs, letters)) for lhs, rhs in cnf.productions
     ]
-    nts: set[str] = set(cnf.nonterminals)
     z: dict[int, str] = {}
     for pri in range(p + 1):
         z[pri] = _fresh(f"Z{pri}", taken)
-        nts.add(z[pri])
         if pri == 0:
             prods.append((z[0], ()))
         elif alpha.letters_of(pri):
@@ -861,22 +835,25 @@ def _kleene(
     hat = HatAlphabet.extend(alpha)
     counter = 0
     for x in cnf.nonterminals:
-        pump = to_cnf(_pump_from_cnf(cnf, x, hat))
-        if not _meets(pump, _not_just_mid_nfa(hat.alphabet, hat.mid)):
+        marked = _pump_from_cnf(cnf, x, hat)
+        # Every pump word holds the seam once, so a side letter means a
+        # pump other than the bare seam.
+        if not any(_mid_sides(marked, hat.mid)):
             continue
+        pump = to_cnf(marked)
         for r in range(p + 1):
             if r >= 1 and not alpha.letters_of(r):
                 continue
             for s in range(p + 1):
                 if s >= 1 and not alpha.letters_of(s):
                     continue
-                ends_cnf, _ = to_cnf(_ends_from_pump(pump, hat, r, s))
+                ends_cnf, _ = to_cnf(_ends_from_pump(pump, hat, r, s, max_states))
                 if not ends_cnf.productions:
                     continue
                 counter += 1
                 tag = f"k{counter}"
                 inner_protected = protected | {hat.mid, hat.left, hat.right}
-                ends_closed = _kleene(ends_cnf, inner_protected)
+                ends_closed = _kleene(ends_cnf, inner_protected, max_states=max_states)
                 if stats is not None:
                     stats["pairs"] += 1
                     stats["inner"].append(len(ends_closed.nonterminals))
@@ -888,7 +865,7 @@ def _kleene(
                 side_starts: dict[str, str | None] = {}
                 for side, pri in (("left", r), ("right", s)):
                     raw = _transduce_cnf(
-                        _repeat_transducer(hat, r, s, side, False), pump
+                        _repeat_transducer(hat, r, s, side, False), pump, max_states
                     )
                     entries = tuple(
                         (a, q) for a, q in hat.base.entries if q <= max(pri - 1, 0)
@@ -897,16 +874,14 @@ def _kleene(
                         replace(raw, alphabet=PriorityAlphabet(entries))
                     )
                     wrapper = _fresh(f"W{counter}.{side}", taken)
-                    nts.add(wrapper)
                     have_any = False
                     if run_cnf.productions:
-                        closed = _kleene(run_cnf, protected)
+                        closed = _kleene(run_cnf, protected, max_states=max_states)
                         if stats is not None:
                             stats["inner"].append(len(closed.nonterminals))
                         rename = {
                             n: f"{tag}.{side}.{n}" for n in closed.nonterminals
                         }
-                        nts.update(rename.values())
                         for lhs, rhs in closed.productions:
                             prods.append(
                                 (
@@ -932,7 +907,6 @@ def _kleene(
                         have_any = True
                     side_starts[side] = wrapper if have_any else None
                 rename = {n: f"{tag}.{n}" for n in ends_closed.nonterminals}
-                nts.update(rename.values())
                 for lhs, rhs in ends_closed.productions:
                     head = rename[lhs]
                     if rhs == ((LIT, hat.left),):
@@ -960,7 +934,8 @@ def _kleene(
                             )
                         )
                 prods.append((x, ((NT, rename[ends_closed.start]),)))
-    out = _kleene_prune(alpha, prods, cnf.start)
+    kept, pruned = _prune(prods, cnf.start)
+    out = KleeneGrammar(alpha, tuple(kept), tuple(pruned), cnf.start)
     if stats is not None:
         stats["result"] = len(out.nonterminals)
     return out
@@ -1036,7 +1011,9 @@ def cfg_block_closure(g: Cfg, max_states: int = 1_000_000) -> Nfa:
     """
     cnf, had_empty = to_cnf(g)
     if cnf.productions:
-        kg = _kleene(replace(cnf, alphabet=flatten(g.alphabet)), frozenset())
+        kg = _kleene(
+            replace(cnf, alphabet=flatten(g.alphabet)), frozenset(), max_states=max_states
+        )
         skeleton = acyclic_nfa(kg, max_states)
     else:
         skeleton = nfa_for_words(g.alphabet, [])
@@ -1065,7 +1042,7 @@ def cfg_priority_closure(g: Cfg, max_states: int = 1_000_000) -> Nfa:
             )
             group_cnf, _ = to_cnf(group)
             if group_cnf.productions:
-                kg = _kleene(group_cnf, frozenset())
+                kg = _kleene(group_cnf, frozenset(), max_states=max_states)
                 yield letter, acyclic_nfa(kg, max_states)
 
     return priority_from_skeleton(g.alphabet, skeletons(), had_empty, max_states)
@@ -1116,8 +1093,8 @@ def kleene_serialize(h: KleeneGrammar) -> dict:
 
 def kleene_parse(data: Mapping, alphabet: PriorityAlphabet) -> KleeneGrammar:
     try:
-        start = data["start"]
-        nts = tuple(data["nonterminals"])
+        start = _name(data["start"], "nonterminal")
+        nts = tuple(_name(x, "nonterminal") for x in data["nonterminals"])
         prods = []
         for lhs, rhs in data["productions"]:
             items = []
@@ -1125,8 +1102,8 @@ def kleene_parse(data: Mapping, alphabet: PriorityAlphabet) -> KleeneGrammar:
                 ((kind, sym),) = item.items()
                 if kind not in (NT, STAR, LIT):
                     raise ValueError(f"bad item kind {kind!r}")
-                items.append((kind, sym))
-            prods.append((lhs, tuple(items)))
+                items.append((kind, _name(sym, "symbol")))
+            prods.append((_name(lhs, "nonterminal"), tuple(items)))
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ValueError(f"malformed grammar data: {exc}") from exc
     return KleeneGrammar(alphabet, nts, tuple(prods), start)

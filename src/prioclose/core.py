@@ -45,7 +45,8 @@ class PriorityAlphabet:
         for letter, pri in self.entries:
             if not isinstance(letter, str) or not letter:
                 raise ValueError(f"bad letter {letter!r}")
-            if not isinstance(pri, int) or pri < 0:
+            # bool is an int subclass, but JSON true is no priority
+            if isinstance(pri, bool) or not isinstance(pri, int) or pri < 0:
                 raise ValueError(f"bad priority {pri!r} for letter {letter!r}")
             if letter in seen:
                 raise ValueError(f"duplicate letter {letter!r}")

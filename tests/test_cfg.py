@@ -280,6 +280,10 @@ class TestApplyTransducer:
         with pytest.raises(ResourceLimit, match="grammar transduction exceeded 3 states"):
             cfg_priority_closure(flagship(), max_states=3)
 
+    def test_block_closure_caps_the_kleene_rebuild(self):
+        with pytest.raises(ResourceLimit, match="grammar transduction exceeded 5 states"):
+            cfg_block_closure(flagship(), max_states=5)
+
 
 class TestEndsGrammar:
     def test_flagship_both_positive(self):
@@ -619,6 +623,17 @@ class TestSerialization:
         data = kleene_serialize(h)
         back = kleene_parse(data, AB0)
         assert back == h
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"start": ["S"], "nonterminals": ["S"], "productions": []},
+            {"start": "S", "nonterminals": ["S"], "productions": [["S", [{"nt": ["S"]}]]]},
+        ],
+    )
+    def test_kleene_parse_rejects_non_string_names(self, data):
+        with pytest.raises(ValueError, match="malformed grammar data"):
+            kleene_parse(data, AB0)
 
     def test_malformed(self):
         with pytest.raises(ValueError):

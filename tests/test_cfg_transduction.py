@@ -1,9 +1,10 @@
-"""Differential checks of the grammar triple construction.
+"""Differential checks of the grammar triple construction and fixpoints.
 
 The image of a grammar under the identity transducer of an automaton is
 their intersection, and the identity keeps word lengths, so up to a
 length bound the image's words are exactly the grammar's words that the
-automaton accepts.
+automaton accepts.  The side-letter fixpoint is checked against that
+intersection with small pattern automata.
 """
 
 import random
@@ -12,12 +13,20 @@ import pytest
 
 from prioclose.automata import Nfa, nfa_accepts
 from prioclose.cfg import (
+    LIT,
+    NT,
+    STAR,
     Cfg,
+    HatAlphabet,
     _identity,
+    _mid_sides,
+    _prune,
     _pruned,
     apply_transducer_to_cfg,
     cfg_enumerate,
     cfg_intersect_regular_empty,
+    pump_pair_grammar,
+    side_alphabets,
 )
 from prioclose.core import PriorityAlphabet
 
@@ -78,3 +87,76 @@ def test_draws_cover_the_cases():
         many_finals += len(r.finals) > 1
     assert with_empty and empty and with_eps and many_finals
     assert len(SEEDS) - empty >= 10
+
+
+def occurrence_nfa(alphabet: PriorityAlphabet, first: str, second: str) -> Nfa:
+    """Words with ``first`` somewhere before ``second``."""
+    edges = [(q, a, q) for q in ("n0", "n1", "n2") for a in alphabet.letters]
+    edges += [("n0", first, "n1"), ("n1", second, "n2")]
+    return Nfa(alphabet, ("n0", "n1", "n2"), tuple(edges), "n0", ("n2",))
+
+
+def not_just_nfa(alphabet: PriorityAlphabet, letter: str) -> Nfa:
+    """Every word except the one-letter word ``letter``."""
+    edges = [("q0", a, "qq") for a in alphabet.letters if a != letter]
+    edges += [(q, a, "qq") for q in ("qm", "qq") for a in alphabet.letters]
+    edges.append(("q0", letter, "qm"))
+    return Nfa(alphabet, ("q0", "qm", "qq"), tuple(edges), "q0", ("q0", "qq"))
+
+
+def sides_by_products(g: Cfg, mid: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The letters before and after ``mid``, one emptiness check each."""
+
+    def meets(first, second):
+        return not cfg_intersect_regular_empty(g, occurrence_nfa(g.alphabet, first, second))
+
+    return (
+        tuple(a for a in AB01.letters if meets(a, mid)),
+        tuple(a for a in AB01.letters if meets(mid, a)),
+    )
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_side_alphabets_match_the_products(seed):
+    g = random_grammar(random.Random(seed))
+    mid = HatAlphabet.extend(AB01).mid
+    for x in g.nonterminals:
+        pump = pump_pair_grammar(g, x)
+        sides = side_alphabets(g, x)
+        assert sides == sides_by_products(pump, mid)
+        beyond_seam = not cfg_intersect_regular_empty(pump, not_just_nfa(pump.alphabet, mid))
+        assert any(sides) == beyond_seam
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_mid_sides_on_raw_grammars(seed):
+    """With a letter that may occur many times, on grammars that keep their
+    empty and unit rules."""
+    g = _pruned(random_grammar(random.Random(seed)))
+    assert _mid_sides(g, "b") == sides_by_products(g, "b")
+
+
+def test_side_draws_cover_the_cases():
+    one_sided = two_sided = bare = 0
+    for seed in SEEDS:
+        g = random_grammar(random.Random(seed))
+        for x in g.nonterminals:
+            left, right = side_alphabets(g, x)
+            one_sided += bool(left) != bool(right)
+            two_sided += bool(left and right)
+            bare += not (left or right)
+    assert one_sided and two_sided and bare
+
+
+def test_prune_drops_dead_stars_and_blocked_productions():
+    prods = [
+        ("S", ((STAR, "D"), (NT, "A"))),
+        ("S", ((NT, "D"), (NT, "A"))),
+        ("A", ((LIT, "a"),)),
+        ("D", ((NT, "D"),)),
+    ]
+    nts, kept = _prune(prods, "S")
+    assert nts == {"S", "A"}
+    assert sorted(kept) == [("A", ((LIT, "a"),)), ("S", ((NT, "A"),))]
+    g = Cfg(AB01, ("S", "D"), (("S", ("a", "D")), ("S", ("b",)), ("D", ("D", "a"))), "S")
+    assert _pruned(g) == Cfg(AB01, ("S",), (("S", ("b",)),), "S")

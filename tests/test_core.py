@@ -43,6 +43,12 @@ class TestAlphabet:
         with pytest.raises(ValueError):
             PriorityAlphabet.from_map({"a": -1})
 
+    def test_rejects_bool_priority(self):
+        with pytest.raises(ValueError, match="bad priority"):
+            PriorityAlphabet.from_map({"a": True})
+        with pytest.raises(ValueError, match="bad priority"):
+            PriorityAlphabet.from_json('{"letters": [{"symbol": "a", "priority": true}]}')
+
     def test_unknown_letter(self):
         with pytest.raises(ValueError):
             EX.priority("z")
