@@ -9,6 +9,7 @@ minimal DFA when the subset construction stays within the NFA's size.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, replace
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
@@ -129,27 +130,97 @@ def _word_key(word: Word) -> tuple[int, Word]:
     return (len(word), word)
 
 
-def nfa_enumerate(nfa: Nfa, bound: int) -> list[Word]:
-    """All accepted words of length <= bound, sorted by length then tokens."""
-    adj = _adjacency(nfa)
-    finals = set(nfa.finals)
-    letters = nfa.alphabet.letters
-    frontier: dict[Word, frozenset[str]] = {(): _eps_closure(adj, [nfa.initial])}
-    found: list[Word] = []
-    for _ in range(bound + 1):
-        for word in sorted(frontier):
-            if frontier[word] & finals:
-                found.append(word)
-        nxt: dict[Word, frozenset[str]] = {}
-        for word, states in frontier.items():
+def _letters_to_final(
+    edges: Iterable[tuple[Hashable, str | None, Hashable]], finals: Iterable[Hashable]
+) -> dict[Hashable, int]:
+    """Fewest letters from each state to a final state; ε-edges are free.
+
+    A 0-1 breadth-first search over the reversed (src, label, dst)
+    edges.  States that cannot reach a final state are absent.
+    """
+    preds: dict[Hashable, list[tuple[int, Hashable]]] = {}
+    for src, label, dst in edges:
+        preds.setdefault(dst, []).append((0 if label is None else 1, src))
+    dist = dict.fromkeys(finals, 0)
+    queue = deque(dist)
+    while queue:
+        q = queue.popleft()
+        d = dist[q]
+        for cost, p in preds.get(q, ()):
+            if p not in dist or d + cost < dist[p]:
+                dist[p] = d + cost
+                if cost:
+                    queue.append(p)
+                else:
+                    queue.appendleft(p)
+    return dist
+
+
+def _enumerate_walk(
+    letters: Sequence[str],
+    start: frozenset,
+    step: Callable[[frozenset, str], frozenset],
+    lower: Callable[[frozenset], float],
+    accepting: Callable[[frozenset], bool],
+    bound: int,
+) -> list[Word]:
+    """Words of length <= bound whose walk from ``start`` ends accepting.
+
+    The walk is breadth first over (prefix, configuration set) pairs.
+    ``step`` is called once per (set, letter) pair.  ``lower(S)`` is a
+    lower bound on the letters any accepted extension of a prefix
+    reaching S still needs (infinite when there is none); a prefix of
+    length k is dropped when ``k + lower(S) > bound``, so only prefixes
+    that might be completed within the bound are kept or stepped.
+    """
+    steps: dict[tuple[frozenset, str], frozenset] = {}
+    lowers: dict[frozenset, float] = {}
+
+    def fits(k: int, configs: frozenset) -> bool:
+        low = lowers.get(configs)
+        if low is None:
+            low = lowers[configs] = lower(configs)
+        return k + low <= bound
+
+    frontier = [((), start)] if fits(0, start) else []
+    found = [word for word, configs in frontier if accepting(configs)]
+    for k in range(1, bound + 1):
+        nxt: list[tuple[Word, frozenset]] = []
+        for word, configs in frontier:
             for letter in letters:
-                stepped = _step(adj, states, letter)
-                if stepped:
-                    nxt[word + (letter,)] = stepped
-        frontier = nxt
-        if not frontier:
+                stepped = steps.get((configs, letter))
+                if stepped is None:
+                    stepped = steps[configs, letter] = step(configs, letter)
+                if fits(k, stepped):
+                    nxt.append((word + (letter,), stepped))
+        if not nxt:
             break
-    return sorted(set(found), key=_word_key)
+        found.extend(word for word, configs in nxt if accepting(configs))
+        frontier = nxt
+    return sorted(found, key=_word_key)
+
+
+def nfa_enumerate(nfa: Nfa, bound: int) -> list[Word]:
+    """All accepted words of length <= bound, sorted by length then tokens.
+
+    A pruned, memoised walk over prefixes and their ε-closed state
+    subsets (see ``_enumerate_walk``); the lower bound of a subset is
+    the fewest letters from any of its states to a final state.  It
+    reads the NFA's own edges only.
+    """
+    adj = _adjacency(nfa)
+    dist = _letters_to_final(nfa.edges, nfa.finals)
+    finals = set(nfa.finals)
+    return _enumerate_walk(
+        nfa.alphabet.letters,
+        _eps_closure(adj, [nfa.initial]),
+        lambda states, letter: _step(adj, states, letter),
+        lambda states: min(
+            (dist[q] for q in states if q in dist), default=float("inf")
+        ),
+        lambda states: not finals.isdisjoint(states),
+        bound,
+    )
 
 
 def _explore(

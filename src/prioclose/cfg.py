@@ -288,30 +288,51 @@ def to_cnf(g: Cfg) -> tuple[Cfg, bool]:
 
 
 def cfg_enumerate(g: Cfg, bound: int) -> list[Word]:
-    """All derivable words of length at most ``bound``, shortest first."""
+    """All derivable words of length at most ``bound``, shortest first.
+
+    A semi-naive fixpoint: each round joins a production only where one
+    of its nonterminals takes a word that was new in the previous round.
+    """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     letters = set(g.alphabet.letters)
+
+    def join(options: list[set[Word]]) -> set[Word]:
+        words: set[Word] = {()}
+        for extras in options:
+            words = {
+                prefix + extra
+                for prefix in words
+                for extra in extras
+                if len(prefix) + len(extra) <= bound
+            }
+            if not words:
+                break
+        return words
+
     yields: dict[str, set[Word]] = {nt: set() for nt in g.nonterminals}
-    changed = True
-    while changed:
-        changed = False
+    fresh: dict[str, set[Word]] = {nt: set() for nt in g.nonterminals}
+    for lhs, rhs in g.productions:
+        if len(rhs) <= bound and all(sym in letters for sym in rhs):
+            fresh[lhs].add(rhs)
+    while any(fresh.values()):
+        older = yields
+        yields = {nt: older[nt] | fresh[nt] for nt in g.nonterminals}
+        found: dict[str, set[Word]] = {nt: set() for nt in g.nonterminals}
         for lhs, rhs in g.productions:
-            words: set[Word] = {()}
-            for sym in rhs:
-                options = {(sym,)} if sym in letters else yields[sym]
-                words = {
-                    prefix + extra
-                    for prefix in words
-                    for extra in options
-                    if len(prefix) + len(extra) <= bound
-                }
-                if not words:
-                    break
-            new = words - yields[lhs]
-            if new:
-                yields[lhs] |= new
-                changed = True
+            for i, sym in enumerate(rhs):
+                if sym in letters or not fresh[sym]:
+                    continue
+                # the first fresh position is i: older words before it
+                options = [
+                    {(s,)} if s in letters
+                    else older[s] if j < i
+                    else fresh[s] if j == i
+                    else yields[s]
+                    for j, s in enumerate(rhs)
+                ]
+                found[lhs] |= join(options)
+        fresh = {nt: found[nt] - yields[nt] for nt in g.nonterminals}
     return sorted(yields[g.start], key=lambda w: (len(w), w))
 
 

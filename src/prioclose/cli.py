@@ -50,7 +50,7 @@ from .oca import (
     oca_to_dot,
     soca_closure_nfa,
 )
-from .oracle import compare_closure
+from .oracle import check_bounds, compare_closure
 
 DEFAULT_STATE_CAP = 1_000_000
 
@@ -175,11 +175,7 @@ def cmd_closure(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.bound < 0:
-        raise ValueError("bound must be nonnegative")
-    dom_bound = args.dom_bound if args.dom_bound is not None else 2 * args.bound
-    if dom_bound < args.bound:
-        raise ValueError("dominator bound must be at least the comparison bound")
+    dom_bound = check_bounds(args.bound, args.dom_bound)
     alphabet = _load_alphabet(args.alphabet)
     model = _parse_model(args.type, _load_json(args.input), alphabet)
     closed = build_closure(args.type, OrderKind(args.order), model, args.state_cap)

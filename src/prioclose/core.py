@@ -82,8 +82,10 @@ class PriorityAlphabet:
 
     def validate_word(self, w: Iterable[str]) -> Word:
         word = tuple(w)
+        pri = self._pri  # type: ignore[attr-defined]
         for letter in word:
-            self.priority(letter)
+            if letter not in pri:
+                raise ValueError(f"letter {letter!r} not in alphabet")
         return word
 
     def to_json(self) -> str:
@@ -201,11 +203,12 @@ def leq_priority(alphabet: PriorityAlphabet, u: Iterable[str], v: Iterable[str])
     vv = alphabet.validate_word(v)
     if not uu:
         return True
-    upri = [alphabet.priority(letter) for letter in uu]
+    table = alphabet._pri  # type: ignore[attr-defined]
+    upri = [table[letter] for letter in uu]
     k = len(uu)
     states = {0}
     for letter in vv:
-        pri = alphabet.priority(letter)
+        pri = table[letter]
         nxt = set()
         for i in states:
             if i < k:
@@ -237,37 +240,50 @@ def leq_block(alphabet: PriorityAlphabet, u: Iterable[str], v: Iterable[str]) ->
     return _leq_block(alphabet, uu, vv)
 
 
+def _split(pri: Mapping[str, int], word: Word, p: int) -> tuple[list[Word], list[str]]:
+    """Blocks and separators of ``word`` at level ``p``, unvalidated."""
+    blocks: list[Word] = []
+    separators: list[str] = []
+    start = 0
+    for i, letter in enumerate(word):
+        if pri[letter] == p:
+            blocks.append(word[start:i])
+            separators.append(letter)
+            start = i + 1
+    blocks.append(word[start:])
+    return blocks, separators
+
+
 @lru_cache(maxsize=1 << 20)
 def _leq_block(alphabet: PriorityAlphabet, u: Word, v: Word) -> bool:
+    # Both words are validated by leq_block, so priorities are read
+    # straight from the alphabet's table here.
+    pri = alphabet._pri  # type: ignore[attr-defined]
     if not u:
-        return max_priority(alphabet, v) <= 0
-    p = max_priority(alphabet, u)
-    if p != max_priority(alphabet, v):
+        return all(pri[letter] <= 0 for letter in v)
+    p = max(pri[letter] for letter in u)
+    if not v or p != max(pri[letter] for letter in v):
         return False
     if p == 0:
         return is_subword(u, v)
-    ud = block_decompose(alphabet, u, p)
-    vd = block_decompose(alphabet, v, p)
-    ub, us = ud.blocks, ud.separators
-    vb, vs = vd.blocks, vd.separators
+    ub, us = _split(pri, u, p)
+    vb, vs = _split(pri, v, p)
     n, m = len(us), len(vs)
     if n > m:
         return False
 
-    def fits(block: Word, target: Word) -> bool:
-        return _leq_block(alphabet, block, target)
-
     # reach holds the feasible images of the last placed block boundary
-    reach = {0} if fits(ub[0], vb[0]) else set()
+    reach = {0} if _leq_block(alphabet, ub[0], vb[0]) else set()
     for i in range(n):
         token = us[i]
+        block = ub[i + 1]
         nxt: set[int] = set()
         for j in reach:
             for t in range(j, m):
                 if vs[t] != token:
                     continue
                 for j2 in range(t + 1, m + 1):
-                    if j2 not in nxt and fits(ub[i + 1], vb[j2]):
+                    if j2 not in nxt and _leq_block(alphabet, block, vb[j2]):
                         nxt.add(j2)
         if not nxt:
             return False

@@ -15,7 +15,9 @@ from typing import Hashable, Iterable, Mapping
 from .automata import (
     Nfa,
     _adjacency,
+    _enumerate_walk,
     _explore,
+    _letters_to_final,
     _name,
     _parse_edge,
     block_from_skeleton,
@@ -192,7 +194,12 @@ def oca_accepts_bounded(
 def oca_enumerate(
     machine: Oca | SimpleOca, bound: int, counter_cap: int | None = None
 ) -> list[Word]:
-    """Accepted words of length <= bound, sorted by length then tokens."""
+    """Accepted words of length <= bound, sorted by length then tokens.
+
+    Runs keep the counter <= ``counter_cap``.  The walk over prefixes
+    and their configuration sets is memoised and pruned as in
+    ``nfa_enumerate``.
+    """
     _, states, edges, initial, finals, mode = _machine_parts(machine)
     if counter_cap is None:
         counter_cap = _counter_cap(len(states), bound)
@@ -222,30 +229,35 @@ def oca_enumerate(
                 return True
         return False
 
-    letters = machine.alphabet.letters
-    frontier: dict[Word, frozenset] = {(): close(frozenset([(initial, 0)]))}
-    found: list[Word] = []
-    for _ in range(bound + 1):
-        for word in sorted(frontier):
-            if accepted(frontier[word]):
-                found.append(word)
-        nxt: dict[Word, frozenset] = {}
-        for word, configs in frontier.items():
-            for letter in letters:
-                stepped = set()
-                for state, counter in configs:
-                    for label, op, dst in adj.get(state, ()):
-                        if label != letter:
-                            continue
-                        nxt_counter = _apply_op(op, counter, counter_cap)
-                        if nxt_counter is not None:
-                            stepped.add((dst, nxt_counter))
-                if stepped:
-                    nxt[word + (letter,)] = close(frozenset(stepped))
-        frontier = nxt
-        if not frontier:
-            break
-    return sorted(set(found), key=lambda w: (len(w), w))
+    # Fewest letters from each state to a final one, ignoring counter
+    # operations: every run is a path of the state graph, so this is a
+    # lower bound on the letters left in either accept mode.
+    dist = _letters_to_final(
+        ((src, label, dst) for src, label, _, dst in edges), final_set
+    )
+
+    def step(configs: frozenset, letter: str) -> frozenset:
+        stepped = set()
+        for state, counter in configs:
+            for label, op, dst in adj.get(state, ()):
+                if label != letter:
+                    continue
+                nxt_counter = _apply_op(op, counter, counter_cap)
+                if nxt_counter is not None:
+                    stepped.add((dst, nxt_counter))
+        return close(frozenset(stepped))
+
+    return _enumerate_walk(
+        machine.alphabet.letters,
+        close(frozenset([(initial, 0)])),
+        step,
+        lambda configs: min(
+            (dist[state] for state, _ in configs if state in dist),
+            default=float("inf"),
+        ),
+        accepted,
+        bound,
+    )
 
 
 def soca_closure_nfa(soca: SimpleOca, max_states: int = 1_000_000) -> Nfa:

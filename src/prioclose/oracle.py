@@ -2,15 +2,18 @@
 
 The oracle works purely from enumerated word sets: it never trusts a
 constructed automaton.  Every closure here is computed by checking the
-order relation directly, so it is slow but independent, which is the
-point.
+order relation directly on each distinct subword of each enumerated
+word, so it stays independent of the constructions it checks.
+``nfa_enumerate`` and ``oca_enumerate`` are memoised and pruned by each
+state's distance to acceptance, and ``cfg_enumerate`` is a semi-naive
+fixpoint; none of them reads more of a constructed closure than its
+own NFA, and none calls a closure construction.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .core import (
@@ -32,12 +35,16 @@ def _word_key(word: Word) -> tuple[int, Word]:
 
 
 def subwords_up_to(word: Word, bound: int) -> set[Word]:
-    """All scattered subwords of ``word`` of length at most ``bound``."""
-    out: set[Word] = set()
-    n = len(word)
-    for k in range(0, min(bound, n) + 1):
-        for pick in combinations(range(n), k):
-            out.add(tuple(word[i] for i in pick))
+    """All scattered subwords of ``word`` of length at most ``bound``.
+
+    Built letter by letter, so each distinct subword is made once rather
+    than once per choice of positions.
+    """
+    if bound < 0:
+        return set()
+    out: set[Word] = {()}
+    for letter in word:
+        out |= {u + (letter,) for u in out if len(u) < bound}
     return out
 
 
@@ -121,6 +128,22 @@ def _enumerate_model(model, bound: int) -> list[Word]:
     raise TypeError(f"cannot enumerate model of type {type(model).__name__}")
 
 
+def check_bounds(bound: int, dom_bound: int | None = None) -> int:
+    """The dominator bound to use, twice ``bound`` unless given.
+
+    Raises ValueError for a negative bound, and for a dominator bound
+    below the comparison bound, which would miss dominators of the
+    longest compared words.
+    """
+    if bound < 0:
+        raise ValueError("bound must be nonnegative")
+    if dom_bound is None:
+        dom_bound = 2 * bound
+    if dom_bound < bound:
+        raise ValueError("dominator bound must be at least the comparison bound")
+    return dom_bound
+
+
 def compare_closure(
     model,
     order: OrderKind,
@@ -135,12 +158,12 @@ def compare_closure(
     to ``dom_bound`` (twice ``bound`` unless given); the constructed set
     is the automaton's language enumerated to ``bound``.  A dominator for
     a short closure word can be longer than the word itself, which is why
-    the model is enumerated deeper than the comparison bound.
+    the model is enumerated deeper than the comparison bound.  Bounds
+    that ``check_bounds`` rejects raise ValueError.
     """
     from .automata import nfa_enumerate
 
-    if dom_bound is None:
-        dom_bound = 2 * bound
+    dom_bound = check_bounds(bound, dom_bound)
     start = time.monotonic()
     alphabet = constructed.alphabet
     expected = set(

@@ -1,5 +1,7 @@
 """Brute-force bounded closure oracle and comparison report tests."""
 
+import pytest
+
 from prioclose.automata import closure_regular, nfa_for_words
 from prioclose.cfg import Cfg, cfg_block_closure, cfg_priority_closure
 from prioclose.core import OrderKind, PriorityAlphabet, parse_word
@@ -120,3 +122,19 @@ class TestCompareClosure:
         assert data["equal"] is True
         assert data["missingWords"] == [] and data["extraWords"] == []
         assert data["bound"] == 2 and data["domBound"] == 4
+
+    def test_dominator_bound_below_bound_is_rejected(self):
+        # Enumerating the model to 1 would miss a,a,b and report its
+        # closure words as extra.
+        model = nfa_for_words(AB01, [w("a,a,b")])
+        built = closure_regular(model, OrderKind.PRIORITY)
+        with pytest.raises(ValueError, match="dominator bound"):
+            compare_closure(model, OrderKind.PRIORITY, built, 3, dom_bound=1)
+
+    def test_negative_bound_is_rejected(self):
+        # At bound -1 both sides are empty, so even a wrong closure
+        # would compare equal.
+        model = nfa_for_words(AB01, [w("a,a,b")])
+        wrong = nfa_for_words(AB01, [w("b,b,b,b")])
+        with pytest.raises(ValueError, match="nonnegative"):
+            compare_closure(model, OrderKind.PRIORITY, wrong, -1)
