@@ -349,16 +349,7 @@ def nfa_intersect(a: Nfa, b: Nfa, max_states: int = 1_000_000) -> Nfa:
     """
     if a.alphabet != b.alphabet:
         raise ValueError("intersect requires matching alphabets")
-    ids, eps, on, final = _nfa_index(b)
-    table = [
-        (
-            [(None, dst) for dst in eps[i]],
-            {letter: [(letter, dst) for dst in dsts] for letter, dsts in on[i]},
-            final[i],
-        )
-        for i in range(len(ids))
-    ]
-    return _product(a, ids[b.initial], table.__getitem__, max_states, "intersection product")
+    return _product(a, *_transducer_moves(_identity(b)), max_states, "intersection product")
 
 
 def nfa_equivalent_up_to(a: Nfa, b: Nfa, bound: int) -> Word | None:
@@ -681,6 +672,15 @@ def _nfa_index(nfa: Nfa):
 TMoves = tuple[list[tuple[str | None, int]], dict[str, list[tuple[str | None, int]]], bool]
 
 
+def _identity(nfa: Nfa) -> Transducer:
+    """The transducer that copies the automaton's words and nothing else."""
+    edges = []
+    for src, label, dst in nfa.edges:
+        word = () if label is None else (label,)
+        edges.append((src, word, word, dst))
+    return Transducer(nfa.alphabet, nfa.states, tuple(edges), nfa.initial, nfa.finals)
+
+
 def _transducer_moves(transducer: Transducer):
     """Initial state id and move lookup for a materialised transducer."""
     ids = {q: i for i, q in enumerate(transducer.states)}
@@ -991,6 +991,13 @@ def _name(value, what: str) -> str:
     return value
 
 
+def _names(value, what: str) -> tuple[str, ...]:
+    """A list of state or symbol names read from model data."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{what} list {value!r} is not a list")
+    return tuple(_name(item, what) for item in value)
+
+
 def _parse_edge(item, arity: int) -> tuple:
     """An edge [src, label, ..., dst] read from model data, shape-checked."""
     if (
@@ -1005,9 +1012,9 @@ def _parse_edge(item, arity: int) -> tuple:
 
 def nfa_parse(data: Mapping, alphabet: PriorityAlphabet) -> Nfa:
     try:
-        states = tuple(_name(q, "state") for q in data["states"])
+        states = _names(data["states"], "state")
         initial = _name(data["initial"], "state")
-        finals = tuple(_name(q, "state") for q in data["finals"])
+        finals = _names(data["finals"], "state")
         edges = tuple(_parse_edge(item, 3) for item in data["edges"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed nfa data: {exc}") from exc

@@ -5,7 +5,10 @@ binary normal form, single out the letter runs that can repeat around a
 self-embedding nonterminal, rebuild them as starred productions of a
 Kleene grammar, turn acyclic derivations of that grammar into an NFA,
 and finish with the regular closure operator.  Pump ends and repeats are
-extracted with small letter transducers over a marker-extended alphabet.
+extracted with letter transducers over a marker-extended alphabet.  Each
+joins two half-pump gadgets at the seam: ``_outer`` keeps a half's ends,
+``_pick`` one of its repeatable runs, and ``_check`` only checks its top
+priority.
 The letters that can stand on either side of a pump's seam come from one
 least fixpoint over the seam-marked pump grammar, with no automaton.
 """
@@ -20,8 +23,10 @@ from .automata import (
     Nfa,
     Transducer,
     _explore,
+    _identity,
     _last_letter_nfa,
     _name,
+    _names,
     block_from_skeleton,
     nfa_for_words,
     priority_from_skeleton,
@@ -336,15 +341,6 @@ def cfg_enumerate(g: Cfg, bound: int) -> list[Word]:
     return sorted(yields[g.start], key=lambda w: (len(w), w))
 
 
-def _identity(nfa: Nfa) -> Transducer:
-    """The transducer that copies the automaton's words and nothing else."""
-    edges = []
-    for src, label, dst in nfa.edges:
-        word = () if label is None else (label,)
-        edges.append((src, word, word, dst))
-    return Transducer(nfa.alphabet, nfa.states, tuple(edges), nfa.initial, nfa.finals)
-
-
 def cfg_intersect_regular_empty(g: Cfg, r: Nfa) -> bool:
     """Decide whether the grammar and the automaton share no word."""
     return not apply_transducer_to_cfg(_identity(r), g).productions
@@ -533,6 +529,72 @@ def _low_letters(alphabet: PriorityAlphabet, cutoff: int) -> list[str]:
     return [a for a in alphabet.letters if alphabet.priority(a) <= cutoff]
 
 
+# The pump transducers read a seam-marked pump word u # v.  A gadget reads
+# one half: it takes its state names from the caller and returns its edges
+# and the state it leaves by.  The seam edge joins a left and a right gadget.
+Gadget = tuple[list[tuple[str, Word, Word, str]], str]
+
+
+def _loops(base: PriorityAlphabet, cutoff: int, state: str, copy: bool) -> list:
+    """Loops at ``state`` on the letters up to ``cutoff``, copied or dropped."""
+    return [(state, (a,), (a,) if copy else (), state) for a in _low_letters(base, cutoff)]
+
+
+def _outer(base: PriorityAlphabet, names: tuple[str, ...], pri: int, marker: str) -> Gadget:
+    """Copy a half of top priority ``pri`` with its run from the first
+    separator to the last replaced by ``marker``; for zero, all of it."""
+    start, inside, after = names
+    if pri == 0:
+        return [(start, (), (marker,), inside)] + _loops(base, 0, inside, False), inside
+    sep = base.letters_of(pri)[0]
+    edges = _loops(base, pri - 1, start, True) + _loops(base, pri - 1, after, True)
+    edges += _loops(base, pri - 1, inside, False)
+    for dst in (inside, after):
+        edges.append((start, (sep,), (marker,), dst))
+        edges.append((inside, (sep,), (), dst))
+    return edges, after
+
+
+def _pick(
+    base: PriorityAlphabet, names: tuple[str, ...], pri: int, with_separator: bool
+) -> Gadget:
+    """Drop a half of top priority ``pri`` except one run strictly between
+    two adjacent separators, and the closing one if asked; for zero,
+    except one letter."""
+    before, run, after = names
+    if pri == 0:
+        edges = [(before, (a,), (a,), after) for a in _low_letters(base, 0)]
+        return edges + _loops(base, 0, before, False) + _loops(base, 0, after, False), after
+    sep = base.letters_of(pri)[0]
+    edges = _loops(base, pri, before, False) + _loops(base, pri, after, False)
+    edges += _loops(base, pri - 1, run, True)
+    edges.append((before, (sep,), (), run))
+    edges.append((run, (sep,), (sep,) if with_separator else (), after))
+    return edges, after
+
+
+def _check(base: PriorityAlphabet, names: tuple[str, ...], pri: int) -> Gadget:
+    """Drop a half whose top priority is exactly ``pri`` (at most zero for zero)."""
+    before, after = names
+    if pri == 0:
+        return _loops(base, 0, before, False), before
+    sep = base.letters_of(pri)[0]
+    edges = _loops(base, pri, before, False) + _loops(base, pri, after, False)
+    return edges + [(before, (sep,), (), after)], after
+
+
+def _seamed(
+    hat: HatAlphabet, initial: str, left: Gadget, entry: str, right: Gadget, keep_mid: bool
+) -> Transducer:
+    """Read the left gadget from ``initial``, the seam into ``entry``, then
+    the right gadget, whose exit is the final state."""
+    (left_edges, seam), (right_edges, final) = left, right
+    mid = (hat.mid,)
+    edges = left_edges + [(seam, mid, mid if keep_mid else (), entry)] + right_edges
+    states = {initial, final}.union(*((src, dst) for src, _, _, dst in edges))
+    return Transducer(hat.alphabet, tuple(states), tuple(edges), initial, (final,))
+
+
 def _ends_transducer(hat: HatAlphabet, r: int, s: int) -> Transducer:
     """Replace the outermost separator runs of both halves by markers.
 
@@ -540,49 +602,9 @@ def _ends_transducer(hat: HatAlphabet, r: int, s: int) -> Transducer:
     when r is zero); everything from the first separator to the last is
     replaced by the left marker.  Symmetrically on the right with ``s``.
     """
-    alpha = hat.alphabet
-    base = hat.base
-    edges: list[tuple[str, Word, Word, str]] = []
-    states = ["m0"]
-    if r == 0:
-        states += ["l0", "l1"]
-        initial = "l0"
-        edges.append(("l0", (), (hat.left,), "l1"))
-        for a in _low_letters(base, 0):
-            edges.append(("l1", (a,), (), "l1"))
-        edges.append(("l1", (hat.mid,), (hat.mid,), "m0"))
-    else:
-        rl = base.letters_of(r)[0]
-        states += ["l0", "l1", "l2"]
-        initial = "l0"
-        for a in _low_letters(base, r - 1):
-            edges.append(("l0", (a,), (a,), "l0"))
-            edges.append(("l1", (a,), (), "l1"))
-            edges.append(("l2", (a,), (a,), "l2"))
-        edges.append(("l0", (rl,), (hat.left,), "l1"))
-        edges.append(("l0", (rl,), (hat.left,), "l2"))
-        edges.append(("l1", (rl,), (), "l1"))
-        edges.append(("l1", (rl,), (), "l2"))
-        edges.append(("l2", (hat.mid,), (hat.mid,), "m0"))
-    if s == 0:
-        states += ["r1"]
-        edges.append(("m0", (), (hat.right,), "r1"))
-        for a in _low_letters(base, 0):
-            edges.append(("r1", (a,), (), "r1"))
-        finals = ("r1",)
-    else:
-        sl = base.letters_of(s)[0]
-        states += ["r1", "r2"]
-        for a in _low_letters(base, s - 1):
-            edges.append(("m0", (a,), (a,), "m0"))
-            edges.append(("r1", (a,), (), "r1"))
-            edges.append(("r2", (a,), (a,), "r2"))
-        edges.append(("m0", (sl,), (hat.right,), "r1"))
-        edges.append(("m0", (sl,), (hat.right,), "r2"))
-        edges.append(("r1", (sl,), (), "r1"))
-        edges.append(("r1", (sl,), (), "r2"))
-        finals = ("r2",)
-    return Transducer(alpha, tuple(states), tuple(edges), initial, finals)
+    left = _outer(hat.base, ("l0", "l1", "l2"), r, hat.left)
+    right = _outer(hat.base, ("m0", "r1", "r2"), s, hat.right)
+    return _seamed(hat, "l0", left, "m0", right, keep_mid=True)
 
 
 def _repeat_transducer(
@@ -594,85 +616,13 @@ def _repeat_transducer(
     is copied out (the closing separator too, when asked); the other
     half is only checked for its top priority.
     """
-    alpha = hat.alphabet
-    base = hat.base
-    edges: list[tuple[str, Word, Word, str]] = []
     if side == "left":
-        pick_pri, check_pri = r, s
-        if pick_pri == 0:
-            states = ["a", "c"]
-            for x in _low_letters(base, 0):
-                edges.append(("a", (x,), (), "a"))
-                edges.append(("a", (x,), (x,), "c"))
-                edges.append(("c", (x,), (), "c"))
-            edges.append(("c", (hat.mid,), (), "d"))
-        else:
-            rl = base.letters_of(pick_pri)[0]
-            states = ["a", "b", "c"]
-            for x in _low_letters(base, pick_pri):
-                edges.append(("a", (x,), (), "a"))
-                edges.append(("c", (x,), (), "c"))
-            for x in _low_letters(base, pick_pri - 1):
-                edges.append(("b", (x,), (x,), "b"))
-            edges.append(("a", (rl,), (), "b"))
-            edges.append(("b", (rl,), (rl,) if with_separator else (), "c"))
-            edges.append(("c", (hat.mid,), (), "d"))
-        states += ["d"]
-        if check_pri == 0:
-            for x in _low_letters(base, 0):
-                edges.append(("d", (x,), (), "d"))
-            finals = ("d",)
-        else:
-            sl = base.letters_of(check_pri)[0]
-            states += ["e"]
-            for x in _low_letters(base, check_pri):
-                edges.append(("d", (x,), (), "d"))
-                edges.append(("e", (x,), (), "e"))
-            edges.append(("d", (sl,), (), "e"))
-            finals = ("e",)
-        return Transducer(alpha, tuple(states), tuple(edges), "a", finals)
-    pick_pri, check_pri = s, r
-    if check_pri == 0:
-        states = ["a"]
-        for x in _low_letters(base, 0):
-            edges.append(("a", (x,), (), "a"))
-        edges.append(("a", (hat.mid,), (), "c"))
+        left = _pick(hat.base, ("a", "b", "c"), r, with_separator)
+        entry, right = "d", _check(hat.base, ("d", "e"), s)
     else:
-        rl = base.letters_of(check_pri)[0]
-        states = ["a", "b"]
-        for x in _low_letters(base, check_pri):
-            edges.append(("a", (x,), (), "a"))
-            edges.append(("b", (x,), (), "b"))
-        edges.append(("a", (rl,), (), "b"))
-        edges.append(("b", (hat.mid,), (), "c"))
-    states += ["c"]
-    if pick_pri == 0:
-        states += ["e"]
-        for x in _low_letters(base, 0):
-            edges.append(("c", (x,), (), "c"))
-            edges.append(("c", (x,), (x,), "e"))
-            edges.append(("e", (x,), (), "e"))
-        finals = ("e",)
-    else:
-        sl = base.letters_of(pick_pri)[0]
-        states += ["d", "e"]
-        for x in _low_letters(base, pick_pri):
-            edges.append(("c", (x,), (), "c"))
-            edges.append(("e", (x,), (), "e"))
-        for x in _low_letters(base, pick_pri - 1):
-            edges.append(("d", (x,), (x,), "d"))
-        edges.append(("c", (sl,), (), "d"))
-        edges.append(("d", (sl,), (sl,) if with_separator else (), "e"))
-        finals = ("e",)
-    return Transducer(alpha, tuple(states), tuple(edges), "a", finals)
-
-
-def _ends_alphabet(hat: HatAlphabet, r: int, s: int) -> PriorityAlphabet:
-    cutoff = max(r, s, 1) - 1
-    entries = tuple(
-        (a, pri) for a, pri in hat.base.entries if pri <= cutoff
-    ) + ((hat.mid, 0), (hat.left, 0), (hat.right, 0))
-    return PriorityAlphabet(entries)
+        left = _check(hat.base, ("a", "b"), r)
+        entry, right = "c", _pick(hat.base, ("c", "d", "e"), s, with_separator)
+    return _seamed(hat, "a", left, entry, right, keep_mid=False)
 
 
 def _check_range(alphabet: PriorityAlphabet, r: int, s: int) -> None:
@@ -690,7 +640,10 @@ def _ends_from_pump(
 ) -> Cfg:
     """``ends_grammar`` of the normalised pump grammar at one nonterminal."""
     out = _transduce_cnf(_ends_transducer(hat, r, s), pump, max_states)
-    return replace(out, alphabet=_ends_alphabet(hat, r, s))
+    cutoff = max(r, s, 1) - 1
+    entries = tuple((a, p) for a, p in hat.base.entries if p <= cutoff)
+    markers = ((hat.mid, 0), (hat.left, 0), (hat.right, 0))
+    return replace(out, alphabet=PriorityAlphabet(entries + markers))
 
 
 def ends_grammar(g: Cfg, x: str, r: int, s: int) -> Cfg:
@@ -708,6 +661,28 @@ def ends_grammar(g: Cfg, x: str, r: int, s: int) -> Cfg:
     return _ends_from_pump(to_cnf(pump_pair_grammar(g, x)), hat, r, s)
 
 
+def _runs_from_pump(
+    pump: tuple[Cfg, bool],
+    hat: HatAlphabet,
+    r: int,
+    s: int,
+    side: str,
+    with_separator: bool,
+    max_states: int = 1_000_000,
+) -> Cfg:
+    """Runs of one side of the normalised pump grammar at one nonterminal.
+
+    A run holds letters up to its side's priority when it keeps the
+    closing separator, and below it (priority zero at least) when not.
+    """
+    pri = r if side == "left" else s
+    cutoff = pri if with_separator else max(pri - 1, 0)
+    t = _repeat_transducer(hat, r, s, side, with_separator)
+    out = _transduce_cnf(t, pump, max_states)
+    entries = tuple((a, p) for a, p in hat.base.entries if p <= cutoff)
+    return replace(out, alphabet=PriorityAlphabet(entries))
+
+
 def repeats_grammars(g: Cfg, x: str, r: int, s: int) -> tuple[Cfg, Cfg]:
     """Grammars for the runs repeatable on each side of pumps at ``x``.
 
@@ -720,12 +695,10 @@ def repeats_grammars(g: Cfg, x: str, r: int, s: int) -> tuple[Cfg, Cfg]:
     _require_flat(g.alphabet)
     hat = HatAlphabet.extend(g.alphabet)
     pump = to_cnf(pump_pair_grammar(g, x))
-    out = []
-    for side, pri in (("left", r), ("right", s)):
-        raw = _transduce_cnf(_repeat_transducer(hat, r, s, side, True), pump)
-        entries = tuple((a, p) for a, p in hat.base.entries if p <= pri)
-        out.append(replace(raw, alphabet=PriorityAlphabet(entries)))
-    return out[0], out[1]
+    return (
+        _runs_from_pump(pump, hat, r, s, "left", True),
+        _runs_from_pump(pump, hat, r, s, "right", True),
+    )
 
 
 def _mid_sides(g: Cfg, mid: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -818,6 +791,17 @@ def _kleene_base(cnf: Cfg, protected: frozenset[str]) -> KleeneGrammar:
     return KleeneGrammar(cnf.alphabet, tuple(kept), tuple(pruned), cl[cnf.start])
 
 
+def _renamed(
+    h: KleeneGrammar, prefix: str
+) -> tuple[str, list[tuple[str, tuple[KItem, ...]]]]:
+    """Start and productions of h with each nonterminal N renamed ``prefix.N``."""
+    prods = []
+    for lhs, rhs in h.productions:
+        items = tuple((kind, sym if kind == LIT else f"{prefix}.{sym}") for kind, sym in rhs)
+        prods.append((f"{prefix}.{lhs}", items))
+    return f"{prefix}.{h.start}", prods
+
+
 def _kleene(
     cnf: Cfg,
     protected: frozenset[str],
@@ -878,21 +862,12 @@ def _kleene(
                 if stats is not None:
                     stats["pairs"] += 1
                     stats["inner"].append(len(ends_closed.nonterminals))
-                # Not repeats_grammars: a positive-priority run here leaves
-                # its closing separator out (with_separator=False), because
-                # the wrapper below appends z[pri] itself; with no
-                # separator left, the run's alphabet is cut at
-                # max(pri - 1, 0) instead of pri.
+                # A positive-priority run leaves its closing separator out,
+                # because the wrapper below appends z[pri] itself.
                 side_starts: dict[str, str | None] = {}
                 for side, pri in (("left", r), ("right", s)):
-                    raw = _transduce_cnf(
-                        _repeat_transducer(hat, r, s, side, False), pump, max_states
-                    )
-                    entries = tuple(
-                        (a, q) for a, q in hat.base.entries if q <= max(pri - 1, 0)
-                    )
                     run_cnf, run_empty = to_cnf(
-                        replace(raw, alphabet=PriorityAlphabet(entries))
+                        _runs_from_pump(pump, hat, r, s, side, False, max_states)
                     )
                     wrapper = _fresh(f"W{counter}.{side}", taken)
                     have_any = False
@@ -900,36 +875,19 @@ def _kleene(
                         closed = _kleene(run_cnf, protected, max_states=max_states)
                         if stats is not None:
                             stats["inner"].append(len(closed.nonterminals))
-                        rename = {
-                            n: f"{tag}.{side}.{n}" for n in closed.nonterminals
-                        }
-                        for lhs, rhs in closed.productions:
-                            prods.append(
-                                (
-                                    rename[lhs],
-                                    tuple(
-                                        (k, rename[v]) if k in (NT, STAR) else (k, v)
-                                        for k, v in rhs
-                                    ),
-                                )
-                            )
+                        run_start, run_prods = _renamed(closed, f"{tag}.{side}")
+                        prods.extend(run_prods)
                         if pri == 0:
-                            prods.append((wrapper, ((NT, rename[closed.start]),)))
+                            prods.append((wrapper, ((NT, run_start),)))
                         else:
-                            prods.append(
-                                (
-                                    wrapper,
-                                    ((NT, rename[closed.start]), (NT, z[pri])),
-                                )
-                            )
+                            prods.append((wrapper, ((NT, run_start), (NT, z[pri]))))
                         have_any = True
                     if pri >= 1 and run_empty:
                         prods.append((wrapper, ((NT, z[pri]),)))
                         have_any = True
                     side_starts[side] = wrapper if have_any else None
-                rename = {n: f"{tag}.{n}" for n in ends_closed.nonterminals}
-                for lhs, rhs in ends_closed.productions:
-                    head = rename[lhs]
+                ends_start, ends_prods = _renamed(ends_closed, tag)
+                for head, rhs in ends_prods:
                     if rhs == ((LIT, hat.left),):
                         items: tuple[KItem, ...] = ((NT, z[r]),)
                         if side_starts["left"]:
@@ -945,16 +903,8 @@ def _kleene(
                             if lhs2 == x:
                                 prods.append((head, _items(rhs2, letters)))
                     else:
-                        prods.append(
-                            (
-                                head,
-                                tuple(
-                                    (k, rename[v]) if k in (NT, STAR) else (k, v)
-                                    for k, v in rhs
-                                ),
-                            )
-                        )
-                prods.append((x, ((NT, rename[ends_closed.start]),)))
+                        prods.append((head, rhs))
+                prods.append((x, ((NT, ends_start),)))
     kept, pruned = _prune(prods, cnf.start)
     out = KleeneGrammar(alpha, tuple(kept), tuple(pruned), cnf.start)
     if stats is not None:
@@ -1052,9 +1002,9 @@ def cfg_priority_closure(g: Cfg, max_states: int = 1_000_000) -> Nfa:
     which comes back as its minimal DFA whenever the subset construction
     stays small.
     """
-    cnf, had_empty = to_cnf(g)
     flat = flatten(g.alphabet)
-    flat_normal = to_cnf(replace(cnf, alphabet=flat))
+    flat_normal = to_cnf(replace(g, alphabet=flat))
+    _, had_empty = flat_normal
 
     def skeletons():
         for letter in g.alphabet.letters:
@@ -1090,8 +1040,8 @@ def _production(item) -> tuple[str, tuple[str, ...]]:
 def cfg_parse(data: Mapping, alphabet: PriorityAlphabet) -> Cfg:
     try:
         start = _name(data["start"], "nonterminal")
-        nts = tuple(_name(x, "nonterminal") for x in data["nonterminals"])
-        terminals = [_name(a, "terminal") for a in data.get("terminals", alphabet.letters)]
+        nts = _names(data["nonterminals"], "nonterminal")
+        terminals = _names(data.get("terminals", alphabet.letters), "terminal")
         prods = tuple(_production(item) for item in data["productions"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed grammar data: {exc}") from exc

@@ -40,9 +40,9 @@ from .core import (
 )
 from .oca import (
     AcceptMode,
-    CounterOp,
     Oca,
     SimpleOca,
+    _parse_simple_oca,
     oca_block_closure,
     oca_enumerate,
     oca_parse,
@@ -73,19 +73,6 @@ def _write_text(path: str, text: str) -> None:
 def _dump_json(data) -> str:
     # indent would switch json to its pure-Python encoder
     return json.dumps(data, sort_keys=True) + "\n"
-
-
-def _parse_simple_oca(data, alphabet: PriorityAlphabet) -> SimpleOca:
-    try:
-        edges = tuple(
-            (src, label, CounterOp(op), dst)
-            for src, label, op, dst in (tuple(e) for e in data["edges"])
-        )
-        return SimpleOca(
-            alphabet, tuple(data["states"]), edges, data["initial"], data["final"]
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed simple counter automaton: {exc}") from exc
 
 
 def _parse_model(kind: str, data, alphabet: PriorityAlphabet):

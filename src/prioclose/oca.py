@@ -19,6 +19,7 @@ from .automata import (
     _explore,
     _letters_to_final,
     _name,
+    _names,
     _parse_edge,
     block_from_skeleton,
     priority_from_skeleton,
@@ -466,11 +467,23 @@ def oca_serialize(oca: Oca) -> dict:
     }
 
 
+def _counter_edges(raw_edges) -> tuple[OcaEdge, ...]:
+    """Edges checked by ``_parse_edge``, each counter operation read as a CounterOp."""
+    edges = []
+    for src, label, op, dst in raw_edges:
+        try:
+            op = CounterOp(op)
+        except ValueError as exc:
+            raise ValueError(f"unknown counter op {op!r}") from exc
+        edges.append((src, label, op, dst))
+    return tuple(edges)
+
+
 def oca_parse(data: Mapping, alphabet: PriorityAlphabet) -> Oca:
     try:
-        states = tuple(_name(q, "state") for q in data["states"])
+        states = _names(data["states"], "state")
         initial = _name(data["initial"], "state")
-        finals = tuple(_name(q, "state") for q in data["finals"])
+        finals = _names(data["finals"], "state")
         mode = data["acceptMode"]
         raw_edges = tuple(_parse_edge(item, 4) for item in data["edges"])
     except (KeyError, TypeError) as exc:
@@ -479,14 +492,18 @@ def oca_parse(data: Mapping, alphabet: PriorityAlphabet) -> Oca:
         mode = AcceptMode(mode)
     except ValueError as exc:
         raise ValueError(f"unknown acceptMode {mode!r}") from exc
-    edges = []
-    for src, label, op, dst in raw_edges:
-        try:
-            op = CounterOp(op)
-        except ValueError as exc:
-            raise ValueError(f"unknown counter op {op!r}") from exc
-        edges.append((src, label, op, dst))
-    return Oca(alphabet, states, tuple(edges), initial, finals, mode)
+    return Oca(alphabet, states, _counter_edges(raw_edges), initial, finals, mode)
+
+
+def _parse_simple_oca(data: Mapping, alphabet: PriorityAlphabet) -> SimpleOca:
+    try:
+        states = _names(data["states"], "state")
+        initial = _name(data["initial"], "state")
+        final = _name(data["final"], "state")
+        raw_edges = tuple(_parse_edge(item, 4) for item in data["edges"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed simple counter automaton: {exc}") from exc
+    return SimpleOca(alphabet, states, _counter_edges(raw_edges), initial, final)
 
 
 def oca_to_dot(oca: Oca, name: str = "oca") -> str:

@@ -51,6 +51,30 @@ NFA_AB_JSON = {
     "edges": [["q0", "a", "q1"], ["q1", "b", "q1"]],
 }
 
+NFA_PQ_JSON = {
+    "states": ["p", "q"],
+    "initial": "p",
+    "finals": ["q"],
+    "edges": [["p", "a", "q"]],
+}
+
+OCA_PQ_JSON = {
+    "states": ["p", "q"],
+    "initial": "p",
+    "finals": ["q"],
+    "acceptMode": "anyCounter",
+    "edges": [["p", "a", "inc", "q"], ["q", "b", "dec", "q"]],
+}
+
+# A simple counter machine whose states and edge endpoints are integers.
+SOCA_INT_STATES_JSON = {
+    "simple": True,
+    "states": [1, 2],
+    "initial": 1,
+    "final": 2,
+    "edges": [[1, "a", "inc", 1], [1, None, "noop", 2], [2, "b", "dec", 2]],
+}
+
 OCA_AB_JSON = {
     "states": ["q0", "q1"],
     "initial": "q0",
@@ -370,6 +394,13 @@ class TestClosure:
             ("cfg", dict(ANBN_JSON, productions=[["S", ["a", ["S"], "b"]]])),
             ("cfg", dict(ANBN_JSON, productions=[["S", "ab"]])),
             ("cfg", dict(ANBN_JSON, productions=["Sa"])),
+            ("nfa", dict(NFA_PQ_JSON, states="pq")),
+            ("nfa", dict(NFA_PQ_JSON, finals="q")),
+            ("oca", dict(OCA_PQ_JSON, states="pq")),
+            ("oca", dict(OCA_PQ_JSON, finals="q")),
+            ("cfg", dict(ANBN_JSON, nonterminals="S")),
+            ("cfg", dict(ANBN_JSON, terminals="ab")),
+            ("oca", SOCA_INT_STATES_JSON),
         ],
         ids=[
             "nfa-edge-int",
@@ -382,6 +413,13 @@ class TestClosure:
             "cfg-symbol-list",
             "cfg-rhs-string",
             "cfg-production-string",
+            "nfa-states-string",
+            "nfa-finals-string",
+            "oca-states-string",
+            "oca-finals-string",
+            "cfg-nonterminals-string",
+            "cfg-terminals-string",
+            "soca-int-states",
         ],
     )
     def test_malformed_shapes(self, files, capsys, kind, model):
