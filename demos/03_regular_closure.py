@@ -14,6 +14,8 @@ from prioclose import (
     compare_closure,
     format_word,
     nfa_enumerate,
+    nfa_parse,
+    nfa_serialize,
     nfa_to_dot,
 )
 
@@ -21,22 +23,30 @@ ALPHABET = PriorityAlphabet.from_map({"a": 0, "b": 1})
 
 
 def request_reply_nfa() -> Nfa:
-    """Bursts of low-priority a's, each burst closed off by a high b."""
-    return Nfa(
+    """Bursts of low-priority a's, each burst closed off by a high b.
+
+    States are named only in the JSON form that ``nfa_parse`` reads; the
+    parsed automaton numbers them in sorted-name order and keeps the
+    names for ``nfa_serialize`` and ``nfa_to_dot``.
+    """
+    return nfa_parse(
+        {
+            "states": ["idle", "busy"],
+            "initial": "idle",
+            "finals": ["idle"],
+            "edges": [
+                ["idle", "a", "busy"],
+                ["busy", "a", "busy"],
+                ["busy", "b", "idle"],
+            ],
+        },
         ALPHABET,
-        ("idle", "busy"),
-        (
-            ("idle", "a", "busy"),
-            ("busy", "a", "busy"),
-            ("busy", "b", "idle"),
-        ),
-        "idle",
-        ("idle",),
     )
 
 
 def main() -> None:
     machine = request_reply_nfa()
+    print("States as written:", ", ".join(nfa_serialize(machine)["states"]))
     print("Language sample ((a a* b)*):")
     print(" ", ", ".join(format_word(v) or "ε" for v in nfa_enumerate(machine, 4)))
 

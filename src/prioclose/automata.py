@@ -1,6 +1,7 @@
 """Finite automata, letter transducers, and regular downward closures.
 
-NFAs carry their priority alphabet.  Epsilon edges use the label ``None``.
+NFAs carry their priority alphabet and number their states 0..n-1;
+names exist only in their JSON form.  Epsilon edges use the label ``None``.
 Transducers read and write at most one letter per edge; applying one to
 an NFA is a plain product construction, and all three closure operators
 are expressed that way.  ``nfa_reduce`` turns an NFA into its canonical
@@ -10,54 +11,77 @@ minimal DFA when the subset construction stays within the NFA's size.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .core import (
     OrderKind,
     PriorityAlphabet,
     ResourceLimit,
     Word,
-    format_word,
 )
 
-Edge = tuple[str, str | None, str]
-
-
-def _edge_key(edge: Edge) -> tuple:
-    src, label, dst = edge
-    return (src, label is not None, label or "", dst)
+# One state's moves: its epsilon targets, then (letter, targets) pairs
+# with the letters sorted.  Every target tuple is ascending, with no repeats.
+Row = tuple[tuple[int, ...], tuple[tuple[str, tuple[int, ...]], ...]]
 
 
 @dataclass(frozen=True)
 class Nfa:
-    """Nondeterministic finite automaton over a priority alphabet."""
+    """Nondeterministic finite automaton over a priority alphabet.
+
+    ``adjacency[q]`` is the ``Row`` of state q, and ``finals`` ascends.
+    Nothing is checked here: ``nfa_parse`` checks what it reads, and
+    keeps the names it read in ``names``, which take no part in equality.
+    """
 
     alphabet: PriorityAlphabet
-    states: tuple[str, ...]
-    edges: tuple[Edge, ...]
-    initial: str
-    finals: tuple[str, ...]
+    adjacency: tuple[Row, ...]
+    initial: int
+    finals: tuple[int, ...]
+    names: tuple[str, ...] | None = field(default=None, compare=False)
 
-    def __post_init__(self) -> None:
-        states = tuple(sorted(set(self.states)))
-        known = set(states)
-        letters = set(self.alphabet.letters)
-        if self.initial not in known:
-            raise ValueError(f"initial state {self.initial!r} not in states")
-        finals = tuple(sorted(set(self.finals)))
-        for f in finals:
-            if f not in known:
-                raise ValueError(f"final state {f!r} not in states")
-        edges = tuple(sorted(set(self.edges), key=_edge_key))
-        for src, label, dst in edges:
-            if src not in known or dst not in known:
-                raise ValueError(f"edge ({src!r}, {label!r}, {dst!r}) uses unknown state")
-            if label is not None and label not in letters:
-                raise ValueError(f"edge label {label!r} not in alphabet")
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "finals", finals)
-        object.__setattr__(self, "edges", edges)
+    @property
+    def states(self) -> range:
+        return range(len(self.adjacency))
+
+    @property
+    def edges(self) -> tuple[tuple[int, str | None, int], ...]:
+        """(src, label, dst) triples by source, each in ``_moves`` order."""
+        out: list[tuple[int, str | None, int]] = []
+        for q, (eps, on) in enumerate(self.adjacency):
+            for dst in eps:
+                out.append((q, None, dst))
+            for a, dsts in on:
+                for dst in dsts:
+                    out.append((q, a, dst))
+        return tuple(out)
+
+    @cached_property
+    def _walk_tables(self) -> tuple[int, list[dict[str, int]], int, list[float]]:
+        """``_subset_moves`` with each kept state's fewest letters to a
+        final state in place of ``kept``.  Made once per automaton, as the
+        oracle and ``nfa_accepts`` read one automaton many times."""
+        start, steps, final_mask, kept = _subset_moves(self)
+        dist = _letters_to_final(self.edges, self.finals)
+        return start, steps, final_mask, [dist.get(q, float("inf")) for q in kept]
+
+
+def _moves(row: Row) -> list[tuple[str | None, int]]:
+    """A row's (label, target) moves: epsilon ones first, then by letter."""
+    eps, on = row
+    return [(label, dst) for label, dsts in ((None, eps), *on) for dst in dsts]
+
+
+def _row(moves: Iterable[tuple[str | None, int]]) -> Row:
+    """The ``Row`` of a state's (label, target) moves, repeats dropped."""
+    on: dict[str, list[int]] = {}
+    # letters are non-empty, so "" stands for epsilon
+    for label, dst in sorted({(label or "", dst) for label, dst in moves}):
+        on.setdefault(label, []).append(dst)
+    eps = on.pop("", ())
+    return tuple(eps), tuple([(a, tuple(dsts)) for a, dsts in on.items()])
 
 
 @dataclass(frozen=True)
@@ -74,12 +98,8 @@ class Transducer:
         states = tuple(sorted(set(self.states)))
         known = set(states)
         letters = set(self.alphabet.letters)
-        if self.initial not in known:
-            raise ValueError(f"initial state {self.initial!r} not in states")
+        _check_ends(known, self.initial, self.finals)
         finals = tuple(sorted(set(self.finals)))
-        for f in finals:
-            if f not in known:
-                raise ValueError(f"final state {f!r} not in states")
         edges = tuple(sorted(set(self.edges)))
         for src, consumed, emitted, dst in edges:
             if src not in known or dst not in known:
@@ -92,38 +112,41 @@ class Transducer:
         object.__setattr__(self, "edges", edges)
 
 
-def _adjacency(nfa: Nfa) -> dict[str, list[tuple[str | None, str]]]:
-    adj: dict[str, list[tuple[str | None, str]]] = {q: [] for q in nfa.states}
-    for src, label, dst in nfa.edges:
-        adj[src].append((label, dst))
-    return adj
+def _check_ends(known, initial: str, finals: Iterable[str]) -> None:
+    """Raise ValueError unless the initial and final states are known."""
+    for what, q in (("initial", initial), *(("final", f) for f in finals)):
+        if q not in known:
+            raise ValueError(f"{what} state {q!r} not in states")
 
 
-def _eps_closure(adj, states: Iterable[str]) -> frozenset[str]:
-    seen = set(states)
-    stack = list(seen)
-    while stack:
-        q = stack.pop()
-        for label, dst in adj[q]:
-            if label is None and dst not in seen:
-                seen.add(dst)
-                stack.append(dst)
-    return frozenset(seen)
+def _subset_walk(nfa: Nfa) -> tuple[int, Callable, Callable, Callable]:
+    """The start, step, lower bound and acceptance test of a walk over
+    the epsilon-closed subsets of ``_subset_moves`` (see
+    ``_enumerate_walk``).  The lower bound of a subset is the fewest
+    letters from any of its states to a final state."""
+    start, steps, final_mask, lowest = nfa._walk_tables
 
+    def step(subset: int, letter: str) -> int:
+        out = 0
+        for j in _bits(subset):
+            out |= steps[j].get(letter, 0)
+        return out
 
-def _step(adj, states: frozenset[str], letter: str) -> frozenset[str]:
-    nxt = {dst for q in states for label, dst in adj[q] if label == letter}
-    return _eps_closure(adj, nxt)
+    return (
+        start,
+        step,
+        lambda subset: min((lowest[j] for j in _bits(subset)), default=float("inf")),
+        lambda subset: bool(subset & final_mask),
+    )
 
 
 def nfa_accepts(nfa: Nfa, word: Iterable[str]) -> bool:
-    adj = _adjacency(nfa)
-    current = _eps_closure(adj, [nfa.initial])
+    current, step, _, accepting = _subset_walk(nfa)
     for letter in word:
-        current = _step(adj, current, letter)
+        current = step(current, letter)
         if not current:
             return False
-    return bool(current & set(nfa.finals))
+    return accepting(current)
 
 
 def _word_key(word: Word) -> tuple[int, Word]:
@@ -204,23 +227,9 @@ def nfa_enumerate(nfa: Nfa, bound: int) -> list[Word]:
     """All accepted words of length <= bound, sorted by length then tokens.
 
     A pruned, memoised walk over prefixes and their ε-closed state
-    subsets (see ``_enumerate_walk``); the lower bound of a subset is
-    the fewest letters from any of its states to a final state.  It
-    reads the NFA's own edges only.
+    subsets (see ``_subset_walk``).  It reads the NFA's own edges only.
     """
-    adj = _adjacency(nfa)
-    dist = _letters_to_final(nfa.edges, nfa.finals)
-    finals = set(nfa.finals)
-    return _enumerate_walk(
-        nfa.alphabet.letters,
-        _eps_closure(adj, [nfa.initial]),
-        lambda states, letter: _step(adj, states, letter),
-        lambda states: min(
-            (dist[q] for q in states if q in dist), default=float("inf")
-        ),
-        lambda states: not finals.isdisjoint(states),
-        bound,
-    )
+    return _enumerate_walk(nfa.alphabet.letters, *_subset_walk(nfa), bound)
 
 
 def _explore(
@@ -238,11 +247,14 @@ def _explore(
     discovered keys raise ResourceLimit naming ``what``.  States that
     cannot reach a final state are dropped, except the initial one, so
     an empty language is one state with no finals; the survivors are
-    named q0..qN in discovery order.
+    numbered 0..n-1 in discovery order.
     """
     index = {initial: 0}
     order = [initial]
-    edges: list[tuple[int, str | None, int]] = []
+    # the moves of state s are moves[ends[s - 1]:ends[s]], flat so that
+    # exploring a large automaton makes no container per state
+    moves: list[tuple[str | None, int]] = []
+    ends: list[int] = []
     finals: list[int] = []
     src = 0
     while src < len(order):
@@ -254,14 +266,17 @@ def _explore(
             if dst is None:
                 dst = index[key] = len(order)
                 order.append(key)
-            edges.append((src, label, dst))
+            moves.append((label, dst))
+        ends.append(len(moves))
         if len(order) > max_states:
             raise ResourceLimit(f"{what} exceeded {max_states} states")
         src += 1
 
+    starts = [0] + ends
     preds: list[list[int]] = [[] for _ in order]
-    for s, _, d in edges:
-        preds[d].append(s)
+    for s in range(len(order)):
+        for _, d in moves[starts[s] : ends[s]]:
+            preds[d].append(s)
     live = bytearray(len(order))
     for f in finals:
         live[f] = 1
@@ -271,19 +286,19 @@ def _explore(
             if not live[p]:
                 live[p] = 1
                 stack.append(p)
-    names: list[str | None] = [None] * len(order)
-    names[0] = "q0"
-    count = 1
-    for i in range(1, len(order)):
-        if live[i]:
-            names[i] = f"q{count}"
-            count += 1
+    # a dead initial state keeps no move, as every state is then dead
+    number = [-1] * len(order)
+    kept = [i for i in range(len(order)) if live[i] or i == 0]
+    for count, i in enumerate(kept):
+        number[i] = count
     return Nfa(
         alphabet,
-        tuple(q for q in names if q is not None),
-        tuple([(names[s], label, names[d]) for s, label, d in edges if live[s] and live[d]]),
-        "q0",
-        tuple(names[f] for f in finals),
+        tuple(
+            _row([(label, number[d]) for label, d in moves[starts[i] : ends[i]] if live[d]])
+            for i in kept
+        ),
+        0,
+        tuple(number[f] for f in finals),
     )
 
 
@@ -309,14 +324,14 @@ def nfa_union(a: Nfa, b: Nfa) -> Nfa:
     """NFA for the union, trimmed; the key (side, q) is state q of a or b."""
     if a.alphabet != b.alphabet:
         raise ValueError("union requires matching alphabets")
-    sides = [(_adjacency(nfa), set(nfa.finals)) for nfa in (a, b)]
+    sides = [(nfa.adjacency, set(nfa.finals)) for nfa in (a, b)]
 
     def successors(key):
         if key is None:
             return False, [(None, (0, a.initial)), (None, (1, b.initial))]
         side, q = key
         adj, finals = sides[side]
-        return q in finals, [(label, (side, dst)) for label, dst in adj[q]]
+        return q in finals, [(label, (side, dst)) for label, dst in _moves(adj[q])]
 
     # the inputs bound the size, so this cap never fires
     size = 1 + len(a.states) + len(b.states)
@@ -327,12 +342,12 @@ def nfa_concat(a: Nfa, b: Nfa) -> Nfa:
     """NFA for the concatenation, trimmed; keys as in ``nfa_union``."""
     if a.alphabet != b.alphabet:
         raise ValueError("concat requires matching alphabets")
-    sides = [(_adjacency(nfa), set(nfa.finals)) for nfa in (a, b)]
+    sides = [(nfa.adjacency, set(nfa.finals)) for nfa in (a, b)]
 
     def successors(key):
         side, q = key
         adj, finals = sides[side]
-        moves = [(label, (side, dst)) for label, dst in adj[q]]
+        moves = [(label, (side, dst)) for label, dst in _moves(adj[q])]
         if side == 0 and q in finals:
             moves.append((None, (1, b.initial)))
         return side == 1 and q in finals, moves
@@ -349,7 +364,13 @@ def nfa_intersect(a: Nfa, b: Nfa, max_states: int = 1_000_000) -> Nfa:
     """
     if a.alphabet != b.alphabet:
         raise ValueError("intersect requires matching alphabets")
-    return _product(a, *_transducer_moves(_identity(b)), max_states, "intersection product")
+    finals = set(b.finals)
+
+    def copy(q: int) -> TMoves:
+        eps, on = b.adjacency[q]
+        return [(None, d) for d in eps], {x: [(x, d) for d in ds] for x, ds in on}, q in finals
+
+    return _product(a, b.initial, copy, max_states, "intersection product")
 
 
 def nfa_equivalent_up_to(a: Nfa, b: Nfa, bound: int) -> Word | None:
@@ -387,10 +408,14 @@ def _eps_closures(eps: list[list[int]], pos: list[int]) -> list[int]:
     Tarjan's algorithm finishes a strongly connected component of the
     epsilon graph after every component it reaches, so each component's
     closure is one union over its members and their finished successors.
+    A state without epsilon edges is such a component on its own, so it
+    is finished before the search starts.
     """
     n = len(eps)
-    closure = [0] * n
-    index = [-1] * n
+    closure = [1 << j if j >= 0 and not e else 0 for j, e in zip(pos, eps)]
+    if not any(eps):
+        return closure
+    index = [-1 if e else 0 for e in eps]  # finished states are never on the stack
     low = [0] * n
     on_stack = bytearray(n)
     spot = [0] * n  # position on the stack
@@ -486,54 +511,69 @@ def _coarsest_partition(delta: list[list[int]], final: list[bool], k: int) -> li
     return block_of
 
 
-def _minimal_dfa(nfa: Nfa, cap: int) -> Nfa | None:
-    """Canonical minimal DFA of the NFA, or None past ``cap`` subsets.
+def _subset_moves(nfa: Nfa) -> tuple[int, list[dict[str, int]], int, list[int]]:
+    """Epsilon-closed state subsets as bitmasks: the initial one, per bit
+    the nonempty one each letter leads to, the final bits, and ``kept``.
 
-    The subset construction keeps, of each epsilon-closed subset, only
-    the states with a letter move and the final ones, which decide its
-    future; the empty subset, the dead sink, is never built.  Hopcroft's
-    refinement then merges equivalent subsets and drops those that
-    accept nothing.  States are numbered q0..qN in breadth-first order
-    from the initial state, letters taken in sorted order, so one
-    language always gives the same automaton.  An empty language is one
-    state with no finals.
+    Only states with a letter move and final states decide a subset's
+    future, so only they get a bit: state ``kept[j]`` is bit j.
     """
-    ids, eps, on, final = _nfa_index(nfa)
-    pos = [-1] * len(ids)
+    final = set(nfa.finals)
+    pos = [-1] * len(nfa.adjacency)
     kept: list[int] = []
-    for i in range(len(ids)):
-        if on[i] or final[i]:
-            pos[i] = len(kept)
-            kept.append(i)
-    closure = _eps_closures(eps, pos)
-    letters = sorted(nfa.alphabet.letters)
-    column = {a: c for c, a in enumerate(letters)}
+    for q, (_, on) in enumerate(nfa.adjacency):
+        if on or q in final:
+            pos[q] = len(kept)
+            kept.append(q)
+    closure = _eps_closures([eps for eps, _ in nfa.adjacency], pos)
     steps = []
-    for i in kept:
-        row = []
-        for a, dsts in on[i]:
+    for q in kept:
+        row = {}
+        for a, dsts in nfa.adjacency[q][1]:
             mask = closure[dsts[0]]  # shared, not copied, when it is the only one
             for d in dsts[1:]:
                 mask |= closure[d]
             if mask:
-                row.append((column[a], mask))
+                row[a] = mask
         steps.append(row)
-    final_mask = sum(1 << j for j, i in enumerate(kept) if final[i])
+    final_mask = sum(1 << pos[q] for q in final)
+    return closure[nfa.initial], steps, final_mask, kept
 
-    start = closure[ids[nfa.initial]]
+
+def _bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits, highest first."""
+    bits = bin(mask)  # "0b..." with the highest bit first
+    top = len(bits) - 1
+    i = bits.find("1", 2)
+    while i >= 0:
+        yield top - i
+        i = bits.find("1", i + 1)
+
+
+def _minimal_dfa(nfa: Nfa, cap: int) -> Nfa | None:
+    """Canonical minimal DFA of the NFA, or None past ``cap`` subsets.
+
+    The subset construction runs on ``_subset_moves``' bitmasks; the
+    empty subset, the dead sink, is never built.  Hopcroft's refinement
+    then merges equivalent subsets, and ``_explore`` numbers the classes
+    that accept something in breadth-first order from the initial one,
+    letters taken in sorted order, so one language always gives the same
+    automaton.  An empty language is one state with no finals.
+    """
+    start, moves_of, final_mask, _ = _subset_moves(nfa)
+    letters = sorted(nfa.alphabet.letters)
+    column = {a: c for c, a in enumerate(letters)}
+    steps = [[(column[a], mask) for a, mask in row.items()] for row in moves_of]
+
     index = {start: 0}
     subsets = [start]
     delta: list[list[int]] = []
     k = len(letters)
     for subset in subsets:
         moves = [0] * k
-        bits = bin(subset)  # "0b..." with the highest kept state first
-        top = len(bits) - 1
-        i = bits.find("1", 2)
-        while i >= 0:
-            for c, mask in steps[top - i]:
+        for j in _bits(subset):
+            for c, mask in steps[j]:
                 moves[c] |= mask
-            i = bits.find("1", i + 1)
         row = []
         for mask in moves:
             t = -1
@@ -549,30 +589,17 @@ def _minimal_dfa(nfa: Nfa, cap: int) -> Nfa | None:
 
     block_of = _coarsest_partition(delta, [bool(s & final_mask) for s in subsets], k)
     dead = block_of[len(delta)]
-    if block_of[0] == dead:
-        return nfa_for_words(nfa.alphabet, [])
     member = {}
     for s in range(len(delta)):
         member.setdefault(block_of[s], s)
-    number = {block_of[0]: 0}
-    order = [block_of[0]]
-    edges: list[Edge] = []
-    for src, b in enumerate(order):
-        for c, t in enumerate(delta[member[b]]):
-            if t < 0 or block_of[t] == dead:
-                continue
-            dst = number.get(block_of[t])
-            if dst is None:
-                dst = number[block_of[t]] = len(order)
-                order.append(block_of[t])
-            edges.append((f"q{src}", letters[c], f"q{dst}"))
-    return Nfa(
-        nfa.alphabet,
-        tuple(f"q{i}" for i in range(len(order))),
-        tuple(edges),
-        "q0",
-        tuple(f"q{i}" for i, b in enumerate(order) if subsets[member[b]] & final_mask),
-    )
+
+    def successors(b: int):
+        row = delta[member[b]]
+        moves = [(letters[c], block_of[t]) for c, t in enumerate(row) if t >= 0]
+        return bool(subsets[member[b]] & final_mask), [m for m in moves if m[1] != dead]
+
+    # every block but the dead one accepts something, so none is trimmed
+    return _explore(nfa.alphabet, block_of[0], successors, len(member), "minimal DFA")
 
 
 def nfa_reduce(nfa: Nfa) -> Nfa:
@@ -650,35 +677,10 @@ def block_transducer(alphabet: PriorityAlphabet) -> Transducer:
     return Transducer(alphabet, tuple(states), tuple(edges), "b0", ("b0",))
 
 
-def _nfa_index(nfa: Nfa):
-    """States numbered in order, with epsilon and per-letter successors."""
-    ids = {q: i for i, q in enumerate(nfa.states)}
-    eps: list[list[int]] = [[] for _ in ids]
-    on: list[dict[str, list[int]]] = [{} for _ in ids]
-    for src, label, dst in nfa.edges:
-        if label is None:
-            eps[ids[src]].append(ids[dst])
-        else:
-            on[ids[src]].setdefault(label, []).append(ids[dst])
-    final = [False] * len(ids)
-    for f in nfa.finals:
-        final[ids[f]] = True
-    return ids, eps, [list(moves.items()) for moves in on], final
-
-
 # A transducer state's moves: (emitted, target) pairs that consume
 # nothing, the same pairs keyed by the letter they consume, and whether
 # the state is final.  Emitted is a letter or None; states are ints.
 TMoves = tuple[list[tuple[str | None, int]], dict[str, list[tuple[str | None, int]]], bool]
-
-
-def _identity(nfa: Nfa) -> Transducer:
-    """The transducer that copies the automaton's words and nothing else."""
-    edges = []
-    for src, label, dst in nfa.edges:
-        word = () if label is None else (label,)
-        edges.append((src, word, word, dst))
-    return Transducer(nfa.alphabet, nfa.states, tuple(edges), nfa.initial, nfa.finals)
 
 
 def _transducer_moves(transducer: Transducer):
@@ -709,8 +711,9 @@ def _product(
     it is called once per state, so a transducer may be built on demand.
     ``_explore`` walks the product, caps it at ``max_states`` and trims it.
     """
-    ids, n_eps, n_on, n_final = _nfa_index(nfa)
-    n = len(ids)
+    adjacency = nfa.adjacency
+    n = len(adjacency)
+    n_finals = set(nfa.finals)
     # A product state (t, q) is the key t * n + q.  Memoised moves carry
     # the target's t * n, so a product target is that plus the NFA's q.
     memo: dict[int, TMoves] = {}
@@ -727,15 +730,16 @@ def _product(
                 final,
             )
         t_eps, t_on, t_final = moves
+        n_eps, n_on = adjacency[nq]
         targets = [(label, b + nq) for label, b in t_eps]
-        for letter, dsts in n_on[nq]:
+        for letter, dsts in n_on:
             t_moves_on = t_on.get(letter)
             if t_moves_on:
                 targets += [(label, b + q) for label, b in t_moves_on for q in dsts]
-        targets += [(None, base + q) for q in n_eps[nq]]
-        return t_final and n_final[nq], targets
+        targets += [(None, base + q) for q in n_eps]
+        return t_final and nq in n_finals, targets
 
-    start = t_initial * n + ids[nfa.initial]
+    start = t_initial * n + nfa.initial
     return _explore(nfa.alphabet, start, successors, max_states, what)
 
 
@@ -892,12 +896,8 @@ def closure_regular(nfa: Nfa, order: OrderKind, max_states: int = 1_000_000) -> 
 
 def _last_letter_nfa(alphabet: PriorityAlphabet, letter: str) -> Nfa:
     """Words whose final letter is the given one (deterministic)."""
-    edges: list[Edge] = []
-    for a in alphabet.letters:
-        target = "s1" if a == letter else "s0"
-        edges.append(("s0", a, target))
-        edges.append(("s1", a, target))
-    return Nfa(alphabet, ("s0", "s1"), tuple(edges), "s0", ("s1",))
+    row = ((), tuple((a, (1,) if a == letter else (0,)) for a in alphabet.letters))
+    return Nfa(alphabet, (row, row), 0, (1,))
 
 
 def priority_from_skeleton(
@@ -975,12 +975,26 @@ def _union_trimmed(alphabet: PriorityAlphabet, pieces: Iterable[Nfa]) -> Nfa:
     return out if out is not None else nfa_for_words(alphabet, [])
 
 
+def _state_names(nfa: Nfa) -> Sequence[str]:
+    """The names ``nfa_parse`` read, else q0..qN in state order."""
+    return nfa.names or [f"q{q}" for q in nfa.states]
+
+
 def nfa_serialize(nfa: Nfa) -> dict:
+    """JSON form: states, finals and edges in state order, by name."""
+    names = _state_names(nfa)
+    edges = []
+    for src, (eps, on) in zip(names, nfa.adjacency):
+        for dst in eps:
+            edges.append([src, None, names[dst]])
+        for a, dsts in on:
+            for dst in dsts:
+                edges.append([src, a, names[dst]])
     return {
-        "states": list(nfa.states),
-        "initial": nfa.initial,
-        "finals": list(nfa.finals),
-        "edges": [[src, label, dst] for src, label, dst in nfa.edges],
+        "states": list(names),
+        "initial": names[nfa.initial],
+        "finals": [names[f] for f in nfa.finals],
+        "edges": edges,
     }
 
 
@@ -1011,6 +1025,8 @@ def _parse_edge(item, arity: int) -> tuple:
 
 
 def nfa_parse(data: Mapping, alphabet: PriorityAlphabet) -> Nfa:
+    """The NFA of a JSON form, states numbered in sorted-name order and
+    the names kept; repeated states and edges count once."""
     try:
         states = _names(data["states"], "state")
         initial = _name(data["initial"], "state")
@@ -1018,18 +1034,31 @@ def nfa_parse(data: Mapping, alphabet: PriorityAlphabet) -> Nfa:
         edges = tuple(_parse_edge(item, 3) for item in data["edges"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed nfa data: {exc}") from exc
-    return Nfa(alphabet, states, edges, initial, finals)
+    names = tuple(sorted(set(states)))
+    ids = {q: i for i, q in enumerate(names)}
+    _check_ends(ids, initial, finals)
+    letters = set(alphabet.letters)
+    moves: list[list[tuple[str | None, int]]] = [[] for _ in names]
+    for src, label, dst in edges:
+        if src not in ids or dst not in ids:
+            raise ValueError(f"edge ({src!r}, {label!r}, {dst!r}) uses unknown state")
+        if label is not None and label not in letters:
+            raise ValueError(f"edge label {label!r} not in alphabet")
+        moves[ids[src]].append((label, ids[dst]))
+    final_ids = tuple(sorted({ids[f] for f in finals}))
+    return Nfa(alphabet, tuple(map(_row, moves)), ids[initial], final_ids, names)
+
+
+def _dot(name: str, states, initial: str, finals: set, edges) -> str:
+    """Graphviz text of an automaton; ``edges`` are (src, dst, label) triples."""
+    lines = [f"digraph {name} {{", "  rankdir=LR;", '  __start [shape=none, label=""];']
+    lines += [f'  "{q}" [shape={"doublecircle" if q in finals else "circle"}];' for q in states]
+    lines.append(f'  __start -> "{initial}";')
+    lines += [f'  "{src}" -> "{dst}" [label="{text}"];' for src, dst, text in edges]
+    return "\n".join(lines + ["}"]) + "\n"
 
 
 def nfa_to_dot(nfa: Nfa, name: str = "nfa") -> str:
-    lines = [f"digraph {name} {{", "  rankdir=LR;", '  __start [shape=none, label=""];']
-    finals = set(nfa.finals)
-    for q in nfa.states:
-        shape = "doublecircle" if q in finals else "circle"
-        lines.append(f'  "{q}" [shape={shape}];')
-    lines.append(f'  __start -> "{nfa.initial}";')
-    for src, label, dst in nfa.edges:
-        text = label if label is not None else "&epsilon;"
-        lines.append(f'  "{src}" -> "{dst}" [label="{text}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    data = nfa_serialize(nfa)
+    edges = [(src, dst, "&epsilon;" if a is None else a) for src, a, dst in data["edges"]]
+    return _dot(name, data["states"], data["initial"], set(data["finals"]), edges)

@@ -23,10 +23,10 @@ from .automata import (
     Nfa,
     Transducer,
     _explore,
-    _identity,
     _last_letter_nfa,
     _name,
     _names,
+    _state_names,
     block_from_skeleton,
     nfa_for_words,
     priority_from_skeleton,
@@ -341,6 +341,18 @@ def cfg_enumerate(g: Cfg, bound: int) -> list[Word]:
     return sorted(yields[g.start], key=lambda w: (len(w), w))
 
 
+def _identity(nfa: Nfa) -> Transducer:
+    """The transducer that copies the automaton's words and nothing else;
+    its states are the names ``nfa_serialize`` writes."""
+    names = _state_names(nfa)
+    edges = []
+    for src, label, dst in nfa.edges:
+        word = () if label is None else (label,)
+        edges.append((names[src], word, word, names[dst]))
+    finals = tuple(names[f] for f in nfa.finals)
+    return Transducer(nfa.alphabet, names, tuple(edges), names[nfa.initial], finals)
+
+
 def cfg_intersect_regular_empty(g: Cfg, r: Nfa) -> bool:
     """Decide whether the grammar and the automaton share no word."""
     return not apply_transducer_to_cfg(_identity(r), g).productions
@@ -532,6 +544,8 @@ def _low_letters(alphabet: PriorityAlphabet, cutoff: int) -> list[str]:
 # The pump transducers read a seam-marked pump word u # v.  A gadget reads
 # one half: it takes its state names from the caller and returns its edges
 # and the state it leaves by.  The seam edge joins a left and a right gadget.
+# A positive priority that no letter carries has no separator, so a gadget
+# for it has no way to its exit and the transducer accepts nothing.
 Gadget = tuple[list[tuple[str, Word, Word, str]], str]
 
 
@@ -546,12 +560,12 @@ def _outer(base: PriorityAlphabet, names: tuple[str, ...], pri: int, marker: str
     start, inside, after = names
     if pri == 0:
         return [(start, (), (marker,), inside)] + _loops(base, 0, inside, False), inside
-    sep = base.letters_of(pri)[0]
     edges = _loops(base, pri - 1, start, True) + _loops(base, pri - 1, after, True)
     edges += _loops(base, pri - 1, inside, False)
-    for dst in (inside, after):
-        edges.append((start, (sep,), (marker,), dst))
-        edges.append((inside, (sep,), (), dst))
+    for sep in base.letters_of(pri):
+        for dst in (inside, after):
+            edges.append((start, (sep,), (marker,), dst))
+            edges.append((inside, (sep,), (), dst))
     return edges, after
 
 
@@ -565,11 +579,11 @@ def _pick(
     if pri == 0:
         edges = [(before, (a,), (a,), after) for a in _low_letters(base, 0)]
         return edges + _loops(base, 0, before, False) + _loops(base, 0, after, False), after
-    sep = base.letters_of(pri)[0]
     edges = _loops(base, pri, before, False) + _loops(base, pri, after, False)
     edges += _loops(base, pri - 1, run, True)
-    edges.append((before, (sep,), (), run))
-    edges.append((run, (sep,), (sep,) if with_separator else (), after))
+    for sep in base.letters_of(pri):
+        edges.append((before, (sep,), (), run))
+        edges.append((run, (sep,), (sep,) if with_separator else (), after))
     return edges, after
 
 
@@ -578,9 +592,8 @@ def _check(base: PriorityAlphabet, names: tuple[str, ...], pri: int) -> Gadget:
     before, after = names
     if pri == 0:
         return _loops(base, 0, before, False), before
-    sep = base.letters_of(pri)[0]
     edges = _loops(base, pri, before, False) + _loops(base, pri, after, False)
-    return edges + [(before, (sep,), (), after)], after
+    return edges + [(before, (sep,), (), after) for sep in base.letters_of(pri)], after
 
 
 def _seamed(

@@ -148,7 +148,13 @@ def cmd_check_order(args) -> int:
     return 0 if related else 1
 
 
+def _check_state_cap(cap: int) -> None:
+    if cap < 1:
+        raise ValueError("--state-cap must be at least 1")
+
+
 def cmd_closure(args) -> int:
+    _check_state_cap(args.state_cap)
     alphabet = _load_alphabet(args.alphabet)
     model = _parse_model(args.type, _load_json(args.input), alphabet)
     start = time.monotonic()
@@ -163,6 +169,7 @@ def cmd_closure(args) -> int:
 
 def cmd_verify(args) -> int:
     dom_bound = check_bounds(args.bound, args.dom_bound)
+    _check_state_cap(args.state_cap)
     alphabet = _load_alphabet(args.alphabet)
     model = _parse_model(args.type, _load_json(args.input), alphabet)
     closed = build_closure(args.type, OrderKind(args.order), model, args.state_cap)

@@ -7,17 +7,18 @@ them explicitly instead.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Hashable, Iterable, Mapping
 
 from .automata import (
     Nfa,
-    _adjacency,
+    _check_ends,
+    _dot,
     _enumerate_walk,
     _explore,
     _letters_to_final,
+    _moves,
     _name,
     _names,
     _parse_edge,
@@ -74,12 +75,8 @@ class Oca:
 
     def __post_init__(self) -> None:
         states = tuple(sorted(set(self.states)))
-        if self.initial not in states:
-            raise ValueError(f"initial state {self.initial!r} not in states")
+        _check_ends(states, self.initial, self.finals)
         finals = tuple(sorted(set(self.finals)))
-        for f in finals:
-            if f not in states:
-                raise ValueError(f"final state {f!r} not in states")
         edges = _normalize_edges(
             self.edges, states, set(self.alphabet.letters), allow_zero=True
         )
@@ -102,10 +99,7 @@ class SimpleOca:
 
     def __post_init__(self) -> None:
         states = tuple(sorted(set(self.states)))
-        if self.initial not in states:
-            raise ValueError(f"initial state {self.initial!r} not in states")
-        if self.final not in states:
-            raise ValueError(f"final state {self.final!r} not in states")
+        _check_ends(states, self.initial, (self.final,))
         edges = _normalize_edges(
             self.edges, states, set(self.alphabet.letters), allow_zero=False
         )
@@ -156,54 +150,16 @@ def _apply_op(op: CounterOp, counter: int, cap: int) -> int | None:
     return counter
 
 
-def oca_accepts_bounded(
-    machine: Oca | SimpleOca, word: Iterable[str], counter_cap: int | None = None
-) -> bool:
-    """Whether an accepting run on the word keeps the counter <= cap."""
-    word = tuple(word)
-    _, states, edges, initial, finals, mode = _machine_parts(machine)
-    if counter_cap is None:
-        counter_cap = _counter_cap(len(states), len(word))
-    adj = _oca_adjacency(edges)
-    final_set = set(finals)
+def _simulator(machine: Oca | SimpleOca, counter_cap: int):
+    """The machine's runs that keep the counter in [0, counter_cap].
 
-    def accepting(state: str, pos: int, counter: int) -> bool:
-        if pos != len(word) or state not in final_set:
-            return False
-        return mode is AcceptMode.ANY_COUNTER or counter == 0
-
-    start = (initial, 0, 0)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        state, pos, counter = queue.popleft()
-        if accepting(state, pos, counter):
-            return True
-        for label, op, dst in adj.get(state, ()):
-            if label is not None and (pos >= len(word) or word[pos] != label):
-                continue
-            nxt_counter = _apply_op(op, counter, counter_cap)
-            if nxt_counter is None:
-                continue
-            nxt = (dst, pos if label is None else pos + 1, nxt_counter)
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return False
-
-
-def oca_enumerate(
-    machine: Oca | SimpleOca, bound: int, counter_cap: int | None = None
-) -> list[Word]:
-    """Accepted words of length <= bound, sorted by length then tokens.
-
-    Runs keep the counter <= ``counter_cap``.  The walk over prefixes
-    and their configuration sets is memoised and pruned as in
-    ``nfa_enumerate``.
+    A configuration is a (state, counter) pair.  Returns the epsilon-closed
+    set of initial configurations, ``step(configs, letter)``, which reads
+    one letter and closes again, and ``accepted(configs)``.
     """
-    _, states, edges, initial, finals, mode = _machine_parts(machine)
-    if counter_cap is None:
-        counter_cap = _counter_cap(len(states), bound)
+    if counter_cap < 0:
+        raise ValueError(f"counter cap {counter_cap} is negative")
+    _, _, edges, initial, finals, mode = _machine_parts(machine)
     adj = _oca_adjacency(edges)
     final_set = set(finals)
 
@@ -230,13 +186,6 @@ def oca_enumerate(
                 return True
         return False
 
-    # Fewest letters from each state to a final one, ignoring counter
-    # operations: every run is a path of the state graph, so this is a
-    # lower bound on the letters left in either accept mode.
-    dist = _letters_to_final(
-        ((src, label, dst) for src, label, _, dst in edges), final_set
-    )
-
     def step(configs: frozenset, letter: str) -> frozenset:
         stepped = set()
         for state, counter in configs:
@@ -248,9 +197,47 @@ def oca_enumerate(
                     stepped.add((dst, nxt_counter))
         return close(frozenset(stepped))
 
+    return close(frozenset([(initial, 0)])), step, accepted
+
+
+def oca_accepts_bounded(
+    machine: Oca | SimpleOca, word: Iterable[str], counter_cap: int | None = None
+) -> bool:
+    """Whether an accepting run on the word keeps the counter <= cap.
+
+    A negative cap raises ValueError.
+    """
+    word = tuple(word)
+    if counter_cap is None:
+        counter_cap = _counter_cap(len(machine.states), len(word))
+    configs, step, accepted = _simulator(machine, counter_cap)
+    for letter in word:
+        configs = step(configs, letter)
+        if not configs:
+            return False
+    return accepted(configs)
+
+
+def oca_enumerate(
+    machine: Oca | SimpleOca, bound: int, counter_cap: int | None = None
+) -> list[Word]:
+    """Accepted words of length <= bound, sorted by length then tokens.
+
+    Runs keep the counter <= ``counter_cap``, which may not be negative.
+    The walk over prefixes and their configuration sets is memoised and
+    pruned as in ``nfa_enumerate``.
+    """
+    _, states, edges, _, finals, _ = _machine_parts(machine)
+    if counter_cap is None:
+        counter_cap = _counter_cap(len(states), bound)
+    start, step, accepted = _simulator(machine, counter_cap)
+    # Fewest letters from each state to a final one, ignoring counter
+    # operations: every run is a path of the state graph, so this is a
+    # lower bound on the letters left in either accept mode.
+    dist = _letters_to_final(((src, label, dst) for src, label, _, dst in edges), finals)
     return _enumerate_walk(
         machine.alphabet.letters,
-        close(frozenset([(initial, 0)])),
+        start,
         step,
         lambda configs: min(
             (dist[state] for state, _ in configs if state in dist),
@@ -278,9 +265,7 @@ def soca_closure_nfa(soca: SimpleOca, max_states: int = 1_000_000) -> Nfa:
     """
     k = len(soca.states)
     cap_u = k * k + k + 1
-    out: dict[str, list[tuple[str | None, CounterOp, str]]] = {}
-    for src, label, op, dst in soca.edges:
-        out.setdefault(src, []).append((label, op, dst))
+    out = _oca_adjacency(soca.edges)
 
     def successors(key):
         mode, q, c = key
@@ -366,14 +351,14 @@ def _glue_nfa(oca: Oca, max_states: int = 1_000_000) -> Nfa:
     zero_moves: dict[str, list[tuple[str | None, Hashable]]] = {q: [] for q in oca.states}
     for src, label, _, dst in zero_edges:
         zero_moves[src].append((label, ("z", dst)))
-    pieces: list[tuple[dict, set[str], Hashable]] = []  # adjacency, finals, exit
+    pieces: list[tuple[tuple, set[int], Hashable]] = []  # adjacency, finals, exit
 
     def glue(entry: str, soca: SimpleOca, exit_key: Hashable) -> None:
         trimmed = _trim_soca(soca)
         if trimmed is not None:
             piece = soca_closure_nfa(trimmed, max_states)
             zero_moves[entry].append((None, (len(pieces), piece.initial)))
-            pieces.append((_adjacency(piece), set(piece.finals), exit_key))
+            pieces.append((piece.adjacency, set(piece.finals), exit_key))
 
     for p in sorted(sources):
         for q in sorted(sinks):
@@ -391,7 +376,7 @@ def _glue_nfa(oca: Oca, max_states: int = 1_000_000) -> Nfa:
         if i == "z":
             return q in zero_finals, zero_moves[q]
         adj, finals, exit_key = pieces[i]
-        moves = [(label, (i, dst)) for label, dst in adj[q]]
+        moves = [(label, (i, dst)) for label, dst in _moves(adj[q])]
         if q in finals:
             moves.append((None, exit_key))
         return False, moves
@@ -507,14 +492,8 @@ def _parse_simple_oca(data: Mapping, alphabet: PriorityAlphabet) -> SimpleOca:
 
 
 def oca_to_dot(oca: Oca, name: str = "oca") -> str:
-    lines = [f"digraph {name} {{", "  rankdir=LR;", '  __start [shape=none, label=""];']
-    finals = set(oca.finals)
-    for q in oca.states:
-        shape = "doublecircle" if q in finals else "circle"
-        lines.append(f'  "{q}" [shape={shape}];')
-    lines.append(f'  __start -> "{oca.initial}";')
-    for src, label, op, dst in oca.edges:
-        text = label if label is not None else "&epsilon;"
-        lines.append(f'  "{src}" -> "{dst}" [label="{text} / {op.value}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    edges = [
+        (src, dst, f"{'&epsilon;' if a is None else a} / {op.value}")
+        for src, a, op, dst in oca.edges
+    ]
+    return _dot(name, oca.states, oca.initial, set(oca.finals), edges)

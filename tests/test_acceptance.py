@@ -34,6 +34,7 @@ from prioclose import (
     nfa_enumerate,
     nfa_equivalent_up_to,
     nfa_for_words,
+    nfa_parse,
     oca_block_closure,
     oca_enumerate,
     oca_priority_closure,
@@ -140,7 +141,9 @@ def random_nfa(rng) -> Nfa:
             if rng.random() < 0.05:
                 edges.append((src, None, dst))
     finals = tuple(s for s in states if rng.random() < 0.4) or (states[-1],)
-    return Nfa(alphabet, states, tuple(edges), "q0", finals)
+    return nfa_parse(
+        {"states": states, "initial": "q0", "finals": finals, "edges": edges}, alphabet
+    )
 
 
 def model_words(model, bound: int):

@@ -51,12 +51,14 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def astar_b() -> Nfa:
-    return Nfa(
+    return nfa_parse(
+        {
+            "states": ["q0", "q1"],
+            "initial": "q0",
+            "finals": ["q1"],
+            "edges": [["q0", "a", "q0"], ["q0", "b", "q1"]],
+        },
         AB,
-        ("q0", "q1"),
-        (("q0", "a", "q0"), ("q0", "b", "q1")),
-        "q0",
-        ("q1",),
     )
 
 
@@ -74,24 +76,27 @@ class TestNfaBasics:
         assert nfa_enumerate(n, 3) == [w("b"), w("a,b"), w("a,a,b")]
 
     def test_epsilon_cycle(self):
-        n = Nfa(
+        n = nfa_parse(
+            {
+                "states": ["q0", "q1"],
+                "initial": "q0",
+                "finals": ["q1"],
+                "edges": [["q0", None, "q1"], ["q1", None, "q0"], ["q0", "a", "q0"]],
+            },
             AB,
-            ("q0", "q1"),
-            (("q0", None, "q1"), ("q1", None, "q0"), ("q0", "a", "q0")),
-            "q0",
-            ("q1",),
         )
         assert nfa_accepts(n, ())
         assert nfa_accepts(n, w("a,a"))
         assert nfa_enumerate(n, 2) == [(), w("a"), w("a,a")]
 
     def test_validation(self):
+        one = {"states": ["q0"], "initial": "q0", "finals": [], "edges": []}
         with pytest.raises(ValueError):
-            Nfa(AB, ("q0",), (), "missing", ())
+            nfa_parse({**one, "initial": "missing"}, AB)
         with pytest.raises(ValueError):
-            Nfa(AB, ("q0",), (), "q0", ("missing",))
+            nfa_parse({**one, "finals": ["missing"]}, AB)
         with pytest.raises(ValueError):
-            Nfa(AB, ("q0",), (("q0", "z", "q0"),), "q0", ())
+            nfa_parse({**one, "edges": [["q0", "z", "q0"]]}, AB)
 
     def test_for_words(self):
         n = nfa_for_words(AB, [w("a,b"), w("b"), ()])
@@ -182,50 +187,58 @@ class TestAlgebra:
 
 class TestEquivalence:
     def test_exact_equal(self):
-        bloated = Nfa(
+        bloated = nfa_parse(
+            {
+                "states": ["s0", "s1", "s2", "dead"],
+                "initial": "s0",
+                "finals": ["s2"],
+                "edges": [
+                    ["s0", "a", "s1"],
+                    ["s1", "a", "s1"],
+                    ["s0", "a", "s0"],
+                    ["s0", "b", "s2"],
+                    ["s1", "b", "s2"],
+                    ["dead", "a", "dead"],
+                ],
+            },
             AB,
-            ("s0", "s1", "s2", "dead"),
-            (
-                ("s0", "a", "s1"),
-                ("s1", "a", "s1"),
-                ("s0", "a", "s0"),
-                ("s0", "b", "s2"),
-                ("s1", "b", "s2"),
-                ("dead", "a", "dead"),
-            ),
-            "s0",
-            ("s2",),
         )
         assert nfa_equivalent(astar_b(), bloated)
 
     def test_exact_unequal(self):
-        plus = Nfa(
+        plus = nfa_parse(
+            {
+                "states": ["q0", "q1", "q2"],
+                "initial": "q0",
+                "finals": ["q2"],
+                "edges": [["q0", "a", "q1"], ["q1", "a", "q1"], ["q1", "b", "q2"]],
+            },
             AB,
-            ("q0", "q1", "q2"),
-            (("q0", "a", "q1"), ("q1", "a", "q1"), ("q1", "b", "q2")),
-            "q0",
-            ("q2",),
         )
         assert not nfa_equivalent(astar_b(), plus)
 
     def test_bounded_counterexample(self):
-        plus = Nfa(
+        plus = nfa_parse(
+            {
+                "states": ["q0", "q1", "q2"],
+                "initial": "q0",
+                "finals": ["q2"],
+                "edges": [["q0", "a", "q1"], ["q1", "a", "q1"], ["q1", "b", "q2"]],
+            },
             AB,
-            ("q0", "q1", "q2"),
-            (("q0", "a", "q1"), ("q1", "a", "q1"), ("q1", "b", "q2")),
-            "q0",
-            ("q2",),
         )
         assert nfa_equivalent_up_to(astar_b(), plus, 4) == w("b")
         assert nfa_equivalent_up_to(astar_b(), astar_b(), 6) is None
 
     def test_state_cap(self):
-        big = Nfa(
+        big = nfa_parse(
+            {
+                "states": [f"q{i}" for i in range(13)],
+                "initial": "q0",
+                "finals": ["q0"],
+                "edges": [[f"q{i}", "a", f"q{(i + 1) % 13}"] for i in range(13)],
+            },
             AB,
-            tuple(f"q{i}" for i in range(13)),
-            tuple((f"q{i}", "a", f"q{(i + 1) % 13}") for i in range(13)),
-            "q0",
-            ("q0",),
         )
         with pytest.raises(ResourceLimit):
             nfa_equivalent(big, big)
@@ -291,12 +304,16 @@ def random_nfa(alphabet, rng, n_states=4):
         for _ in range(rng.randint(4, 10))
     )
     finals = tuple(rng.sample(states, rng.randint(1, 2)))
-    return Nfa(alphabet, states, edges, "q0", finals)
+    return nfa_parse(
+        {"states": states, "initial": "q0", "finals": finals, "edges": edges}, alphabet
+    )
 
 
 def flat3_nfa(spec_edges, finals):
     states = sorted({s for s, _, _ in spec_edges} | {d for _, _, d in spec_edges})
-    return Nfa(FLAT3, tuple(states), tuple(spec_edges), "i", tuple(finals))
+    return nfa_parse(
+        {"states": states, "initial": "i", "finals": finals, "edges": spec_edges}, FLAT3
+    )
 
 
 class TestClosureRegular:

@@ -3,12 +3,12 @@
 import pytest
 
 from prioclose.automata import (
-    Nfa,
     Transducer,
     closure_regular,
     nfa_enumerate,
     nfa_equivalent_up_to,
     nfa_for_words,
+    nfa_parse,
     subword_transducer,
 )
 from prioclose.cfg import (
@@ -84,6 +84,12 @@ def ring() -> Cfg:
     )
 
 
+def gap_grammar() -> Cfg:
+    """X -> a X a | c over a: 0, c: 2, so no letter has priority 1."""
+    alphabet = PriorityAlphabet.from_map({"a": 0, "c": 2})
+    return Cfg(alphabet, ("X",), (("X", ("a", "X", "a")), ("X", ("c",))), "X")
+
+
 def empty_grammar(alphabet=AB0) -> Cfg:
     return Cfg(alphabet, ("S",), (("S", ("S",)),), "S")
 
@@ -97,7 +103,10 @@ def pattern_nfa(alphabet, infix):
             edges.append((q, a, q))
     for i, a in enumerate(infix):
         edges.append((states[i], a, states[i + 1]))
-    return Nfa(alphabet, tuple(states), tuple(edges), states[0], (states[-1],))
+    return nfa_parse(
+        {"states": states, "initial": states[0], "finals": [states[-1]], "edges": edges},
+        alphabet,
+    )
 
 
 def identity_transducer(alphabet) -> Transducer:
@@ -196,18 +205,23 @@ class TestIntersectEmpty:
         )
 
     def test_no_pure_a_word(self):
-        aplus = Nfa(
+        aplus = nfa_parse(
+            {
+                "states": ["q0", "q1"],
+                "initial": "q0",
+                "finals": ["q1"],
+                "edges": [["q0", "a", "q1"], ["q1", "a", "q1"]],
+            },
             AB0,
-            ("q0", "q1"),
-            (("q0", "a", "q1"), ("q1", "a", "q1")),
-            "q0",
-            ("q1",),
         )
         assert cfg_intersect_regular_empty(anbn(), aplus)
         assert not any(set(u) == {"a"} for u in cfg_enumerate(anbn(), 6))
 
     def test_empty_word_counts(self):
-        everything = Nfa(AB0, ("q",), tuple(("q", a, "q") for a in "ab"), "q", ("q",))
+        everything = nfa_parse(
+            {"states": ["q"], "initial": "q", "finals": ["q"], "edges": [["q", a, "q"] for a in "ab"]},
+            AB0,
+        )
         assert not cfg_intersect_regular_empty(anbn_eps(), everything)
 
     def test_alphabet_mismatch(self):
@@ -309,6 +323,14 @@ class TestEndsGrammar:
         e = ends_grammar(ring(), "X", 0, 0)
         assert cfg_enumerate(e, 5) == [w("#L,#,#R")]
 
+    def test_letterless_priority_gives_an_empty_grammar(self):
+        # priority 1 carries no letter, so no half has top priority 1
+        g = gap_grammar()
+        for r, s in ((1, 1), (1, 0), (0, 1), (2, 1)):
+            e = ends_grammar(g, "X", r, s)
+            assert e.productions == ()
+            assert cfg_enumerate(e, 6) == []
+
     def test_range_errors(self):
         with pytest.raises(ValueError):
             ends_grammar(flagship(), "X", 3, 0)
@@ -326,6 +348,14 @@ class TestRepeatsGrammars:
         left, right = repeats_grammars(ring(), "X", 0, 0)
         assert cfg_enumerate(left, 2) == [("a",), ("b",)]
         assert cfg_enumerate(right, 2) == [("c",)]
+
+    def test_letterless_priority_gives_empty_grammars(self):
+        g = gap_grammar()
+        for r, s in ((1, 1), (1, 0), (0, 1), (2, 1)):
+            left, right = repeats_grammars(g, "X", r, s)
+            assert left.productions == () and right.productions == ()
+        left, right = repeats_grammars(g, "X", 0, 0)
+        assert cfg_enumerate(left, 3) == cfg_enumerate(right, 3) == [("a",)]
 
     def test_no_pumps(self):
         g = Cfg(AB0, ("S",), (("S", ("a", "b")),), "S")
@@ -438,12 +468,14 @@ class TestAcyclicNfa:
 
 class TestBlockClosure:
     def test_flagship_pipeline(self):
-        target = Nfa(
+        target = nfa_parse(
+            {
+                "states": ["q0", "q1"],
+                "initial": "q0",
+                "finals": ["q1"],
+                "edges": [["q0", "1", "q0"], ["q0", "2", "q1"], ["q1", "1", "q1"]],
+            },
             P12,
-            ("q0", "q1"),
-            (("q0", "1", "q0"), ("q0", "2", "q1"), ("q1", "1", "q1")),
-            "q0",
-            ("q1",),
         )
         assert nfa_equivalent_up_to(cfg_block_closure(flagship()), target, 8) is None
 

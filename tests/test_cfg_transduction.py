@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from prioclose.automata import Nfa, nfa_accepts
+from prioclose.automata import Nfa, nfa_accepts, nfa_parse
 from prioclose.cfg import (
     LIT,
     NT,
@@ -57,7 +57,9 @@ def random_nfa(rng: random.Random) -> Nfa:
         for _ in range(rng.randint(1, 3 * len(states)))
     ]
     finals = rng.sample(states, rng.randint(1, len(states)))
-    return Nfa(AB01, tuple(states), tuple(edges), states[0], tuple(finals))
+    return nfa_parse(
+        {"states": states, "initial": states[0], "finals": finals, "edges": edges}, AB01
+    )
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -93,7 +95,10 @@ def occurrence_nfa(alphabet: PriorityAlphabet, first: str, second: str) -> Nfa:
     """Words with ``first`` somewhere before ``second``."""
     edges = [(q, a, q) for q in ("n0", "n1", "n2") for a in alphabet.letters]
     edges += [("n0", first, "n1"), ("n1", second, "n2")]
-    return Nfa(alphabet, ("n0", "n1", "n2"), tuple(edges), "n0", ("n2",))
+    return nfa_parse(
+        {"states": ["n0", "n1", "n2"], "initial": "n0", "finals": ["n2"], "edges": edges},
+        alphabet,
+    )
 
 
 def not_just_nfa(alphabet: PriorityAlphabet, letter: str) -> Nfa:
@@ -101,7 +106,15 @@ def not_just_nfa(alphabet: PriorityAlphabet, letter: str) -> Nfa:
     edges = [("q0", a, "qq") for a in alphabet.letters if a != letter]
     edges += [(q, a, "qq") for q in ("qm", "qq") for a in alphabet.letters]
     edges.append(("q0", letter, "qm"))
-    return Nfa(alphabet, ("q0", "qm", "qq"), tuple(edges), "q0", ("q0", "qq"))
+    return nfa_parse(
+        {
+            "states": ["q0", "qm", "qq"],
+            "initial": "q0",
+            "finals": ["q0", "qq"],
+            "edges": edges,
+        },
+        alphabet,
+    )
 
 
 def sides_by_products(g: Cfg, mid: str) -> tuple[tuple[str, ...], tuple[str, ...]]:

@@ -360,6 +360,34 @@ class TestClosure:
         assert err.startswith("error:") and "exceeded 5 states" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["closure", "verify"])
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_state_cap_below_one(self, files, capsys, command, cap):
+        tmp_path, save = files
+        alpha = alphabet_file(save, "ab.json", AB01)
+        model = save("nfa.json", NFA_AB_JSON)
+        code = main(
+            [
+                command,
+                "--type",
+                "nfa",
+                "--order",
+                "block",
+                "--alphabet",
+                alpha,
+                "--input",
+                model,
+                "--output",
+                str(tmp_path / "out.json"),
+                "--state-cap",
+                cap,
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: --state-cap must be at least 1\n"
+        assert not (tmp_path / "out.json").exists()
+
     def test_malformed_model(self, files, capsys):
         tmp_path, save = files
         alpha = alphabet_file(save, "p12.json", P12)
@@ -612,6 +640,18 @@ class TestEnumerate:
         assert code == 0
         assert capsys.readouterr().out == "\na\n"
 
+    def test_negative_counter_cap(self, files, capsys):
+        _, save = files
+        alpha = alphabet_file(save, "ab.json", AB01)
+        model = save("soca.json", SOCA_ANBN_JSON)
+        args = ["enumerate", "--type", "oca", "--alphabet", alpha, "--input", model]
+        assert main(args + ["--bound", "4", "--counter-cap", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "counter cap" in captured.err
+        assert main(args + ["--bound", "4", "--counter-cap", "0"]) == 0
+        assert capsys.readouterr().out == "\n"
+
     def test_negative_bound(self, files, capsys):
         _, save = files
         alpha = alphabet_file(save, "p12.json", P12)
@@ -655,6 +695,38 @@ class TestRender:
         text = open(out, encoding="utf-8").read()
         assert text.startswith("digraph")
         assert '"X"' in text
+
+    def test_nfa_keeps_state_names(self, files):
+        tmp_path, save = files
+        alpha = alphabet_file(save, "ab.json", AB01)
+        # already in the serialised order: names sorted, ε-edges first per state
+        data = {
+            "states": ["busy", "idle", "q10", "q2"],
+            "initial": "idle",
+            "finals": ["idle", "q2"],
+            "edges": [
+                ["busy", None, "q10"],
+                ["busy", "a", "busy"],
+                ["busy", "b", "idle"],
+                ["idle", "a", "busy"],
+                ["idle", "a", "q10"],
+                ["q10", "b", "q2"],
+            ],
+        }
+        assert nfa_serialize(nfa_parse(data, AB01)) == data
+        shuffled = {**data, "states": data["states"][::-1], "edges": data["edges"][::-1]}
+        assert nfa_serialize(nfa_parse(shuffled, AB01)) == data
+        out = str(tmp_path / "n.dot")
+        code = main(
+            ["render", "--type", "nfa", "--alphabet", alpha, "--input", save("n.json", data),
+             "--output", out]
+        )
+        assert code == 0
+        text = open(out, encoding="utf-8").read()
+        assert '__start -> "idle";' in text
+        assert '"idle" [shape=doublecircle];' in text
+        assert '"busy" -> "q10" [label="&epsilon;"];' in text
+        assert '"q10" -> "q2" [label="b"];' in text
 
     def test_counter_machine_dot_alias(self, files):
         tmp_path, save = files

@@ -8,6 +8,7 @@ from prioclose.automata import (
     nfa_equivalent,
     nfa_equivalent_up_to,
     nfa_for_words,
+    nfa_parse,
     nfa_reduce,
     nfa_serialize,
 )
@@ -27,7 +28,9 @@ def random_nfa(alphabet, rng, n_states):
         for _ in range(2 * n_states)
     )
     finals = tuple(rng.sample(states, rng.randint(1, min(3, n_states))))
-    return Nfa(alphabet, states, edges, "q0", finals)
+    return nfa_parse(
+        {"states": states, "initial": "q0", "finals": finals, "edges": edges}, alphabet
+    )
 
 
 def draw():
@@ -43,17 +46,20 @@ def draw():
 def disguised(nfa: Nfa, rng) -> Nfa:
     """The same language with shuffled state names and an epsilon detour
     into the initial state."""
-    names = list(nfa.states)
+    data = nfa_serialize(nfa)
+    names = list(data["states"])
     rng.shuffle(names)
-    rename = {q: f"p{names.index(q)}" for q in nfa.states}
-    edges = [(rename[s], label, rename[d]) for s, label, d in nfa.edges]
-    edges.append(("entry", None, rename[nfa.initial]))
-    return Nfa(
+    rename = {q: f"p{names.index(q)}" for q in data["states"]}
+    edges = [[rename[s], label, rename[d]] for s, label, d in data["edges"]]
+    edges.append(["entry", None, rename[data["initial"]]])
+    return nfa_parse(
+        {
+            "states": list(rename.values()) + ["entry"],
+            "initial": "entry",
+            "finals": [rename[f] for f in data["finals"]],
+            "edges": edges,
+        },
         nfa.alphabet,
-        tuple(rename.values()) + ("entry",),
-        tuple(edges),
-        "entry",
-        tuple(rename[f] for f in nfa.finals),
     )
 
 
@@ -87,20 +93,30 @@ def test_reduced_is_canonical():
 
 def test_canonical_numbering_is_breadth_first():
     # a*b, once as a DFA and once bloated with a dead state and a choice
-    plain = Nfa(AB01, ("x", "y"), (("x", "b", "y"), ("x", "a", "x")), "x", ("y",))
-    bloated = Nfa(
+    plain = nfa_parse(
+        {
+            "states": ["x", "y"],
+            "initial": "x",
+            "finals": ["y"],
+            "edges": [["x", "b", "y"], ["x", "a", "x"]],
+        },
         AB01,
-        ("s0", "s1", "s2", "dead"),
-        (
-            ("s0", "a", "s1"),
-            ("s1", "a", "s1"),
-            ("s0", "a", "s0"),
-            ("s0", "b", "s2"),
-            ("s1", "b", "s2"),
-            ("dead", "a", "dead"),
-        ),
-        "s0",
-        ("s2",),
+    )
+    bloated = nfa_parse(
+        {
+            "states": ["s0", "s1", "s2", "dead"],
+            "initial": "s0",
+            "finals": ["s2"],
+            "edges": [
+                ["s0", "a", "s1"],
+                ["s1", "a", "s1"],
+                ["s0", "a", "s0"],
+                ["s0", "b", "s2"],
+                ["s1", "b", "s2"],
+                ["dead", "a", "dead"],
+            ],
+        },
+        AB01,
     )
     expect = {
         "states": ["q0", "q1"],
@@ -118,22 +134,24 @@ def test_nfa_past_its_own_size_comes_back_unchanged():
     edges = [("s0", "a", "s0"), ("s0", "b", "s0"), ("s0", "a", "s1")]
     for i in range(1, 4):
         edges += [(f"s{i}", "a", f"s{i + 1}"), (f"s{i}", "b", f"s{i + 1}")]
-    nfa = Nfa(ab, tuple(f"s{i}" for i in range(5)), tuple(edges), "s0", ("s4",))
+    nfa = nfa_parse(
+        {"states": [f"s{i}" for i in range(5)], "initial": "s0", "finals": ["s4"], "edges": edges},
+        ab,
+    )
     assert nfa_reduce(nfa) is nfa
     assert nfa_equivalent(nfa, nfa, state_cap=5)
 
 
 def test_empty_language_and_empty_word():
-    no_finals = Nfa(
-        FLAT3, ("q0", "q1"), (("q0", "a", "q1"), ("q1", None, "q0")), "q0", ()
-    )
-    dead_end = Nfa(FLAT3, ("q0", "q1"), (("q0", "b", "q1"),), "q0", ("q0",))
-    only_eps = Nfa(
-        FLAT3, ("q0", "q1"), (("q0", None, "q1"), ("q1", None, "q0")), "q0", ("q1",)
-    )
+    def two_states(edges, finals):
+        data = {"states": ["q0", "q1"], "initial": "q0", "finals": finals, "edges": edges}
+        return nfa_parse(data, FLAT3)
+
+    no_finals = two_states([["q0", "a", "q1"], ["q1", None, "q0"]], [])
+    dead_end = two_states([["q0", "b", "q1"]], ["q0"])
+    only_eps = two_states([["q0", None, "q1"], ["q1", None, "q0"]], ["q1"])
+    one_state = {"states": ["q0"], "initial": "q0", "edges": []}
     for nfa in (no_finals, nfa_for_words(FLAT3, [])):
-        out = nfa_reduce(nfa)
-        assert (out.states, out.edges, out.finals) == (("q0",), (), ())
+        assert nfa_serialize(nfa_reduce(nfa)) == {**one_state, "finals": []}
     for nfa in (only_eps, dead_end, nfa_for_words(FLAT3, [()])):
-        out = nfa_reduce(nfa)
-        assert (out.states, out.edges, out.finals) == (("q0",), (), ("q0",))
+        assert nfa_serialize(nfa_reduce(nfa)) == {**one_state, "finals": ["q0"]}

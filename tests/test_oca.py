@@ -3,10 +3,10 @@
 import pytest
 
 from prioclose.automata import (
-    Nfa,
     closure_regular,
     nfa_enumerate,
     nfa_equivalent_up_to,
+    nfa_parse,
 )
 from prioclose.core import OrderKind, PriorityAlphabet, ResourceLimit, parse_word
 from prioclose.oca import (
@@ -225,12 +225,14 @@ class TestClosureNfa:
 class TestBlockClosure:
     def test_plain_nfa_oca(self):
         alphabet = ab_alphabet(0, 1)
-        underlying = Nfa(
+        underlying = nfa_parse(
+            {
+                "states": ["q0", "q1"],
+                "initial": "q0",
+                "finals": ["q1"],
+                "edges": [["q0", "a", "q0"], ["q0", "b", "q1"]],
+            },
             alphabet,
-            ("q0", "q1"),
-            (("q0", "a", "q0"), ("q0", "b", "q1")),
-            "q0",
-            ("q1",),
         )
         as_oca = Oca(
             alphabet,

@@ -15,7 +15,7 @@ from itertools import combinations, product
 import pytest
 
 from prioclose import automata
-from prioclose.automata import Nfa, nfa_enumerate
+from prioclose.automata import Nfa, nfa_enumerate, nfa_parse, nfa_serialize
 from prioclose.cfg import Cfg, cfg_enumerate
 from prioclose.core import PriorityAlphabet, Word
 from prioclose.oca import (
@@ -27,6 +27,7 @@ from prioclose.oca import (
     _counter_cap,
     _machine_parts,
     _oca_adjacency,
+    oca_accepts_bounded,
     oca_enumerate,
 )
 from prioclose.oracle import subwords_up_to
@@ -177,31 +178,44 @@ def random_nfa(rng: random.Random, alphabet: PriorityAlphabet) -> Nfa:
         a, b = rng.sample(states, 2)
         edges += [(a, None, b), (b, None, a)]
     finals = rng.sample(states, rng.randint(0, min(3, n)))
-    return Nfa(alphabet, tuple(states), tuple(edges), rng.choice(states), tuple(finals))
+    return nfa_parse(
+        {"states": states, "initial": rng.choice(states), "finals": finals, "edges": edges},
+        alphabet,
+    )
 
 
 def test_letters_to_final_treats_epsilon_edges_as_free():
-    n = Nfa(
+    n = nfa_parse(
+        {
+            "states": ["p", "q", "r", "s", "t"],
+            "initial": "p",
+            "finals": ["s"],
+            "edges": [["p", None, "q"], ["q", "a", "r"], ["r", None, "s"], ["t", "b", "t"]],
+        },
         AB,
-        ("p", "q", "r", "s", "t"),
-        (("p", None, "q"), ("q", "a", "r"), ("r", None, "s"), ("t", "b", "t")),
-        "p",
-        ("s",),
     )
-    dist = automata._letters_to_final(n.edges, n.finals)
+    data = nfa_serialize(n)
+    dist = automata._letters_to_final(data["edges"], data["finals"])
     assert dist == {"s": 0, "r": 0, "q": 1, "p": 1}
 
 
 def test_nfa_enumerate_matches_plain_on_shaped_cases():
-    chain = Nfa(
+    chain = nfa_parse(
+        {
+            "states": ["p", "q", "r"],
+            "initial": "p",
+            "finals": ["r"],
+            "edges": [["p", None, "q"], ["q", "a", "r"], ["r", None, "p"]],
+        },
         AB,
-        ("p", "q", "r"),
-        (("p", None, "q"), ("q", "a", "r"), ("r", None, "p")),
-        "p",
-        ("r",),
     )
-    dead = Nfa(AB, ("p", "q"), (("p", "a", "q"), ("q", "b", "q")), "p", ())
-    initial_final = Nfa(AB, ("p",), (("p", "b", "p"),), "p", ("p",))
+    dead = nfa_parse(
+        {"states": ["p", "q"], "initial": "p", "finals": [], "edges": [["p", "a", "q"], ["q", "b", "q"]]},
+        AB,
+    )
+    initial_final = nfa_parse(
+        {"states": ["p"], "initial": "p", "finals": ["p"], "edges": [["p", "b", "p"]]}, AB
+    )
     for nfa in (chain, dead, initial_final):
         for bound in range(-1, 11):
             assert nfa_enumerate(nfa, bound) == plain_nfa_enumerate(nfa, bound)
@@ -222,21 +236,26 @@ def test_nfa_enumerate_matches_plain_on_random_nfas(seed):
 def test_nfa_enumerate_steps_nothing_beyond_reach(monkeypatch):
     # The only word is a,a,a: a bound of 2 must be settled by the
     # distance alone, and a bound of 3 steps along that one word only.
-    chain = Nfa(
+    chain = nfa_parse(
+        {
+            "states": ["q0", "q1", "q2", "q3"],
+            "initial": "q0",
+            "finals": ["q3"],
+            "edges": [["q0", "a", "q1"], ["q1", "a", "q2"], ["q2", "a", "q3"]],
+        },
         AB,
-        ("q0", "q1", "q2", "q3"),
-        (("q0", "a", "q1"), ("q1", "a", "q2"), ("q2", "a", "q3")),
-        "q0",
-        ("q3",),
     )
     stepped = []
-    real_step = automata._step
+    real_walk = automata._enumerate_walk
 
-    def counting_step(adj, states, letter):
-        stepped.append((states, letter))
-        return real_step(adj, states, letter)
+    def counting_walk(letters, start, step, lower, accepting, bound):
+        def counting_step(states, letter):
+            stepped.append((states, letter))
+            return step(states, letter)
 
-    monkeypatch.setattr(automata, "_step", counting_step)
+        return real_walk(letters, start, counting_step, lower, accepting, bound)
+
+    monkeypatch.setattr(automata, "_enumerate_walk", counting_walk)
     assert nfa_enumerate(chain, 2) == []
     assert stepped == []
     assert nfa_enumerate(chain, 3) == [("a", "a", "a")]
@@ -330,6 +349,34 @@ def test_oca_enumerate_matches_plain_on_random_machines(seed):
         for cap in (0, 1, 3):
             got = oca_enumerate(machine, 6, counter_cap=cap)
             assert got == plain_oca_enumerate(machine, 6, cap), (seed, i, cap)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_oca_accepts_bounded_agrees_with_oca_enumerate(seed):
+    rng = random.Random(8100 + seed)
+    modes = set()
+    for i in range(40):
+        machine = random_oca(rng, AB)
+        modes.add(_machine_parts(machine)[5])
+        for cap in (0, 1, 3, None):
+            for n in range(7):
+                accepted = set(oca_enumerate(machine, n, cap))
+                for word in product(AB.letters, repeat=n):
+                    got = oca_accepts_bounded(machine, word, cap)
+                    assert got == (word in accepted), (seed, i, cap, word)
+    assert modes == set(AcceptMode)
+
+
+def test_negative_counter_cap_is_rejected():
+    machine = SimpleOca(
+        AB, ("q",), (("q", "a", CounterOp.INC, "q"),), "q", "q"
+    )
+    with pytest.raises(ValueError, match="counter cap"):
+        oca_enumerate(machine, 2, counter_cap=-1)
+    with pytest.raises(ValueError, match="counter cap"):
+        oca_accepts_bounded(machine, ("a",), counter_cap=-1)
+    assert oca_enumerate(machine, 2, counter_cap=0) == [()]
+    assert not oca_accepts_bounded(machine, ("a",), counter_cap=0)
 
 
 def random_cfg(rng: random.Random, alphabet: PriorityAlphabet) -> Cfg:

@@ -26,6 +26,7 @@ from prioclose import (
     flatten,
     leq_priority,
     nfa_equivalent_up_to,
+    nfa_parse,
     oca_block_closure,
     oca_priority_closure,
 )
@@ -56,7 +57,8 @@ _EDGES = (("s", "a", "t"), ("t", "b", "s"), ("s", "c", "f"), ("s", "b", "u"), ("
 
 
 def _as_nfa() -> Nfa:
-    return Nfa(ABC, ("s", "t", "u", "f"), _EDGES, "s", ("f",))
+    data = {"states": ["s", "t", "u", "f"], "initial": "s", "finals": ["f"], "edges": _EDGES}
+    return nfa_parse(data, ABC)
 
 
 def _as_cfg() -> Cfg:

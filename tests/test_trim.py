@@ -60,7 +60,8 @@ def _reach(start, adj):
 
 def assert_trimmed(nfa: Nfa) -> None:
     if not nfa.finals:
-        assert nfa.states == (nfa.initial,) and nfa.edges == ()
+        data = nfa_serialize(nfa)
+        assert data["states"] == [data["initial"]] and data["edges"] == []
         return
     fwd, bwd = {}, {}
     for src, _, dst in nfa.edges:
@@ -77,7 +78,8 @@ def random_nfa(alphabet, rng, n_states):
         (rng.choice(states), rng.choice(labels), rng.choice(states))
         for _ in range(2 * n_states)
     )
-    return Nfa(alphabet, states, edges, "q0", (rng.choice(states),))
+    data = {"states": states, "initial": "q0", "finals": [rng.choice(states)], "edges": edges}
+    return nfa_parse(data, alphabet)
 
 
 @pytest.mark.parametrize("order", ORDERS)
@@ -129,18 +131,18 @@ def test_grammar_and_counter_closures_are_trimmed():
         assert_deterministic(closed)
 
 
-def test_cli_grammar_closure_ignores_hash_seed(tmp_path):
+def _closures_under_hash_seeds(tmp_path, kind, order, alphabet, data) -> set[bytes]:
     alpha = tmp_path / "alphabet.json"
-    alpha.write_text(RING.alphabet.to_json(), encoding="utf-8")
-    model = tmp_path / "ring.json"
-    model.write_text(json.dumps(cfg_serialize(RING)), encoding="utf-8")
+    alpha.write_text(alphabet.to_json(), encoding="utf-8")
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(data), encoding="utf-8")
     outputs = set()
     for seed in ("0", "1", "2"):
         out = tmp_path / f"closure-{seed}.json"
         env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": seed}
         subprocess.run(
-            [sys.executable, "-m", "prioclose.cli", "closure", "--type", "cfg",
-             "--order", "priority", "--alphabet", str(alpha), "--input", str(model),
+            [sys.executable, "-m", "prioclose.cli", "closure", "--type", kind,
+             "--order", order, "--alphabet", str(alpha), "--input", str(model),
              "--output", str(out)],
             env=env,
             capture_output=True,
@@ -148,18 +150,43 @@ def test_cli_grammar_closure_ignores_hash_seed(tmp_path):
             check=True,
         )
         outputs.add(out.read_bytes())
+    return outputs
+
+
+def test_cli_grammar_closure_ignores_hash_seed(tmp_path):
+    outputs = _closures_under_hash_seeds(
+        tmp_path, "cfg", "priority", RING.alphabet, cfg_serialize(RING)
+    )
     assert len(outputs) == 1
 
 
-NO_FINALS = Nfa(
-    FLAT3, ("q0", "q1"), (("q0", "a", "q1"), ("q1", "c", "q0"), ("q0", "b", "q0")), "q0", ()
+@pytest.mark.parametrize("order", ORDERS, ids=lambda o: o.value)
+def test_cli_nfa_closure_ignores_hash_seed(tmp_path, order):
+    nfa = random_nfa(FLAT3, random.Random(11), 6)
+    outputs = _closures_under_hash_seeds(
+        tmp_path, "nfa", order.value, FLAT3, nfa_serialize(nfa)
+    )
+    assert len(outputs) == 1
+    closed = json.loads(outputs.pop())
+    assert closed["finals"] and closed["initial"] == "q0"
+
+
+NO_FINALS = nfa_parse(
+    {
+        "states": ["q0", "q1"],
+        "initial": "q0",
+        "finals": [],
+        "edges": [["q0", "a", "q1"], ["q1", "c", "q0"], ["q0", "b", "q0"]],
+    },
+    FLAT3,
 )
+ONE_STATE_NO_FINALS = {"states": ["q0"], "initial": "q0", "finals": [], "edges": []}
 
 
 @pytest.mark.parametrize("order", ORDERS)
 def test_empty_language_closes_to_one_state(order):
     closed = closure_regular(NO_FINALS, order)
-    assert (closed.states, closed.edges, closed.finals) == (("q0",), (), ())
+    assert nfa_serialize(closed) == ONE_STATE_NO_FINALS
 
 
 def test_cli_writes_and_rereads_empty_closure(tmp_path, capsys):
@@ -186,17 +213,19 @@ def test_cli_writes_and_rereads_empty_closure(tmp_path, capsys):
     assert code == 0
     assert capsys.readouterr().out.startswith("states=1 ")
     closed = nfa_parse(json.loads(out.read_text(encoding="utf-8")), FLAT3)
-    assert (closed.states, closed.finals) == (("q0",), ())
+    assert nfa_serialize(closed) == ONE_STATE_NO_FINALS
     assert nfa_enumerate(closed, 4) == []
 
 
 # q2 is reachable but cannot reach the final state q1.
-WITH_DEAD = Nfa(
+WITH_DEAD = nfa_parse(
+    {
+        "states": ["q0", "q1", "q2"],
+        "initial": "q0",
+        "finals": ["q1"],
+        "edges": [["q0", "a", "q1"], ["q0", "b", "q2"], ["q1", "b", "q1"], ["q2", "a", "q2"]],
+    },
     AB01,
-    ("q0", "q1", "q2"),
-    (("q0", "a", "q1"), ("q0", "b", "q2"), ("q1", "b", "q1"), ("q2", "a", "q2")),
-    "q0",
-    ("q1",),
 )
 FLAGSHIP = Cfg(P12, ("X",), (("X", ("1", "X", "1")), ("X", ("2",))), "X")
 RING = Cfg(
