@@ -6,6 +6,8 @@ Transducers read and write at most one letter per edge; applying one to
 an NFA is a plain product construction, and all three closure operators
 are expressed that way.  ``nfa_reduce`` turns an NFA into its canonical
 minimal DFA when the subset construction stays within the NFA's size.
+``closure_regular`` is the one closure route: every model kind hands it
+a skeleton NFA, and it returns the reduced product.
 """
 
 from __future__ import annotations
@@ -879,9 +881,15 @@ def _block_controller(alphabet: PriorityAlphabet):
 def closure_regular(nfa: Nfa, order: OrderKind, max_states: int = 1_000_000) -> Nfa:
     """NFA for the downward closure of the language under the order.
 
-    The result is trimmed: every state is reachable and reaches a final
-    state, apart from the lone initial state of an empty closure.  More
-    than ``max_states`` product states raise ResourceLimit.
+    Every closure ends here.  A grammar or counter machine passes in a
+    skeleton, whose language contains the model's and lies inside its
+    closure; an NFA is its own skeleton.  The input goes through
+    ``nfa_reduce``, then one product with the order's transducer or block
+    controller, and the product through ``nfa_reduce`` again.  So the
+    result is the canonical minimal DFA whenever its subset construction
+    stays within the product's size, and otherwise the trimmed product.
+    An empty closure is one state with no finals.  More than
+    ``max_states`` product states raise ResourceLimit.
     """
     if order is OrderKind.SUBWORD:
         initial, moves = _transducer_moves(subword_transducer(nfa.alphabet))
@@ -891,7 +899,8 @@ def closure_regular(nfa: Nfa, order: OrderKind, max_states: int = 1_000_000) -> 
         initial, moves = _block_controller(nfa.alphabet)
     else:
         raise ValueError(f"unknown order {order!r}")
-    return _product(nfa, initial, moves, max_states, f"{order.value} closure product")
+    what = f"{order.value} closure product"
+    return nfa_reduce(_product(nfa_reduce(nfa), initial, moves, max_states, what))
 
 
 def _last_letter_nfa(alphabet: PriorityAlphabet, letter: str) -> Nfa:
@@ -900,27 +909,22 @@ def _last_letter_nfa(alphabet: PriorityAlphabet, letter: str) -> Nfa:
     return Nfa(alphabet, (row, row), 0, (1,))
 
 
-def priority_from_skeleton(
+def _priority_skeleton(
     alphabet: PriorityAlphabet,
     skeletons: Iterable[tuple[str, Nfa]],
-    with_empty: bool,
-    max_states: int = 1_000_000,
+    max_states: int,
 ) -> Nfa:
-    """Priority downward closure of a language L from per-letter skeletons.
+    """A skeleton for the priority closure of L, the empty word aside.
 
     ``skeletons`` yields pairs (a, S) where the language of S contains L_a,
     the words of L that end in a, and lies inside the absorbing block
     closure of L_a over ``flatten(alphabet)``.  S may carry any alphabet
-    with the same letters; only its language is read.  ``with_empty``
-    says whether L holds the empty word.  The result is the union of the
-    priority images of each S clamped to words ending in a, plus the
-    empty word when asked for.  Each skeleton and the union go through
-    ``nfa_reduce``, so the result is the canonical minimal DFA whenever
-    its subset construction stays within the union's size: trimmed, no
-    dead sink, numbered in breadth-first order.  ``max_states`` caps
-    each product.
+    with the same letters; only its language is read.  The result is the
+    union of every S, relabelled to ``alphabet``, reduced and clamped to
+    words ending in a.  ``max_states`` caps each clamp.
 
-    This is exact.  Let S_a be S clamped to words ending in a.
+    Its priority closure is that of L without the empty word.  Let S_a be
+    S clamped to words ending in a.
       - S_a contains L_a.
       - Every word of S_a is absorbing-block-below some word of L_a over
         the flat alphabet, and both words end in a.
@@ -931,48 +935,17 @@ def priority_from_skeleton(
     Hence the priority closure of S_a equals that of L_a, and no block
     closure of the skeleton is needed.
     """
-    drop = priority_transducer(alphabet)
-    pieces = [nfa_for_words(alphabet, [()])] if with_empty else []
+    out = nfa_for_words(alphabet, [])
     for letter, skeleton in skeletons:
         clamped = nfa_intersect(
             nfa_reduce(replace(skeleton, alphabet=alphabet)),
             _last_letter_nfa(alphabet, letter),
             max_states,
         )
-        pieces.append(apply_transduction(drop, clamped, max_states))
-    return nfa_reduce(_union_trimmed(alphabet, pieces))
-
-
-def block_from_skeleton(
-    alphabet: PriorityAlphabet,
-    skeleton: Nfa,
-    with_empty: bool,
-    max_states: int = 1_000_000,
-) -> Nfa:
-    """Block downward closure of a language L from one skeleton.
-
-    The language of ``skeleton`` contains L, or L without the empty word,
-    and lies inside the block closure of L.  It may carry any alphabet
-    with the same letters.  ``with_empty`` adds the empty word.  The
-    skeleton goes through ``nfa_reduce`` before the block product, and
-    so does the result: the canonical minimal DFA whenever its subset
-    construction stays within the product's size, trimmed, with no dead
-    sink, numbered in breadth-first order.  An empty closure is one
-    state with no finals.  ``max_states`` caps the product.
-    """
-    reduced = nfa_reduce(replace(skeleton, alphabet=alphabet))
-    pieces = [nfa_for_words(alphabet, [()])] if with_empty else []
-    pieces.append(closure_regular(reduced, OrderKind.BLOCK, max_states))
-    return nfa_reduce(_union_trimmed(alphabet, pieces))
-
-
-def _union_trimmed(alphabet: PriorityAlphabet, pieces: Iterable[Nfa]) -> Nfa:
-    """Union of trimmed NFAs, skipping empty ones so the union stays trimmed."""
-    out = None
-    for piece in pieces:
-        if piece.finals:
-            out = piece if out is None else nfa_union(out, piece)
-    return out if out is not None else nfa_for_words(alphabet, [])
+        # unioning in an empty piece would only add an initial state
+        if clamped.finals:
+            out = nfa_union(out, clamped) if out.finals else clamped
+    return out
 
 
 def _state_names(nfa: Nfa) -> Sequence[str]:

@@ -4,7 +4,7 @@ The block closure of a grammar is computed in stages: normalize to a
 binary normal form, single out the letter runs that can repeat around a
 self-embedding nonterminal, rebuild them as starred productions of a
 Kleene grammar, turn acyclic derivations of that grammar into an NFA,
-and finish with the regular closure operator.  Pump ends and repeats are
+and finish with ``closure_regular``.  Pump ends and repeats are
 extracted with letter transducers over a marker-extended alphabet.  Each
 joins two half-pump gadgets at the seam: ``_outer`` keeps a half's ends,
 ``_pick`` one of its repeatable runs, and ``_check`` only checks its top
@@ -26,12 +26,14 @@ from .automata import (
     _last_letter_nfa,
     _name,
     _names,
+    _priority_skeleton,
     _state_names,
-    block_from_skeleton,
+    closure_regular,
     nfa_for_words,
-    priority_from_skeleton,
+    nfa_union,
 )
 from .core import (
+    OrderKind,
     PriorityAlphabet,
     ResourceLimit,
     Word,
@@ -988,20 +990,21 @@ def cfg_block_closure(g: Cfg, max_states: int = 1_000_000) -> Nfa:
     """Automaton for everything block-below some derivable word.
 
     The acyclic NFA of the Kleene closure grammar, built over the
-    flattened alphabet, is the skeleton: it contains the language without
-    the empty word and lies inside its block closure.
-    ``block_from_skeleton`` turns it into the closure, which comes back
-    as its minimal DFA whenever the subset construction stays small.
+    flattened alphabet, contains the language without the empty word and
+    lies inside its block closure.  It is the skeleton that
+    ``closure_regular`` closes, with ε added back when the grammar
+    derives it; that is exact, as ↓(S ∪ {ε}) = ↓S ∪ {ε} in every order.
     """
     cnf, had_empty = to_cnf(g)
+    skeleton = nfa_for_words(g.alphabet, [])
     if cnf.productions:
         kg = _kleene(
             replace(cnf, alphabet=flatten(g.alphabet)), frozenset(), max_states=max_states
         )
-        skeleton = acyclic_nfa(kg, max_states)
-    else:
-        skeleton = nfa_for_words(g.alphabet, [])
-    return block_from_skeleton(g.alphabet, skeleton, had_empty, max_states)
+        skeleton = replace(acyclic_nfa(kg, max_states), alphabet=g.alphabet)
+    if had_empty:
+        skeleton = nfa_union(skeleton, nfa_for_words(g.alphabet, [()]))
+    return closure_regular(skeleton, OrderKind.BLOCK, max_states)
 
 
 def cfg_priority_closure(g: Cfg, max_states: int = 1_000_000) -> Nfa:
@@ -1011,9 +1014,9 @@ def cfg_priority_closure(g: Cfg, max_states: int = 1_000_000) -> Nfa:
     the grammar over the flattened alphabet, and the acyclic NFA of its
     Kleene closure grammar serves as the group's skeleton: it contains
     the group and lies inside the group's block closure.
-    ``priority_from_skeleton`` turns the skeletons into the closure,
-    which comes back as its minimal DFA whenever the subset construction
-    stays small.
+    ``_priority_skeleton`` clamps and joins them, the empty word is added
+    back as in ``cfg_block_closure``, and ``closure_regular`` closes the
+    result.
     """
     flat = flatten(g.alphabet)
     flat_normal = to_cnf(replace(g, alphabet=flat))
@@ -1029,7 +1032,10 @@ def cfg_priority_closure(g: Cfg, max_states: int = 1_000_000) -> Nfa:
                 kg = _kleene(group_cnf, frozenset(), max_states=max_states)
                 yield letter, acyclic_nfa(kg, max_states)
 
-    return priority_from_skeleton(g.alphabet, skeletons(), had_empty, max_states)
+    skeleton = _priority_skeleton(g.alphabet, skeletons(), max_states)
+    if had_empty:
+        skeleton = nfa_union(skeleton, nfa_for_words(g.alphabet, [()]))
+    return closure_regular(skeleton, OrderKind.PRIORITY, max_states)
 
 
 def cfg_serialize(g: Cfg) -> dict:

@@ -8,6 +8,7 @@ result (related, equal, or plain success), 1 for a negative result,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -16,16 +17,13 @@ from dataclasses import replace
 
 from .automata import (
     Nfa,
-    block_from_skeleton,
     closure_regular,
-    nfa_enumerate,
     nfa_parse,
     nfa_serialize,
     nfa_to_dot,
 )
 from .cfg import (
     cfg_block_closure,
-    cfg_enumerate,
     cfg_parse,
     cfg_priority_closure,
     cfg_to_dot,
@@ -39,18 +37,15 @@ from .core import (
     parse_word,
 )
 from .oca import (
-    AcceptMode,
     Oca,
-    SimpleOca,
+    _machine_parts,
     _parse_simple_oca,
     oca_block_closure,
-    oca_enumerate,
     oca_parse,
     oca_priority_closure,
     oca_to_dot,
-    soca_closure_nfa,
 )
-from .oracle import check_bounds, compare_closure
+from .oracle import _enumerate_model, check_bounds, compare_closure
 
 DEFAULT_STATE_CAP = 1_000_000
 
@@ -81,32 +76,13 @@ def _parse_model(kind: str, data, alphabet: PriorityAlphabet):
     if kind == "cfg":
         return cfg_parse(data, alphabet)
     if isinstance(data, dict) and data.get("simple"):
-        return _parse_simple_oca(data, alphabet)
+        # a simple machine accepts in its one final state with counter 0
+        return Oca(*_machine_parts(_parse_simple_oca(data, alphabet)))
     return oca_parse(data, alphabet)
 
 
 def _zeroed(alphabet: PriorityAlphabet) -> PriorityAlphabet:
     return PriorityAlphabet(tuple((a, 0) for a in alphabet.letters))
-
-
-def _as_oca(machine: SimpleOca) -> Oca:
-    return Oca(
-        machine.alphabet,
-        machine.states,
-        machine.edges,
-        machine.initial,
-        (machine.final,),
-        AcceptMode.ZERO_COUNTER,
-    )
-
-
-def _oca_block(machine: Oca | SimpleOca, state_cap: int) -> Nfa:
-    if isinstance(machine, SimpleOca):
-        skeleton = soca_closure_nfa(machine, state_cap)
-        return block_from_skeleton(
-            machine.alphabet, skeleton, with_empty=False, max_states=state_cap
-        )
-    return oca_block_closure(machine, state_cap)
 
 
 def build_closure(kind: str, order: OrderKind, model, state_cap: int) -> Nfa:
@@ -123,20 +99,11 @@ def build_closure(kind: str, order: OrderKind, model, state_cap: int) -> Nfa:
         return closure_regular(model, order, state_cap)
     if kind == "oca":
         if order is OrderKind.BLOCK:
-            return _oca_block(model, state_cap)
-        machine = _as_oca(model) if isinstance(model, SimpleOca) else model
-        return oca_priority_closure(machine, state_cap)
+            return oca_block_closure(model, state_cap)
+        return oca_priority_closure(model, state_cap)
     if order is OrderKind.BLOCK:
         return cfg_block_closure(model, state_cap)
     return cfg_priority_closure(model, state_cap)
-
-
-def _enumerate_words(kind: str, model, bound: int, counter_cap: int | None):
-    if kind == "nfa":
-        return nfa_enumerate(model, bound)
-    if kind == "oca":
-        return oca_enumerate(model, bound, counter_cap)
-    return cfg_enumerate(model, bound)
 
 
 def cmd_check_order(args) -> int:
@@ -195,7 +162,7 @@ def cmd_enumerate(args) -> int:
         raise ValueError("bound must be nonnegative")
     alphabet = _load_alphabet(args.alphabet)
     model = _parse_model(args.type, _load_json(args.input), alphabet)
-    for word in _enumerate_words(args.type, model, args.bound, args.counter_cap):
+    for word in _enumerate_model(model, args.bound, args.counter_cap):
         print(format_word(word))
     return 0
 
@@ -205,9 +172,8 @@ def cmd_render(args) -> int:
     model = _parse_model(args.type, _load_json(args.input), alphabet)
     if isinstance(model, Nfa):
         text = nfa_to_dot(model)
-    elif isinstance(model, (Oca, SimpleOca)):
-        machine = _as_oca(model) if isinstance(model, SimpleOca) else model
-        text = oca_to_dot(machine)
+    elif isinstance(model, Oca):
+        text = oca_to_dot(model)
     else:
         text = cfg_to_dot(model)
     target = args.output or args.dot
@@ -304,6 +270,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "run", None) is cmd_render and not (args.output or args.dot):
         parser.error("render requires --output (or --dot)")
+    # Constructions build no reference cycles, so reference counting frees
+    # all they drop, and the cyclic collector would only rescan the large
+    # automata they keep alive.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.run(args)
     except ResourceLimit as exc:
@@ -312,6 +283,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """One-counter automata and their downward-closure constructions.
 
-The closure NFA tracks counter values inside its state space up to a
-polynomial cap; the bounded semantics used by tests and oracles caps
-them explicitly instead.
+The skeleton NFA tracks counter values inside its state space up to a
+polynomial cap, and ``closure_regular`` closes it; the bounded semantics
+used by tests and oracles caps them explicitly instead.
 """
 
 from __future__ import annotations
@@ -22,10 +22,12 @@ from .automata import (
     _name,
     _names,
     _parse_edge,
-    block_from_skeleton,
-    priority_from_skeleton,
+    _priority_skeleton,
+    closure_regular,
+    nfa_for_words,
+    nfa_union,
 )
-from .core import PriorityAlphabet, Word
+from .core import OrderKind, PriorityAlphabet, Word
 
 
 class CounterOp(str, Enum):
@@ -328,7 +330,7 @@ def _trim_soca(soca: SimpleOca) -> SimpleOca | None:
     return SimpleOca(soca.alphabet, tuple(keep), edges, soca.initial, soca.final)
 
 
-def _glue_nfa(oca: Oca, max_states: int = 1_000_000) -> Nfa:
+def _glue_nfa(oca: Oca | SimpleOca, max_states: int = 1_000_000) -> Nfa:
     """Skeleton of zero tests with closure-approximating pieces glued in.
 
     Pieces are the three-mode NFAs of the zero-test-free fragments
@@ -340,15 +342,15 @@ def _glue_nfa(oca: Oca, max_states: int = 1_000_000) -> Nfa:
     p of piece i, and None is the global final.  The result is trimmed,
     and ``max_states`` caps it and each piece.
     """
-    alphabet = oca.alphabet
-    zero_free = tuple(e for e in oca.edges if e[2] is not CounterOp.ZERO)
-    zero_edges = tuple(e for e in oca.edges if e[2] is CounterOp.ZERO)
+    alphabet, states, edges, initial, finals, mode = _machine_parts(oca)
+    zero_free = tuple(e for e in edges if e[2] is not CounterOp.ZERO)
+    zero_edges = tuple(e for e in edges if e[2] is CounterOp.ZERO)
 
-    zero_finals = set(oca.finals) if oca.accept_mode is AcceptMode.ZERO_COUNTER else set()
-    sources = {oca.initial} | {dst for _, _, _, dst in zero_edges}
+    zero_finals = set(finals) if mode is AcceptMode.ZERO_COUNTER else set()
+    sources = {initial} | {dst for _, _, _, dst in zero_edges}
     sinks = {src for src, _, _, _ in zero_edges} | zero_finals
     # per zero-configuration state: its zero-test moves, then piece entries
-    zero_moves: dict[str, list[tuple[str | None, Hashable]]] = {q: [] for q in oca.states}
+    zero_moves: dict[str, list[tuple[str | None, Hashable]]] = {q: [] for q in states}
     for src, label, _, dst in zero_edges:
         zero_moves[src].append((label, ("z", dst)))
     pieces: list[tuple[tuple, set[int], Hashable]] = []  # adjacency, finals, exit
@@ -362,12 +364,12 @@ def _glue_nfa(oca: Oca, max_states: int = 1_000_000) -> Nfa:
 
     for p in sorted(sources):
         for q in sorted(sinks):
-            glue(p, SimpleOca(alphabet, oca.states, zero_free, p, q), ("z", q))
-    if oca.accept_mode is AcceptMode.ANY_COUNTER:
+            glue(p, SimpleOca(alphabet, states, zero_free, p, q), ("z", q))
+    if mode is AcceptMode.ANY_COUNTER:
         for p in sorted(sources):
-            for f in oca.finals:
+            for f in finals:
                 drained = zero_free + ((f, None, CounterOp.DEC, f),)
-                glue(p, SimpleOca(alphabet, oca.states, drained, p, f), None)
+                glue(p, SimpleOca(alphabet, states, drained, p, f), None)
 
     def successors(key):
         if key is None:
@@ -375,71 +377,68 @@ def _glue_nfa(oca: Oca, max_states: int = 1_000_000) -> Nfa:
         i, q = key
         if i == "z":
             return q in zero_finals, zero_moves[q]
-        adj, finals, exit_key = pieces[i]
+        adj, piece_finals, exit_key = pieces[i]
         moves = [(label, (i, dst)) for label, dst in _moves(adj[q])]
-        if q in finals:
+        if q in piece_finals:
             moves.append((None, exit_key))
         return False, moves
 
     return _explore(
-        alphabet, ("z", oca.initial), successors, max_states, "glued one-counter skeleton"
+        alphabet, ("z", initial), successors, max_states, "glued one-counter skeleton"
     )
 
 
-def oca_block_closure(oca: Oca, max_states: int = 1_000_000) -> Nfa:
+def oca_block_closure(oca: Oca | SimpleOca, max_states: int = 1_000_000) -> Nfa:
     """Automaton for the block downward closure of the OCA language.
 
     The glued skeleton contains the language and lies inside its block
-    closure; ``block_from_skeleton`` turns it into the closure, which
-    comes back as its minimal DFA whenever the subset construction stays
-    small.
+    closure, so ``closure_regular`` closes it.
     """
-    skeleton = _glue_nfa(oca, max_states)
-    return block_from_skeleton(
-        oca.alphabet, skeleton, with_empty=False, max_states=max_states
-    )
+    return closure_regular(_glue_nfa(oca, max_states), OrderKind.BLOCK, max_states)
 
 
-def _last_letter_oca(oca: Oca, letter: str) -> Oca:
+def _last_letter_oca(oca: Oca | SimpleOca, letter: str) -> Oca:
     """Product with the two-state tracker of whether the last letter
     read so far is the chosen one."""
+    alphabet, states, edges, initial, finals, mode = _machine_parts(oca)
 
     def name(q: str, bit: int) -> str:
         return f"{q}~{bit}"
 
-    states = tuple(name(q, bit) for q in oca.states for bit in (0, 1))
-    edges = []
-    for src, label, op, dst in oca.edges:
+    tracked = []
+    for src, label, op, dst in edges:
         for bit in (0, 1):
             nxt = bit if label is None else (1 if label == letter else 0)
-            edges.append((name(src, bit), label, op, name(dst, nxt)))
+            tracked.append((name(src, bit), label, op, name(dst, nxt)))
     return Oca(
-        oca.alphabet,
-        states,
-        tuple(edges),
-        name(oca.initial, 0),
-        tuple(name(f, 1) for f in oca.finals),
-        oca.accept_mode,
+        alphabet,
+        tuple(name(q, bit) for q in states for bit in (0, 1)),
+        tuple(tracked),
+        name(initial, 0),
+        tuple(name(f, 1) for f in finals),
+        mode,
     )
 
 
-def oca_priority_closure(oca: Oca, max_states: int = 1_000_000) -> Nfa:
+def oca_priority_closure(oca: Oca | SimpleOca, max_states: int = 1_000_000) -> Nfa:
     """NFA for the priority downward closure of the OCA language.
 
     Per last letter, the glued skeleton of the machine restricted to
     words ending in that letter contains those words and lies inside
     their block closure.  The glue construction never reads priorities,
     so this holds over the flattened alphabet as well, which is what
-    ``priority_from_skeleton`` needs to turn the skeletons into the
-    closure.  That comes back as its minimal DFA whenever the subset
-    construction stays small.
+    ``_priority_skeleton`` needs to clamp and join them.  ``closure_regular``
+    closes the result, with ε added back when the machine accepts it;
+    that is exact, as ↓(S ∪ {ε}) = ↓S ∪ {ε} in every order.
     """
     skeletons = (
         (letter, _glue_nfa(_last_letter_oca(oca, letter), max_states))
         for letter in oca.alphabet.letters
     )
-    with_empty = oca_accepts_bounded(oca, (), counter_cap=len(oca.states) ** 2)
-    return priority_from_skeleton(oca.alphabet, skeletons, with_empty, max_states)
+    skeleton = _priority_skeleton(oca.alphabet, skeletons, max_states)
+    if oca_accepts_bounded(oca, (), counter_cap=len(oca.states) ** 2):
+        skeleton = nfa_union(skeleton, nfa_for_words(oca.alphabet, [()]))
+    return closure_regular(skeleton, OrderKind.PRIORITY, max_states)
 
 
 def oca_serialize(oca: Oca) -> dict:

@@ -111,7 +111,9 @@ class ClosureReport:
         }
 
 
-def _enumerate_model(model, bound: int) -> list[Word]:
+def _enumerate_model(model, bound: int, counter_cap: int | None = None) -> list[Word]:
+    """The model's words up to ``bound``; ``counter_cap`` is passed to
+    ``oca_enumerate`` and ignored for other kinds."""
     # Late imports keep this module importable on its own.
     from .automata import Nfa, nfa_enumerate
 
@@ -120,7 +122,7 @@ def _enumerate_model(model, bound: int) -> list[Word]:
     from .oca import Oca, SimpleOca, oca_enumerate
 
     if isinstance(model, (Oca, SimpleOca)):
-        return oca_enumerate(model, bound)
+        return oca_enumerate(model, bound, counter_cap)
     from .cfg import Cfg, cfg_enumerate
 
     if isinstance(model, Cfg):
