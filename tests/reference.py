@@ -2,7 +2,8 @@
 
 These deliberately mirror the definitions rather than the production
 algorithms: the block check enumerates every witness map, the priority
-check enumerates every position embedding.
+check enumerates every position embedding, and the block controller is
+one stack of matching frames rather than one minimal machine per level.
 """
 
 from __future__ import annotations
@@ -10,6 +11,21 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, product
 
+from prioclose.automata import (
+    _ACCEPTING,
+    _CONTENT_MAP,
+    _E0,
+    _E1,
+    _GAPF,
+    _POSTF,
+    _PRE,
+    _SEP_MAP,
+    _START,
+    _XMID,
+    _XSTART,
+    _explore,
+    _minimal_dfa,
+)
 from prioclose.core import PriorityAlphabet, Word, block_decompose, max_priority
 
 
@@ -123,3 +139,112 @@ def all_words(letters: tuple[str, ...], max_len: int):
     for length in range(max_len + 1):
         for combo in product(letters, repeat=length):
             yield combo
+
+
+Frame = tuple[int, str]
+Stack = tuple[Frame, ...]
+
+
+def _chain_closable(frames: Stack) -> bool:
+    if not frames:
+        return True
+    if frames[-1][1] not in _ACCEPTING:
+        return False
+    return all(cfg == _XMID for _, cfg in frames[:-1])
+
+
+def stack_controller(alphabet: PriorityAlphabet):
+    """Transducer whose image of {v} is the absorbing block cone below v.
+
+    Returns its initial state id and a ``TMoves`` lookup for
+    ``automata._product``, which asks for each state's moves once; states
+    are numbered as they are first named.  State 0 guesses the top
+    priority p of the output word: state 1 handles p = 0, and every other
+    state is a stack of frames, one per open level, levels falling
+    downward.  It has 1,212 states at d = 5, where the minimal controller
+    has 26.
+    """
+    d = alphabet.max_assigned_priority
+    letters = [(a, alphabet.priority(a)) for a in alphabet.letters]
+    stacks: list[Stack] = [(), ()]
+    ids: dict[Stack, int] = {}
+
+    def sid(stack: Stack) -> int:
+        i = ids.get(stack)
+        if i is None:
+            i = ids[stack] = len(stacks)
+            stacks.append(stack)
+        return i
+
+    def moves(t: int):
+        if t == 0:
+            eps = [(None, 1)] + [(None, sid(((p, _START),))) for p in range(1, d + 1)]
+            return eps, {}, False
+        if t == 1:
+            return [], {a: [(a, 1), (None, 1)] for a, s in letters if s == 0}, True
+        stack = stacks[t]
+        on: dict[str, list[tuple[str | None, int]]] = {}
+        k = len(stack) - 1
+        top_level = stack[0][0]
+        for a, s in letters:
+            if s > top_level:
+                continue
+            j = k  # the lowest frame at level >= s; levels fall downward
+            while stack[j][0] < s:
+                j -= 1
+            if not _chain_closable(stack[j + 1 :]):
+                continue
+            level, cfg = stack[j]
+            if j < k:
+                # the frame below just closed; only its separator may follow
+                if s != level:
+                    continue
+                drop_cfg = _GAPF if cfg == _XMID else _PRE
+                keep = stack[:j] + ((level, _POSTF),)
+                drop = stack[:j] + ((level, drop_cfg),)
+            elif level == 0:
+                keep, drop = stack[:j] + ((0, _E1),), stack
+            elif s < level:
+                on[a] = [(None, sid(stack[:j] + ((level, _CONTENT_MAP[cfg]),)))]
+                continue
+            else:
+                keep_cfg, drop_cfg = _SEP_MAP[cfg]
+                keep = stack[:j] + ((level, keep_cfg),)
+                drop = stack[:j] + ((level, drop_cfg),)
+            on[a] = [(a, sid(keep)), (None, sid(drop))]
+        eps: list[tuple[str | None, int]] = []
+        level, cfg = stack[-1]
+        if level >= 1 and cfg in (_START, _POSTF):
+            opened = _XSTART if cfg == _START else _XMID
+            for sub_level in range(level):
+                sub: Frame = (sub_level, _START) if sub_level >= 1 else (0, _E0)
+                eps.append((None, sid(stack[:-1] + ((level, opened), sub))))
+        return eps, on, _chain_closable(stack)
+
+    return 0, moves
+
+
+def minimal_stack_controller(profile: tuple[int, ...]) -> tuple:
+    """The rows of the stack controller's minimal DFA, in the form of
+    ``automata._minimal_controller``: the stack controller runs on one
+    class letter per priority of the profile, its moves are read as "+s"
+    (keep) and "-s" (drop), and ``_minimal_dfa`` minimises that pair
+    language."""
+    labels = PriorityAlphabet(tuple((f"{sign}{s}", s) for s in profile for sign in "+-"))
+    initial, moves = stack_controller(PriorityAlphabet(tuple((str(s), s) for s in profile)))
+
+    def successors(t: int):
+        eps, on, final = moves(t)
+        out = [(None, u) for _, u in eps]
+        for c, pairs in on.items():
+            out += [(("+" if emitted else "-") + c, u) for emitted, u in pairs]
+        return final, out
+
+    stack = _explore(labels, initial, successors, 10**7, "stack controller")
+    dfa = _minimal_dfa(stack, 1 << len(stack.states))
+    rows = []
+    for q, (_, on) in enumerate(dfa.adjacency):
+        target = {label: dsts[0] for label, dsts in on}
+        classes = tuple((s, target.get(f"+{s}", -1), target.get(f"-{s}", -1)) for s in profile)
+        rows.append((q in dfa.finals, classes))
+    return tuple(rows)
