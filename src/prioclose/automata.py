@@ -7,13 +7,13 @@ an NFA is a plain product construction, and all three closure operators
 are expressed that way.  ``nfa_reduce`` turns an NFA into its canonical
 minimal DFA when the subset construction stays within the NFA's size.
 ``closure_regular`` is the one closure route: every model kind hands it
-a skeleton NFA, and it returns the reduced product.  The block order's
-controller is a minimal DFA, built once per priority profile.
+a skeleton NFA, and it returns the reduced product.  Each order's
+transducer is a table built once per priority profile.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
@@ -66,7 +66,7 @@ class Nfa:
         """``_subset_moves`` with each kept state's fewest letters to a
         final state in place of ``kept``.  Made once per automaton, as the
         oracle and ``nfa_accepts`` read one automaton many times."""
-        start, steps, final_mask, kept = _subset_moves(self)
+        start, steps, final_mask, kept = _subset_moves(self.adjacency, self.initial, self.finals)
         dist = _letters_to_final(self.edges, self.finals)
         return start, steps, final_mask, [dist.get(q, float("inf")) for q in kept]
 
@@ -235,14 +235,12 @@ def nfa_enumerate(nfa: Nfa, bound: int) -> list[Word]:
     return _enumerate_walk(nfa.alphabet.letters, *_subset_walk(nfa), bound)
 
 
-def _explore(
-    alphabet: PriorityAlphabet,
-    initial: Hashable,
-    successors: Callable[[Hashable], tuple[bool, list[tuple[str | None, Hashable]]]],
-    max_states: int,
-    what: str,
-) -> Nfa:
-    """Trimmed NFA of the states reachable from ``initial``.
+# (moves, ends, finals): state s's moves are moves[ends[s - 1]:ends[s]], from 0 at s = 0
+Graph = tuple[list[tuple[str | None, int]], list[int], list[int]]
+
+
+def _walk(initial: Hashable, successors: Callable, max_states: int, what: str) -> Graph:
+    """Trimmed ``Graph`` of the states reachable from ``initial``.
 
     States are any hashable keys.  ``successors(key)`` gives whether the
     state is final and its (label, target key) moves; it is called once
@@ -250,12 +248,11 @@ def _explore(
     discovered keys raise ResourceLimit naming ``what``.  States that
     cannot reach a final state are dropped, except the initial one, so
     an empty language is one state with no finals; the survivors are
-    numbered 0..n-1 in discovery order.
+    numbered 0..n-1 in discovery order and keep their moves as given.
     """
     index = {initial: 0}
     order = [initial]
-    # the moves of state s are moves[ends[s - 1]:ends[s]], flat so that
-    # exploring a large automaton makes no container per state
+    # a Graph, flat so that exploring a large automaton makes no container per state
     moves: list[tuple[str | None, int]] = []
     ends: list[int] = []
     finals: list[int] = []
@@ -289,20 +286,30 @@ def _explore(
             if not live[p]:
                 live[p] = 1
                 stack.append(p)
+    if 0 not in live:
+        return moves, ends, finals
     # a dead initial state keeps no move, as every state is then dead
     number = [-1] * len(order)
     kept = [i for i in range(len(order)) if live[i] or i == 0]
     for count, i in enumerate(kept):
         number[i] = count
-    return Nfa(
-        alphabet,
-        tuple(
-            _row([(label, number[d]) for label, d in moves[starts[i] : ends[i]] if live[d]])
-            for i in kept
-        ),
-        0,
-        tuple(number[f] for f in finals),
-    )
+    out, out_ends = [], []
+    for i in kept:
+        out += [(label, number[d]) for label, d in moves[starts[i] : ends[i]] if live[d]]
+        out_ends.append(len(out))
+    return out, out_ends, [number[f] for f in finals]
+
+
+def _graph_nfa(alphabet: PriorityAlphabet, graph: Graph) -> Nfa:
+    """The ``Nfa`` of a graph, one sorted ``Row`` per state."""
+    moves, ends, finals = graph
+    rows = tuple(_row(moves[s:e]) for s, e in zip([0, *ends], ends))
+    return Nfa(alphabet, rows, 0, tuple(finals))
+
+
+def _explore(alphabet: PriorityAlphabet, initial: Hashable, successors, max_states, what) -> Nfa:
+    """The ``Nfa`` of ``_walk``'s trimmed graph."""
+    return _graph_nfa(alphabet, _walk(initial, successors, max_states, what))
 
 
 def nfa_for_words(alphabet: PriorityAlphabet, words: Sequence[Iterable[str]]) -> Nfa:
@@ -373,7 +380,7 @@ def nfa_intersect(a: Nfa, b: Nfa, max_states: int = 1_000_000) -> Nfa:
         eps, on = b.adjacency[q]
         return [(None, d) for d in eps], {x: [(x, d) for d in ds] for x, ds in on}, q in finals
 
-    return _product(a, b.initial, copy, max_states, "intersection product")
+    return _graph_nfa(a.alphabet, _product(a, b.initial, copy, max_states, "intersection product"))
 
 
 def nfa_equivalent_up_to(a: Nfa, b: Nfa, bound: int) -> Word | None:
@@ -386,21 +393,20 @@ def nfa_equivalent_up_to(a: Nfa, b: Nfa, bound: int) -> Word | None:
     return min(diff, key=_word_key)
 
 
-def nfa_equivalent(a: Nfa, b: Nfa, state_cap: int = 12) -> bool:
+def nfa_equivalent(a: Nfa, b: Nfa, max_subsets: int = 1_000_000) -> bool:
     """Exact language equivalence: the two canonical minimal DFAs agree.
 
-    Refuses NFAs above ``state_cap`` states instead of risking an
-    exponential blow-up; use nfa_equivalent_up_to for bounded checks.
+    More than ``max_subsets`` subsets in either subset construction raise
+    ResourceLimit; use nfa_equivalent_up_to for bounded checks.
     """
     if a.alphabet != b.alphabet:
         raise ValueError("equivalence requires matching alphabets")
-    for nfa in (a, b):
-        if len(nfa.states) > state_cap:
-            raise ResourceLimit(
-                f"nfa has {len(nfa.states)} states, cap is {state_cap}"
-            )
-    # n states have at most 2^n - 1 nonempty subsets, so neither call gives up
-    return _minimal_dfa(a, 1 << len(a.states)) == _minimal_dfa(b, 1 << len(b.states))
+    dfas = [
+        _minimal_dfa(n.alphabet, n.adjacency, n.initial, n.finals, max_subsets) for n in (a, b)
+    ]
+    if any(dfa is None for dfa in dfas):
+        raise ResourceLimit(f"subset construction exceeded {max_subsets} subsets")
+    return dfas[0] == dfas[1]
 
 
 def _eps_closures(eps: list[list[int]], pos: list[int]) -> list[int]:
@@ -514,25 +520,27 @@ def _coarsest_partition(delta: list[list[int]], final: list[bool], k: int) -> li
     return block_of
 
 
-def _subset_moves(nfa: Nfa) -> tuple[int, list[dict[str, int]], int, list[int]]:
+def _subset_moves(rows: Sequence, initial: int, finals: Iterable[int]) -> tuple:
     """Epsilon-closed state subsets as bitmasks: the initial one, per bit
     the nonempty one each letter leads to, the final bits, and ``kept``.
 
-    Only states with a letter move and final states decide a subset's
-    future, so only they get a bit: state ``kept[j]`` is bit j.
+    ``rows[q]`` holds state q's epsilon targets and its (letter, targets)
+    pairs, one pair per letter, as in a ``Row``.  Only states with a
+    letter move and final states decide a subset's future, so only they
+    get a bit: state ``kept[j]`` is bit j.
     """
-    final = set(nfa.finals)
-    pos = [-1] * len(nfa.adjacency)
+    final = set(finals)
+    pos = [-1] * len(rows)
     kept: list[int] = []
-    for q, (_, on) in enumerate(nfa.adjacency):
+    for q, (_, on) in enumerate(rows):
         if on or q in final:
             pos[q] = len(kept)
             kept.append(q)
-    closure = _eps_closures([eps for eps, _ in nfa.adjacency], pos)
+    closure = _eps_closures([eps for eps, _ in rows], pos)
     steps = []
     for q in kept:
         row = {}
-        for a, dsts in nfa.adjacency[q][1]:
+        for a, dsts in rows[q][1]:
             mask = closure[dsts[0]]  # shared, not copied, when it is the only one
             for d in dsts[1:]:
                 mask |= closure[d]
@@ -540,7 +548,7 @@ def _subset_moves(nfa: Nfa) -> tuple[int, list[dict[str, int]], int, list[int]]:
                 row[a] = mask
         steps.append(row)
     final_mask = sum(1 << pos[q] for q in final)
-    return closure[nfa.initial], steps, final_mask, kept
+    return closure[initial], steps, final_mask, kept
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -553,18 +561,19 @@ def _bits(mask: int) -> Iterator[int]:
         i = bits.find("1", i + 1)
 
 
-def _minimal_dfa(nfa: Nfa, cap: int) -> Nfa | None:
-    """Canonical minimal DFA of the NFA, or None past ``cap`` subsets.
+def _minimal_dfa(alphabet: PriorityAlphabet, rows, initial: int, finals, cap: int) -> Nfa | None:
+    """Canonical minimal DFA of an automaton, or None past ``cap`` subsets.
 
-    The subset construction runs on ``_subset_moves``' bitmasks; the
-    empty subset, the dead sink, is never built.  Hopcroft's refinement
-    then merges equivalent subsets, and ``_explore`` numbers the classes
-    that accept something in breadth-first order from the initial one,
-    letters taken in sorted order, so one language always gives the same
-    automaton.  An empty language is one state with no finals.
+    The subset construction runs on ``_subset_moves``' bitmasks of the
+    automaton; the empty subset, the dead sink, is never built.
+    Hopcroft's refinement then merges equivalent subsets, and ``_walk``
+    numbers the classes that accept something in breadth-first order
+    from the initial one, letters taken in sorted order, so one language
+    always gives the same automaton.  An empty language is one state
+    with no finals.
     """
-    start, moves_of, final_mask, _ = _subset_moves(nfa)
-    letters = sorted(nfa.alphabet.letters)
+    start, moves_of, final_mask, _ = _subset_moves(rows, initial, finals)
+    letters = sorted(alphabet.letters)
     column = {a: c for c, a in enumerate(letters)}
     steps = [[(column[a], mask) for a, mask in row.items()] for row in moves_of]
 
@@ -601,8 +610,10 @@ def _minimal_dfa(nfa: Nfa, cap: int) -> Nfa | None:
         moves = [(letters[c], block_of[t]) for c, t in enumerate(row) if t >= 0]
         return bool(subsets[member[b]] & final_mask), [m for m in moves if m[1] != dead]
 
-    # every block but the dead one accepts something, so none is trimmed
-    return _explore(nfa.alphabet, block_of[0], successors, len(member), "minimal DFA")
+    # none is trimmed, and each move is single and sorted by letter: no _row
+    moves, ends, dfa_finals = _walk(block_of[0], successors, len(member), "minimal DFA")
+    rows = tuple(((), tuple([(a, (t,)) for a, t in moves[s:e]])) for s, e in zip([0, *ends], ends))
+    return Nfa(alphabet, rows, 0, tuple(dfa_finals))
 
 
 def nfa_reduce(nfa: Nfa) -> Nfa:
@@ -615,7 +626,8 @@ def nfa_reduce(nfa: Nfa) -> Nfa:
     comes back unchanged.  The result never has more states than the
     input.
     """
-    return _minimal_dfa(nfa, len(nfa.states)) or nfa
+    dfa = _minimal_dfa(nfa.alphabet, nfa.adjacency, nfa.initial, nfa.finals, len(nfa.states))
+    return dfa or nfa
 
 
 def subword_transducer(alphabet: PriorityAlphabet) -> Transducer:
@@ -686,8 +698,8 @@ def block_transducer(alphabet: PriorityAlphabet) -> Transducer:
 TMoves = tuple[list[tuple[str | None, int]], dict[str, list[tuple[str | None, int]]], bool]
 
 
-def _transducer_moves(transducer: Transducer):
-    """Initial state id and move lookup for a materialised transducer."""
+def _transducer_moves(transducer: Transducer) -> tuple[int, list[TMoves]]:
+    """Initial state id and per-state moves of a materialised transducer."""
     ids = {q: i for i, q in enumerate(transducer.states)}
     finals = set(transducer.finals)
     table: list[TMoves] = [([], {}, q in finals) for q in transducer.states]
@@ -698,7 +710,7 @@ def _transducer_moves(transducer: Transducer):
             on.setdefault(consumed[0], []).append(move)
         else:
             eps.append(move)
-    return ids[transducer.initial], table.__getitem__
+    return ids[transducer.initial], table
 
 
 def _product(
@@ -707,12 +719,12 @@ def _product(
     t_moves: Callable[[int], TMoves],
     max_states: int,
     what: str,
-) -> Nfa:
-    """Image of the NFA's language under a letter transducer, trimmed.
+) -> Graph:
+    """Trimmed ``Graph`` of the NFA's image under a letter transducer.
 
     ``t_moves(t)`` gives the moves of transducer state t (see ``TMoves``);
     it is called once per state, so a transducer may be built on demand.
-    ``_explore`` walks the product, caps it at ``max_states`` and trims it.
+    ``_walk`` walks the product, caps it at ``max_states`` and trims it.
     """
     adjacency = nfa.adjacency
     n = len(adjacency)
@@ -742,8 +754,7 @@ def _product(
         targets += [(None, base + q) for q in n_eps]
         return t_final and nq in n_finals, targets
 
-    start = t_initial * n + nfa.initial
-    return _explore(nfa.alphabet, start, successors, max_states, what)
+    return _walk(t_initial * n + nfa.initial, successors, max_states, what)
 
 
 def apply_transduction(
@@ -756,8 +767,9 @@ def apply_transduction(
     """
     if transducer.alphabet != nfa.alphabet:
         raise ValueError("transduction requires matching alphabets")
-    initial, moves = _transducer_moves(transducer)
-    return _product(nfa, initial, moves, max_states, "transduction product")
+    initial, table = _transducer_moves(transducer)
+    graph = _product(nfa, initial, table.__getitem__, max_states, "transduction product")
+    return _graph_nfa(nfa.alphabet, graph)
 
 
 # Configurations of one block-matching frame (see ``_minimal_controller``).
@@ -792,9 +804,11 @@ _SEP_MAP = {
 
 _ACCEPTING = {_POSTF, _POSTM, _E1}
 
-# Per priority profile: the most states one automaton of its controller's
-# construction reached, and the controller's rows (see ``_minimal_controller``).
-_CONTROLLERS: dict[tuple[int, ...], tuple[int, tuple]] = {}
+# Per priority profile, for block and priority order: the most states one
+# automaton of the table's construction reached, its initial state, and per
+# state its ``TMoves`` over one class letter str(s) per priority s.
+_CONTROLLERS: dict[tuple[int, ...], tuple[int, int, list]] = {}
+_PRIORITY_TABLES: dict[tuple[int, ...], tuple[int, int, list]] = {}
 
 
 def _minimal_controller(profile: tuple[int, ...], max_states: int) -> tuple[int, tuple]:
@@ -842,7 +856,7 @@ def _minimal_controller(profile: tuple[int, ...], max_states: int) -> tuple[int,
         nfa = _explore(labels, initial, counted, max_states, "block controller")
         largest = max(largest, count)
         # n states have at most 2^n - 1 nonempty subsets, so this never gives up
-        dfa = _minimal_dfa(nfa, 1 << len(nfa.states))
+        dfa = _minimal_dfa(labels, nfa.adjacency, nfa.initial, nfa.finals, 1 << len(nfa.states))
         return [{label: dsts[0] for label, dsts in on} for _, on in dfa.adjacency], set(dfa.finals)
 
     def level_zero(cfg: str):
@@ -893,36 +907,61 @@ def _minimal_controller(profile: tuple[int, ...], max_states: int) -> tuple[int,
     return largest, tuple(rows)
 
 
-def _block_controller(alphabet: PriorityAlphabet, max_states: int):
-    """Minimal deterministic block controller: initial id and move lookup.
+def _order_moves(order: OrderKind, alphabet: PriorityAlphabet, max_states: int):
+    """The order's transducer over the alphabet: initial id and move lookup.
 
-    A transducer whose image of {v} is the absorbing block cone below v.
-    Its moves depend only on the priority of a letter, so the minimal
-    controller is built once per priority profile, over one class letter
-    per priority, and each class is expanded here to the alphabet's
-    letters.  Cold, a profile with every priority 0..d took about 1 to
-    41 ms for d = 0..7, and 0.4 s for d = 12, on a 2-CPU Xeon container.
-    More than ``max_states`` states in one automaton of its construction
-    raise ResourceLimit, on a cached profile too, so the outcome of a
-    call does not depend on which closures ran before it.
+    Moves depend only on a letter's class, its priority (0 in subword
+    order, which is block order on one priority), so a table is built
+    once per profile, the sorted set of classes in use, and ``_product``
+    expands a state's classes to the alphabet's letters.  Block order's
+    table is ``_minimal_controller``'s, whose image of {v} is the
+    absorbing block cone below v (cold, 1 to 41 ms with every priority
+    0..d for d = 0..7 on a 2-CPU Xeon container); priority order's keeps
+    ``priority_transducer``'s state ids and move order.  More than
+    ``max_states`` states in one automaton of a table's construction
+    raise ResourceLimit, on a cached profile too.
     """
-    profile = tuple(sorted({p for _, p in alphabet.entries}))
-    built = _CONTROLLERS.get(profile)
-    if built is None:
-        built = _CONTROLLERS[profile] = _minimal_controller(profile, max_states)
-    size, rows = built
+    if not isinstance(order, OrderKind):
+        raise ValueError(f"unknown order {order!r}")
+    letters: dict[int, list[str]] = {}
+    for a, s in alphabet.entries:
+        letters.setdefault(0 if order is OrderKind.SUBWORD else s, []).append(a)
+    profile = tuple(sorted(letters))
+    cache = _PRIORITY_TABLES if order is OrderKind.PRIORITY else _CONTROLLERS
+    built = cache.get(profile)
+    if built is None and order is OrderKind.PRIORITY:
+        classes = PriorityAlphabet(tuple((str(s), s) for s in profile))
+        # its few states are not counted against max_states
+        built = cache[profile] = (0, *_transducer_moves(priority_transducer(classes)))
+    elif built is None:
+        largest, rows = _minimal_controller(profile, max_states)
+        built = cache[profile] = (largest, 0, [
+            ([], {str(s): [(str(s), k)] * (k >= 0) + [(None, d)] * (d >= 0) for s, k, d in on}, f)
+            for f, on in rows
+        ])
+    size, initial, rows = built
     if size > max_states:
         raise ResourceLimit(f"block controller exceeded {max_states} states")
-    letters = {s: alphabet.letters_of(s) for s in profile}
-    table: list[TMoves] = []
-    for final, classes in rows:
-        on: dict[str, list[tuple[str | None, int]]] = {}
-        for s, keep, drop in classes:
-            pairs: list[tuple[str | None, int]] = [(None, drop)] if drop >= 0 else []
-            for a in letters[s]:
-                on[a] = [(a, keep), *pairs] if keep >= 0 else pairs
-        table.append(([], on, final))
-    return 0, table.__getitem__
+
+    def moves(t: int) -> TMoves:
+        eps, on, final = rows[t]
+        out = {a: [(a if c else None, u) for c, u in on[str(s)]]
+               for s, group in letters.items() if str(s) in on for a in group}
+        return eps, out, final
+
+    return initial, moves
+
+
+def _graph_rows(graph: Graph) -> tuple[list, list[int]]:
+    """A graph's rows, grouped but unsorted, and its finals; the graph can then be freed."""
+    moves, ends, finals = graph
+    rows = []
+    for s, e in zip([0, *ends], ends):
+        on: dict[str | None, list[int]] = defaultdict(list)
+        for label, d in moves[s:e]:
+            on[label].append(d)
+        rows.append((tuple(on.pop(None, ())), tuple([(a, tuple(ds)) for a, ds in on.items()])))
+    return rows, finals
 
 
 def closure_regular(nfa: Nfa, order: OrderKind, max_states: int = 1_000_000) -> Nfa:
@@ -931,26 +970,21 @@ def closure_regular(nfa: Nfa, order: OrderKind, max_states: int = 1_000_000) -> 
     Every closure ends here.  A grammar or counter machine passes in a
     skeleton, whose language contains the model's and lies inside its
     closure; an NFA is its own skeleton.  The input goes through
-    ``nfa_reduce``, then one product with the order's transducer or block
-    controller, and the product through ``nfa_reduce`` again.  So the
-    result is the canonical minimal DFA whenever its subset construction
-    stays within the product's size, and otherwise the trimmed product.
-    In block order the product is with ``_block_controller``'s minimal
-    controller, built once per priority profile, so the fallback compares
-    against that smaller product.  An empty closure is one state with no
-    finals.  More than ``max_states`` states in the product, or in one
-    automaton of the block controller's construction, raise ResourceLimit.
+    ``nfa_reduce``, then one product with the order's table, built once
+    per priority profile (``_order_moves``), and the product's graph
+    goes straight to ``_minimal_dfa`` as grouped rows.  So the result is
+    the canonical minimal DFA whenever its subset construction stays
+    within the product's size; only otherwise are the rows sorted into
+    the trimmed ``Nfa`` that ``nfa_reduce`` would keep.  An empty
+    closure is one state with no finals.  More than ``max_states``
+    states in the product, or in one automaton of the block
+    controller's construction, raise ResourceLimit.
     """
-    if order is OrderKind.SUBWORD:
-        initial, moves = _transducer_moves(subword_transducer(nfa.alphabet))
-    elif order is OrderKind.PRIORITY:
-        initial, moves = _transducer_moves(priority_transducer(nfa.alphabet))
-    elif order is OrderKind.BLOCK:
-        initial, moves = _block_controller(nfa.alphabet, max_states)
-    else:
-        raise ValueError(f"unknown order {order!r}")
+    initial, moves = _order_moves(order, nfa.alphabet, max_states)
     what = f"{order.value} closure product"
-    return nfa_reduce(_product(nfa_reduce(nfa), initial, moves, max_states, what))
+    rows, finals = _graph_rows(_product(nfa_reduce(nfa), initial, moves, max_states, what))
+    dfa = _minimal_dfa(nfa.alphabet, rows, 0, finals, len(rows))
+    return dfa or Nfa(nfa.alphabet, tuple(_row(_moves(row)) for row in rows), 0, tuple(finals))
 
 
 def _last_letter_nfa(alphabet: PriorityAlphabet, letter: str) -> Nfa:

@@ -8,6 +8,7 @@ result (related, equal, or plain success), 1 for a negative result,
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import json
 import os
@@ -181,13 +182,20 @@ def cmd_render(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="prioclose",
         description="Downward closures of automata and grammars under "
         "subword, priority, and block orders.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_order(p):
+        p.add_argument(
+            "--order", required=True, choices=("subword", "priority", "block"), help="word order"
+        )
 
     def add_common(p, with_order=True):
         p.add_argument("--alphabet", required=True, help="alphabet JSON path")
@@ -196,21 +204,19 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--input", required=True, help="model JSON path")
         if with_order:
-            p.add_argument(
-                "--order",
-                required=True,
-                choices=("subword", "priority", "block"),
-                help="word order",
-            )
+            add_order(p)
+
+    def add_state_cap(p):
+        p.add_argument(
+            "--state-cap",
+            type=int,
+            default=DEFAULT_STATE_CAP,
+            help="abort if an intermediate automaton exceeds this many states",
+        )
 
     p = sub.add_parser("check-order", help="decide whether one word lies below another")
     p.add_argument("--alphabet", required=True, help="alphabet JSON path")
-    p.add_argument(
-        "--order",
-        required=True,
-        choices=("subword", "priority", "block"),
-        help="word order",
-    )
+    add_order(p)
     p.add_argument("left", help="candidate smaller word, comma-separated tokens")
     p.add_argument("right", help="candidate larger word, comma-separated tokens")
     p.set_defaults(run=cmd_check_order)
@@ -219,12 +225,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--output", required=True, help="closure NFA JSON path")
     p.add_argument("--dot", help="optional Graphviz output path")
-    p.add_argument(
-        "--state-cap",
-        type=int,
-        default=DEFAULT_STATE_CAP,
-        help="abort if an intermediate automaton exceeds this many states",
-    )
+    add_state_cap(p)
     p.set_defaults(run=cmd_closure)
 
     p = sub.add_parser("verify", help="compare a closure against the brute oracle")
@@ -237,12 +238,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="model enumeration depth (default: twice the bound)",
     )
-    p.add_argument(
-        "--state-cap",
-        type=int,
-        default=DEFAULT_STATE_CAP,
-        help="abort if an intermediate automaton exceeds this many states",
-    )
+    add_state_cap(p)
     p.set_defaults(run=cmd_verify)
 
     p = sub.add_parser("enumerate", help="list accepted words up to a length bound")

@@ -241,7 +241,8 @@ def minimal_stack_controller(profile: tuple[int, ...]) -> tuple:
         return final, out
 
     stack = _explore(labels, initial, successors, 10**7, "stack controller")
-    dfa = _minimal_dfa(stack, 1 << len(stack.states))
+    cap = 1 << len(stack.states)
+    dfa = _minimal_dfa(labels, stack.adjacency, stack.initial, stack.finals, cap)
     rows = []
     for q, (_, on) in enumerate(dfa.adjacency):
         target = {label: dsts[0] for label, dsts in on}

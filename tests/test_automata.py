@@ -230,8 +230,21 @@ class TestEquivalence:
         assert nfa_equivalent_up_to(astar_b(), plus, 4) == w("b")
         assert nfa_equivalent_up_to(astar_b(), astar_b(), 6) is None
 
-    def test_state_cap(self):
-        big = nfa_parse(
+    def test_subset_cap(self):
+        # (a|b)* a (a|b)^3 has 5 states and needs 16 subsets; size alone
+        # no longer refuses, only a subset construction past the cap
+        edges = [["s0", "a", "s0"], ["s0", "b", "s0"], ["s0", "a", "s1"]]
+        for i in range(1, 4):
+            edges += [[f"s{i}", "a", f"s{i + 1}"], [f"s{i}", "b", f"s{i + 1}"]]
+        states = [f"s{i}" for i in range(5)]
+        nfa = nfa_parse({"states": states, "initial": "s0", "finals": ["s4"], "edges": edges}, AB)
+        with pytest.raises(ResourceLimit, match="exceeded 15 subsets"):
+            nfa_equivalent(nfa, nfa, max_subsets=15)
+        with pytest.raises(ResourceLimit):
+            nfa_equivalent(astar_b(), nfa, max_subsets=15)
+        assert nfa_equivalent(nfa, nfa, max_subsets=16)
+        assert not nfa_equivalent(astar_b(), nfa, max_subsets=16)
+        ring = nfa_parse(
             {
                 "states": [f"q{i}" for i in range(13)],
                 "initial": "q0",
@@ -240,9 +253,7 @@ class TestEquivalence:
             },
             AB,
         )
-        with pytest.raises(ResourceLimit):
-            nfa_equivalent(big, big)
-        assert nfa_equivalent(big, big, state_cap=13)
+        assert nfa_equivalent(ring, ring)
 
 
 class TestTransducerShapes:
@@ -388,7 +399,7 @@ class TestClosureRegular:
         )
         closed = closure_regular(pumped, OrderKind.BLOCK)
         assert nfa_equivalent_up_to(closed, target, 8) is None
-        assert nfa_equivalent(closed, target, state_cap=200)
+        assert nfa_equivalent(closed, target)
 
     def test_block_idempotent(self):
         rng = random.Random(77)

@@ -18,6 +18,7 @@ import pytest
 
 from prioclose import automata
 from prioclose.automata import (
+    _graph_nfa,
     _minimal_controller,
     _product,
     closure_regular,
@@ -61,9 +62,9 @@ def test_block_closure_matches_stack_controller(priorities, seed):
     rng = random.Random(seed)
     for _ in range(6):
         nfa = random_nfa(alphabet, rng, n_states=rng.randint(2, 6))
-        via_stack = _product(
+        via_stack = _graph_nfa(alphabet, _product(
             nfa_reduce(nfa), *stack_controller(alphabet), CAP, "stack controller product"
-        )
+        ))
         assert closure_regular(nfa, OrderKind.BLOCK) == nfa_reduce(via_stack)
 
 

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from prioclose.automata import nfa_enumerate, nfa_for_words, nfa_parse, nfa_serialize
-from prioclose.cli import main
+from prioclose.cli import _build_parser, main
 from prioclose.core import PriorityAlphabet, parse_word
 
 w = parse_word
@@ -758,3 +758,26 @@ class TestRender:
                 ["render", "--type", "cfg", "--alphabet", alpha, "--input", model]
             )
         assert err.value.code == 2
+
+
+def test_one_parser_serves_every_call(files, capsys):
+    # the parser is built once per process, so a rejected call must leave
+    # nothing behind that changes the next one
+    tmp_path, save = files
+    alpha = alphabet_file(save, "ex.json", EX)
+    model = save("word.json", nfa_serialize(nfa_for_words(EX, [parse_word("0a,1b,0a")])))
+    first, again = tmp_path / "first.json", tmp_path / "again.json"
+    closure = ["closure", "--type", "nfa", "--order", "priority", "--alphabet", alpha,
+               "--input", model, "--output"]
+    assert main([*closure, str(first)]) == 0
+    with pytest.raises(SystemExit) as err:
+        main(["closure", "--type", "xyz", "--order", "priority", "--alphabet", alpha,
+              "--input", model, "--output", str(again)])
+    assert err.value.code == 2
+    with pytest.raises(SystemExit) as err:
+        main(["render", "--type", "nfa", "--alphabet", alpha, "--input", model])
+    assert err.value.code == 2
+    assert main([*closure, str(again)]) == 0
+    capsys.readouterr()
+    assert again.read_bytes() == first.read_bytes()
+    assert _build_parser() is _build_parser()

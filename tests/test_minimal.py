@@ -139,7 +139,7 @@ def test_nfa_past_its_own_size_comes_back_unchanged():
         ab,
     )
     assert nfa_reduce(nfa) is nfa
-    assert nfa_equivalent(nfa, nfa, state_cap=5)
+    assert nfa_equivalent(nfa, nfa)
 
 
 def test_empty_language_and_empty_word():

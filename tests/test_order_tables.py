@@ -1,0 +1,130 @@
+"""The order tables behind ``closure_regular``, and its reduction fallback.
+
+``closure_regular`` takes its moves in all three orders from
+``_order_moves``, which builds one table per priority profile and expands
+it to an alphabet's letters.  These tests check it against the public
+transducers, cold and warm, on two alphabets with one profile, and pin
+the one product that the reduction keeps as it is.
+"""
+
+from __future__ import annotations
+
+import json
+import random
+
+import pytest
+
+from prioclose import automata
+from prioclose.automata import (
+    apply_transduction,
+    closure_regular,
+    nfa_for_words,
+    nfa_parse,
+    nfa_reduce,
+    nfa_serialize,
+    priority_transducer,
+    subword_transducer,
+)
+from prioclose.cli import main
+from prioclose.core import OrderKind, PriorityAlphabet
+from test_automata import random_nfa
+
+# one priority profile, (0, 1), spelled with different letters
+ALPHABETS = (
+    PriorityAlphabet.from_map({"a": 0, "b": 1}),
+    PriorityAlphabet.from_map({"x": 0, "y": 1, "z": 1}),
+)
+TRANSDUCERS = {OrderKind.SUBWORD: subword_transducer, OrderKind.PRIORITY: priority_transducer}
+
+
+def clear_tables(monkeypatch) -> None:
+    monkeypatch.setattr(automata, "_CONTROLLERS", {})
+    monkeypatch.setattr(automata, "_PRIORITY_TABLES", {})
+
+
+@pytest.mark.parametrize("order", [OrderKind.SUBWORD, OrderKind.PRIORITY])
+@pytest.mark.parametrize("seed", [5, 23, 71])
+def test_tables_match_the_transducers(order, seed, monkeypatch):
+    rng = random.Random(seed)
+    nfas = [
+        random_nfa(alphabet, rng, n_states=rng.randint(2, 6))
+        for alphabet in ALPHABETS
+        for _ in range(5)
+    ]
+    cold = []
+    for nfa in nfas:
+        clear_tables(monkeypatch)
+        cold.append(closure_regular(nfa, order))
+        expect = nfa_reduce(apply_transduction(TRANSDUCERS[order](nfa.alphabet), nfa_reduce(nfa)))
+        assert cold[-1] == expect
+    # warm: the table now cached was built for the other alphabet's letters
+    assert [closure_regular(nfa, order) for nfa in nfas] == cold
+
+
+@pytest.mark.parametrize("order", ["subword", "priority"])
+def test_state_cap_stops_the_product_cold_and_cached(order, tmp_path, monkeypatch, capsys):
+    alphabet = ALPHABETS[0]
+    alpha = tmp_path / "alphabet.json"
+    alpha.write_text(alphabet.to_json(), encoding="utf-8")
+    model = tmp_path / "word.json"
+    nfa = nfa_for_words(alphabet, [("a", "b", "b", "a", "b")])
+    model.write_text(json.dumps(nfa_serialize(nfa)), encoding="utf-8")
+    argv = ["closure", "--type", "nfa", "--order", order, "--alphabet", str(alpha),
+            "--input", str(model), "--output", str(tmp_path / "out.json")]
+    clear_tables(monkeypatch)
+
+    def capped() -> None:
+        assert main([*argv, "--state-cap", "5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith(" closure product exceeded 5 states\n")
+
+    capped()
+    assert main(argv) == 0
+    capsys.readouterr()
+    capped()
+
+
+# The 6-state NFA whose closure products in subword and block order have 4
+# states, as has their minimal DFA, but whose subset construction needs 5
+# subsets: the reduction gives up and the trimmed product comes back.
+FALLBACK = {
+    "states": [f"q{i}" for i in range(6)],
+    "initial": "q0",
+    "finals": ["q0", "q2"],
+    "edges": [
+        ["q0", None, "q5"], ["q0", "a", "q3"], ["q0", "b", "q1"], ["q0", "c", "q2"],
+        ["q1", None, "q5"], ["q3", "b", "q2"], ["q4", "a", "q4"], ["q4", "b", "q1"],
+        ["q5", None, "q2"], ["q5", "c", "q5"],
+    ],
+}
+STATES = ["q0", "q1", "q2", "q3"]
+EPS_PRODUCT = {
+    "states": STATES,
+    "initial": "q0",
+    "finals": ["q0", "q2", "q3"],
+    "edges": [
+        ["q0", None, "q1"], ["q0", None, "q2"], ["q0", "a", "q1"], ["q0", "b", "q2"],
+        ["q0", "c", "q2"], ["q1", None, "q3"], ["q1", "b", "q3"], ["q2", None, "q2"],
+        ["q2", "c", "q2"],
+    ],
+}
+DFA = {
+    "states": STATES,
+    "initial": "q0",
+    "finals": ["q0", "q2", "q3"],
+    "edges": [
+        ["q0", "a", "q1"], ["q0", "b", "q2"], ["q0", "c", "q2"], ["q1", "b", "q3"],
+        ["q2", "c", "q2"],
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "order, expect",
+    [(OrderKind.SUBWORD, EPS_PRODUCT), (OrderKind.BLOCK, EPS_PRODUCT), (OrderKind.PRIORITY, DFA)],
+)
+def test_reduction_fallback_returns_the_trimmed_product(order, expect):
+    nfa = nfa_parse(FALLBACK, PriorityAlphabet.from_map({"a": 0, "b": 0, "c": 0}))
+    assert nfa_serialize(closure_regular(nfa, order)) == expect
+    # the product's language has this 4-state minimal DFA in every order
+    assert nfa_serialize(nfa_reduce(nfa)) == DFA
