@@ -6,9 +6,10 @@ Transducers read and write at most one letter per edge; applying one to
 an NFA is a plain product construction, and all three closure operators
 are expressed that way.  ``nfa_reduce`` turns an NFA into its canonical
 minimal DFA when the subset construction stays within the NFA's size.
-``closure_regular`` is the one closure route: every model kind hands it
-a skeleton NFA, and it returns the reduced product.  Each order's
-transducer is a table built once per priority profile.
+Every closure is the canonical minimal DFA that ``closure_regular``
+makes from one product with the order's table, built once per priority
+profile.  A grammar or counter machine only builds skeleton NFAs, and
+``_closure_from_skeletons`` does the rest.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from functools import cached_property
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .core import (
+    DEFAULT_MAX_STATES,
     OrderKind,
     PriorityAlphabet,
     ResourceLimit,
@@ -366,7 +368,7 @@ def nfa_concat(a: Nfa, b: Nfa) -> Nfa:
     return _explore(a.alphabet, (0, a.initial), successors, size, "concatenation")
 
 
-def nfa_intersect(a: Nfa, b: Nfa, max_states: int = 1_000_000) -> Nfa:
+def nfa_intersect(a: Nfa, b: Nfa, max_states: int = DEFAULT_MAX_STATES) -> Nfa:
     """Product NFA for the intersection, trimmed to states on accepting paths.
 
     ``b`` acts as the identity transducer restricted to its language, so
@@ -393,7 +395,7 @@ def nfa_equivalent_up_to(a: Nfa, b: Nfa, bound: int) -> Word | None:
     return min(diff, key=_word_key)
 
 
-def nfa_equivalent(a: Nfa, b: Nfa, max_subsets: int = 1_000_000) -> bool:
+def nfa_equivalent(a: Nfa, b: Nfa, max_subsets: int = DEFAULT_MAX_STATES) -> bool:
     """Exact language equivalence: the two canonical minimal DFAs agree.
 
     More than ``max_subsets`` subsets in either subset construction raise
@@ -758,7 +760,7 @@ def _product(
 
 
 def apply_transduction(
-    transducer: Transducer, nfa: Nfa, max_states: int = 1_000_000
+    transducer: Transducer, nfa: Nfa, max_states: int = DEFAULT_MAX_STATES
 ) -> Nfa:
     """Image NFA of the language under the transducer.
 
@@ -964,27 +966,29 @@ def _graph_rows(graph: Graph) -> tuple[list, list[int]]:
     return rows, finals
 
 
-def closure_regular(nfa: Nfa, order: OrderKind, max_states: int = 1_000_000) -> Nfa:
-    """NFA for the downward closure of the language under the order.
+def closure_regular(nfa: Nfa, order: OrderKind, max_states: int = DEFAULT_MAX_STATES) -> Nfa:
+    """Canonical minimal DFA of the downward closure of the language
+    under the order.
 
     Every closure ends here.  A grammar or counter machine passes in a
-    skeleton, whose language contains the model's and lies inside its
-    closure; an NFA is its own skeleton.  The input goes through
-    ``nfa_reduce``, then one product with the order's table, built once
-    per priority profile (``_order_moves``), and the product's graph
-    goes straight to ``_minimal_dfa`` as grouped rows.  So the result is
-    the canonical minimal DFA whenever its subset construction stays
-    within the product's size; only otherwise are the rows sorted into
-    the trimmed ``Nfa`` that ``nfa_reduce`` would keep.  An empty
-    closure is one state with no finals.  More than ``max_states``
-    states in the product, or in one automaton of the block
-    controller's construction, raise ResourceLimit.
+    skeleton (see ``_closure_from_skeletons``); an NFA is its own
+    skeleton.  The input goes through ``nfa_reduce``, then one product
+    with the order's table, built once per priority profile
+    (``_order_moves``), and the product's graph goes straight to
+    ``_minimal_dfa`` as grouped rows.  An empty closure is one state
+    with no finals.  More than ``max_states`` states in the product, in
+    one automaton of the block controller's construction, or in the
+    subset construction raise ResourceLimit.
     """
     initial, moves = _order_moves(order, nfa.alphabet, max_states)
-    what = f"{order.value} closure product"
-    rows, finals = _graph_rows(_product(nfa_reduce(nfa), initial, moves, max_states, what))
-    dfa = _minimal_dfa(nfa.alphabet, rows, 0, finals, len(rows))
-    return dfa or Nfa(nfa.alphabet, tuple(_row(_moves(row)) for row in rows), 0, tuple(finals))
+    what = f"{order.value} closure"
+    rows, finals = _graph_rows(
+        _product(nfa_reduce(nfa), initial, moves, max_states, f"{what} product")
+    )
+    dfa = _minimal_dfa(nfa.alphabet, rows, 0, finals, max_states)
+    if dfa is None:
+        raise ResourceLimit(f"{what} DFA exceeded {max_states} states")
+    return dfa
 
 
 def _last_letter_nfa(alphabet: PriorityAlphabet, letter: str) -> Nfa:
@@ -993,22 +997,31 @@ def _last_letter_nfa(alphabet: PriorityAlphabet, letter: str) -> Nfa:
     return Nfa(alphabet, (row, row), 0, (1,))
 
 
-def _priority_skeleton(
+def _closure_from_skeletons(
     alphabet: PriorityAlphabet,
-    skeletons: Iterable[tuple[str, Nfa]],
+    order: OrderKind,
+    skeleton: Callable[[str | None], Nfa],
+    with_empty: bool,
     max_states: int,
 ) -> Nfa:
-    """A skeleton for the priority closure of L, the empty word aside.
+    """The closure of a model's language L from the model's skeletons.
 
-    ``skeletons`` yields pairs (a, S) where the language of S contains L_a,
-    the words of L that end in a, and lies inside the absorbing block
-    closure of L_a over ``flatten(alphabet)``.  S may carry any alphabet
-    with the same letters; only its language is read.  The result is the
-    union of every S, relabelled to ``alphabet``, reduced and clamped to
-    words ending in a.  ``max_states`` caps each clamp.
+    A model kind only builds skeletons; this does everything after.
+    ``skeleton(None)`` contains L, the empty word included when L has
+    it, and lies inside L's block closure.  ``skeleton(a)`` contains L_a,
+    the nonempty words of L that end in a, and lies inside the absorbing
+    block closure of L_a over ``flatten(alphabet)``.  A skeleton may
+    carry any alphabet with the same letters; only its language is
+    read.  ``with_empty`` says whether L holds the empty word, and only
+    priority order reads it.  ``max_states`` caps every stage.
 
-    Its priority closure is that of L without the empty word.  Let S_a be
-    S clamped to words ending in a.
+    In subword and block order the result is the closure of
+    ``skeleton(None)``: a block embedding is a subword embedding, so the
+    skeleton lies inside L's closure in both orders and has the same one.
+
+    In priority order each ``skeleton(a)`` is reduced and clamped to the
+    words ending in a, the pieces are joined, with the empty word when L
+    has it, and the union is closed.  Let S_a be the clamped piece.
       - S_a contains L_a.
       - Every word of S_a is absorbing-block-below some word of L_a over
         the flat alphabet, and both words end in a.
@@ -1017,19 +1030,22 @@ def _priority_skeleton(
       - ``flatten`` only breaks ties between equal priorities, so a flat
         priority embedding is also one under the original priorities.
     Hence the priority closure of S_a equals that of L_a, and no block
-    closure of the skeleton is needed.
+    closure of the pieces is needed.  Adding the empty word is exact,
+    as ↓(S ∪ {ε}) = ↓S ∪ {ε} in every order.
     """
-    out = nfa_for_words(alphabet, [])
-    for letter, skeleton in skeletons:
+    if order is not OrderKind.PRIORITY:
+        return closure_regular(replace(skeleton(None), alphabet=alphabet), order, max_states)
+    joined = nfa_for_words(alphabet, [()] if with_empty else [])
+    for letter in alphabet.letters:
         clamped = nfa_intersect(
-            nfa_reduce(replace(skeleton, alphabet=alphabet)),
+            nfa_reduce(replace(skeleton(letter), alphabet=alphabet)),
             _last_letter_nfa(alphabet, letter),
             max_states,
         )
         # unioning in an empty piece would only add an initial state
         if clamped.finals:
-            out = nfa_union(out, clamped) if out.finals else clamped
-    return out
+            joined = nfa_union(joined, clamped) if joined.finals else clamped
+    return closure_regular(joined, OrderKind.PRIORITY, max_states)
 
 
 def _state_names(nfa: Nfa) -> Sequence[str]:

@@ -1,10 +1,12 @@
 """Context-free grammars, Kleene grammars, and their downward closures.
 
-The block closure of a grammar is computed in stages: normalize to a
-binary normal form, single out the letter runs that can repeat around a
-self-embedding nonterminal, rebuild them as starred productions of a
-Kleene grammar, turn acyclic derivations of that grammar into an NFA,
-and finish with ``closure_regular``.  Pump ends and repeats are
+``cfg_closure`` builds a grammar's skeletons in stages: normalize to a
+binary normal form over the flattened alphabet, single out the letter
+runs that can repeat around a self-embedding nonterminal, rebuild them
+as starred productions of a Kleene grammar, and turn acyclic derivations
+of that grammar into an NFA.  For priority order the same is done for
+the words ending in each letter.  ``automata`` closes the skeletons in
+every order.  Pump ends and repeats are
 extracted with letter transducers over a marker-extended alphabet.  Each
 joins two half-pump gadgets at the seam: ``_outer`` keeps a half's ends,
 ``_pick`` one of its repeatable runs, and ``_check`` only checks its top
@@ -17,22 +19,23 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Mapping
 
 from .automata import (
     Nfa,
     Transducer,
+    _closure_from_skeletons,
     _explore,
     _last_letter_nfa,
     _name,
     _names,
-    _priority_skeleton,
     _state_names,
-    closure_regular,
     nfa_for_words,
     nfa_union,
 )
 from .core import (
+    DEFAULT_MAX_STATES,
     OrderKind,
     PriorityAlphabet,
     ResourceLimit,
@@ -402,7 +405,7 @@ def pump_pair_grammar(g: Cfg, x: str) -> Cfg:
 
 
 def apply_transducer_to_cfg(
-    t: Transducer, g: Cfg, max_states: int = 1_000_000
+    t: Transducer, g: Cfg, max_states: int = DEFAULT_MAX_STATES
 ) -> Cfg:
     """Image of a grammar under a letter transducer, as a grammar.
 
@@ -425,7 +428,7 @@ def apply_transducer_to_cfg(
 
 
 def _transduce_cnf(
-    t: Transducer, normal: tuple[Cfg, bool], max_states: int = 1_000_000
+    t: Transducer, normal: tuple[Cfg, bool], max_states: int
 ) -> Cfg:
     """``apply_transducer_to_cfg`` on a grammar already normalised.
 
@@ -651,7 +654,7 @@ def _ends_from_pump(
     hat: HatAlphabet,
     r: int,
     s: int,
-    max_states: int = 1_000_000,
+    max_states: int = DEFAULT_MAX_STATES,
 ) -> Cfg:
     """``ends_grammar`` of the normalised pump grammar at one nonterminal."""
     out = _transduce_cnf(_ends_transducer(hat, r, s), pump, max_states)
@@ -683,7 +686,7 @@ def _runs_from_pump(
     s: int,
     side: str,
     with_separator: bool,
-    max_states: int = 1_000_000,
+    max_states: int = DEFAULT_MAX_STATES,
 ) -> Cfg:
     """Runs of one side of the normalised pump grammar at one nonterminal.
 
@@ -821,7 +824,7 @@ def _kleene(
     cnf: Cfg,
     protected: frozenset[str],
     stats: dict | None = None,
-    max_states: int = 1_000_000,
+    max_states: int = DEFAULT_MAX_STATES,
 ) -> KleeneGrammar:
     """Recursive Kleene rebuild; see kleene_closure_grammar.
 
@@ -941,7 +944,7 @@ def kleene_closure_grammar(g: Cfg) -> KleeneGrammar:
     return _kleene(cnf, frozenset())
 
 
-def acyclic_nfa(h: KleeneGrammar, max_states: int = 1_000_000) -> Nfa:
+def acyclic_nfa(h: KleeneGrammar, max_states: int = DEFAULT_MAX_STATES) -> Nfa:
     """Automaton for the words with a repetition-free derivation path.
 
     States are the stacks of open productions with their cursors in a
@@ -986,56 +989,37 @@ def acyclic_nfa(h: KleeneGrammar, max_states: int = 1_000_000) -> Nfa:
     return _explore(h.alphabet, (), successors, max_states, "acyclic automaton")
 
 
-def cfg_block_closure(g: Cfg, max_states: int = 1_000_000) -> Nfa:
-    """Automaton for everything block-below some derivable word.
+def cfg_closure(g: Cfg, order: OrderKind, max_states: int = DEFAULT_MAX_STATES) -> Nfa:
+    """NFA for the downward closure of the grammar's language under the order.
 
-    The acyclic NFA of the Kleene closure grammar, built over the
-    flattened alphabet, contains the language without the empty word and
-    lies inside its block closure.  It is the skeleton that
-    ``closure_regular`` closes, with ε added back when the grammar
-    derives it; that is exact, as ↓(S ∪ {ε}) = ↓S ∪ {ε} in every order.
-    """
-    cnf, had_empty = to_cnf(g)
-    skeleton = nfa_for_words(g.alphabet, [])
-    if cnf.productions:
-        kg = _kleene(
-            replace(cnf, alphabet=flatten(g.alphabet)), frozenset(), max_states=max_states
-        )
-        skeleton = replace(acyclic_nfa(kg, max_states), alphabet=g.alphabet)
-    if had_empty:
-        skeleton = nfa_union(skeleton, nfa_for_words(g.alphabet, [()]))
-    return closure_regular(skeleton, OrderKind.BLOCK, max_states)
-
-
-def cfg_priority_closure(g: Cfg, max_states: int = 1_000_000) -> Nfa:
-    """Automaton for everything priority-below some derivable word.
-
-    Words are grouped by their final letter.  Each group is cut out of
-    the grammar over the flattened alphabet, and the acyclic NFA of its
-    Kleene closure grammar serves as the group's skeleton: it contains
-    the group and lies inside the group's block closure.
-    ``_priority_skeleton`` clamps and joins them, the empty word is added
-    back as in ``cfg_block_closure``, and ``closure_regular`` closes the
-    result.
+    The skeletons are acyclic NFAs of Kleene closure grammars over the
+    flattened alphabet: of the whole grammar, with the empty word added
+    back when the grammar derives it, or of the words ending in one
+    letter, cut out of it by a transduction.  Each contains its words
+    and lies inside their block closure, as
+    ``automata._closure_from_skeletons`` requires, and that closes them.
     """
     flat = flatten(g.alphabet)
-    flat_normal = to_cnf(replace(g, alphabet=flat))
-    _, had_empty = flat_normal
+    normal = to_cnf(replace(g, alphabet=flat))
+    cnf, had_empty = normal
 
-    def skeletons():
-        for letter in g.alphabet.letters:
-            group = _transduce_cnf(
-                _identity(_last_letter_nfa(flat, letter)), flat_normal, max_states
-            )
-            group_cnf, _ = to_cnf(group)
-            if group_cnf.productions:
-                kg = _kleene(group_cnf, frozenset(), max_states=max_states)
-                yield letter, acyclic_nfa(kg, max_states)
+    def skeleton(letter: str | None) -> Nfa:
+        words = cnf
+        if letter is not None:
+            group = _transduce_cnf(_identity(_last_letter_nfa(flat, letter)), normal, max_states)
+            words, _ = to_cnf(group)
+        out = nfa_for_words(flat, [])
+        if words.productions:
+            out = acyclic_nfa(_kleene(words, frozenset(), max_states=max_states), max_states)
+        if letter is None and had_empty:
+            out = nfa_union(out, nfa_for_words(flat, [()]))
+        return out
 
-    skeleton = _priority_skeleton(g.alphabet, skeletons(), max_states)
-    if had_empty:
-        skeleton = nfa_union(skeleton, nfa_for_words(g.alphabet, [()]))
-    return closure_regular(skeleton, OrderKind.PRIORITY, max_states)
+    return _closure_from_skeletons(g.alphabet, order, skeleton, had_empty, max_states)
+
+
+cfg_block_closure = partial(cfg_closure, order=OrderKind.BLOCK)
+cfg_priority_closure = partial(cfg_closure, order=OrderKind.PRIORITY)
 
 
 def cfg_serialize(g: Cfg) -> dict:

@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
 
 from .automata import (
     Nfa,
@@ -23,13 +22,9 @@ from .automata import (
     nfa_serialize,
     nfa_to_dot,
 )
-from .cfg import (
-    cfg_block_closure,
-    cfg_parse,
-    cfg_priority_closure,
-    cfg_to_dot,
-)
+from .cfg import cfg_closure, cfg_parse, cfg_to_dot
 from .core import (
+    DEFAULT_MAX_STATES,
     OrderKind,
     PriorityAlphabet,
     ResourceLimit,
@@ -41,14 +36,11 @@ from .oca import (
     Oca,
     _machine_parts,
     _parse_simple_oca,
-    oca_block_closure,
+    oca_closure,
     oca_parse,
-    oca_priority_closure,
     oca_to_dot,
 )
 from .oracle import _enumerate_model, check_bounds, compare_closure
-
-DEFAULT_STATE_CAP = 1_000_000
 
 
 def _load_json(path: str):
@@ -82,29 +74,11 @@ def _parse_model(kind: str, data, alphabet: PriorityAlphabet):
     return oca_parse(data, alphabet)
 
 
-def _zeroed(alphabet: PriorityAlphabet) -> PriorityAlphabet:
-    return PriorityAlphabet(tuple((a, 0) for a in alphabet.letters))
-
-
 def build_closure(kind: str, order: OrderKind, model, state_cap: int) -> Nfa:
     """Closure automaton for a parsed model under the requested order."""
-    alphabet = model.alphabet
-    if order is OrderKind.SUBWORD:
-        # The block order on an all-zero alphabet is the subword order,
-        # so the subword closure rides on the block construction.
-        flat = build_closure(
-            kind, OrderKind.BLOCK, replace(model, alphabet=_zeroed(alphabet)), state_cap
-        )
-        return replace(flat, alphabet=alphabet)
-    if kind == "nfa":
-        return closure_regular(model, order, state_cap)
-    if kind == "oca":
-        if order is OrderKind.BLOCK:
-            return oca_block_closure(model, state_cap)
-        return oca_priority_closure(model, state_cap)
-    if order is OrderKind.BLOCK:
-        return cfg_block_closure(model, state_cap)
-    return cfg_priority_closure(model, state_cap)
+    # looked up per call, so that a function rebound in this module is the one called
+    closure = {"nfa": closure_regular, "oca": oca_closure, "cfg": cfg_closure}[kind]
+    return closure(model, order, state_cap)
 
 
 def cmd_check_order(args) -> int:
@@ -210,7 +184,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--state-cap",
             type=int,
-            default=DEFAULT_STATE_CAP,
+            default=DEFAULT_MAX_STATES,
             help="abort if an intermediate automaton exceeds this many states",
         )
 

@@ -30,6 +30,10 @@ class ResourceLimit(RuntimeError):
     """Raised when a computation would exceed an explicit resource cap."""
 
 
+# The cap on states per intermediate automaton when a caller names none.
+DEFAULT_MAX_STATES = 1_000_000
+
+
 @dataclass(frozen=True)
 class PriorityAlphabet:
     """Finite set of letter tokens, each carrying a priority in [0, d].

@@ -1,19 +1,22 @@
 """One-counter automata and their downward-closure constructions.
 
-The skeleton NFA tracks counter values inside its state space up to a
-polynomial cap, and ``closure_regular`` closes it; the bounded semantics
-used by tests and oracles caps them explicitly instead.
+``oca_closure`` builds a machine's skeleton NFAs, which track counter
+values inside their state space up to a polynomial cap, and ``automata``
+closes them in every order; the bounded semantics used by tests and
+oracles caps the counter explicitly instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Hashable, Iterable, Mapping
 
 from .automata import (
     Nfa,
     _check_ends,
+    _closure_from_skeletons,
     _dot,
     _enumerate_walk,
     _explore,
@@ -22,12 +25,8 @@ from .automata import (
     _name,
     _names,
     _parse_edge,
-    _priority_skeleton,
-    closure_regular,
-    nfa_for_words,
-    nfa_union,
 )
-from .core import OrderKind, PriorityAlphabet, Word
+from .core import DEFAULT_MAX_STATES, OrderKind, PriorityAlphabet, Word
 
 
 class CounterOp(str, Enum):
@@ -250,7 +249,7 @@ def oca_enumerate(
     )
 
 
-def soca_closure_nfa(soca: SimpleOca, max_states: int = 1_000_000) -> Nfa:
+def soca_closure_nfa(soca: SimpleOca, max_states: int = DEFAULT_MAX_STATES) -> Nfa:
     """Three-mode NFA sandwiched between the language and its block closure.
 
     Mode 1 simulates exactly while the counter stays <= K; the increment
@@ -330,7 +329,7 @@ def _trim_soca(soca: SimpleOca) -> SimpleOca | None:
     return SimpleOca(soca.alphabet, tuple(keep), edges, soca.initial, soca.final)
 
 
-def _glue_nfa(oca: Oca | SimpleOca, max_states: int = 1_000_000) -> Nfa:
+def _glue_nfa(oca: Oca | SimpleOca, max_states: int = DEFAULT_MAX_STATES) -> Nfa:
     """Skeleton of zero tests with closure-approximating pieces glued in.
 
     Pieces are the three-mode NFAs of the zero-test-free fragments
@@ -388,15 +387,6 @@ def _glue_nfa(oca: Oca | SimpleOca, max_states: int = 1_000_000) -> Nfa:
     )
 
 
-def oca_block_closure(oca: Oca | SimpleOca, max_states: int = 1_000_000) -> Nfa:
-    """Automaton for the block downward closure of the OCA language.
-
-    The glued skeleton contains the language and lies inside its block
-    closure, so ``closure_regular`` closes it.
-    """
-    return closure_regular(_glue_nfa(oca, max_states), OrderKind.BLOCK, max_states)
-
-
 def _last_letter_oca(oca: Oca | SimpleOca, letter: str) -> Oca:
     """Product with the two-state tracker of whether the last letter
     read so far is the chosen one."""
@@ -420,25 +410,28 @@ def _last_letter_oca(oca: Oca | SimpleOca, letter: str) -> Oca:
     )
 
 
-def oca_priority_closure(oca: Oca | SimpleOca, max_states: int = 1_000_000) -> Nfa:
-    """NFA for the priority downward closure of the OCA language.
+def oca_closure(
+    oca: Oca | SimpleOca, order: OrderKind, max_states: int = DEFAULT_MAX_STATES
+) -> Nfa:
+    """NFA for the downward closure of the machine's language under the order.
 
-    Per last letter, the glued skeleton of the machine restricted to
-    words ending in that letter contains those words and lies inside
-    their block closure.  The glue construction never reads priorities,
-    so this holds over the flattened alphabet as well, which is what
-    ``_priority_skeleton`` needs to clamp and join them.  ``closure_regular``
-    closes the result, with ε added back when the machine accepts it;
-    that is exact, as ↓(S ∪ {ε}) = ↓S ∪ {ε} in every order.
+    The skeletons are glued skeletons: of the machine, which holds the
+    empty word when the machine accepts it, or of the machine restricted
+    to words ending in one letter.  Each contains its words and lies
+    inside their block closure.  The glue construction never reads
+    priorities, so this holds over the flattened alphabet as well, as
+    ``automata._closure_from_skeletons`` requires, and that closes them.
     """
-    skeletons = (
-        (letter, _glue_nfa(_last_letter_oca(oca, letter), max_states))
-        for letter in oca.alphabet.letters
-    )
-    skeleton = _priority_skeleton(oca.alphabet, skeletons, max_states)
-    if oca_accepts_bounded(oca, (), counter_cap=len(oca.states) ** 2):
-        skeleton = nfa_union(skeleton, nfa_for_words(oca.alphabet, [()]))
-    return closure_regular(skeleton, OrderKind.PRIORITY, max_states)
+
+    def skeleton(letter: str | None) -> Nfa:
+        return _glue_nfa(oca if letter is None else _last_letter_oca(oca, letter), max_states)
+
+    with_empty = oca_accepts_bounded(oca, (), counter_cap=len(oca.states) ** 2)
+    return _closure_from_skeletons(oca.alphabet, order, skeleton, with_empty, max_states)
+
+
+oca_block_closure = partial(oca_closure, order=OrderKind.BLOCK)
+oca_priority_closure = partial(oca_closure, order=OrderKind.PRIORITY)
 
 
 def oca_serialize(oca: Oca) -> dict:

@@ -1,10 +1,10 @@
-"""The order tables behind ``closure_regular``, and its reduction fallback.
+"""The order tables behind ``closure_regular``, and its final reduction.
 
 ``closure_regular`` takes its moves in all three orders from
 ``_order_moves``, which builds one table per priority profile and expands
 it to an alphabet's letters.  These tests check it against the public
 transducers, cold and warm, on two alphabets with one profile, and pin
-the one product that the reduction keeps as it is.
+the minimal DFA of a product whose subset construction passes its size.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from prioclose import automata
 from prioclose.automata import (
     apply_transduction,
     closure_regular,
+    nfa_equivalent,
     nfa_for_words,
     nfa_parse,
     nfa_reduce,
@@ -26,7 +27,7 @@ from prioclose.automata import (
     subword_transducer,
 )
 from prioclose.cli import main
-from prioclose.core import OrderKind, PriorityAlphabet
+from prioclose.core import OrderKind, PriorityAlphabet, ResourceLimit
 from test_automata import random_nfa
 
 # one priority profile, (0, 1), spelled with different letters
@@ -86,7 +87,7 @@ def test_state_cap_stops_the_product_cold_and_cached(order, tmp_path, monkeypatc
 
 # The 6-state NFA whose closure products in subword and block order have 4
 # states, as has their minimal DFA, but whose subset construction needs 5
-# subsets: the reduction gives up and the trimmed product comes back.
+# subsets: past the product's own size, the closure is still its minimal DFA.
 FALLBACK = {
     "states": [f"q{i}" for i in range(6)],
     "initial": "q0",
@@ -119,12 +120,23 @@ DFA = {
 }
 
 
+# in subword and block order "a" lies below "ab", so q1 is final too
+CLOSED_DFA = {**DFA, "finals": STATES}
+
+
 @pytest.mark.parametrize(
     "order, expect",
-    [(OrderKind.SUBWORD, EPS_PRODUCT), (OrderKind.BLOCK, EPS_PRODUCT), (OrderKind.PRIORITY, DFA)],
+    [(OrderKind.SUBWORD, CLOSED_DFA), (OrderKind.BLOCK, CLOSED_DFA), (OrderKind.PRIORITY, DFA)],
 )
 def test_reduction_fallback_returns_the_trimmed_product(order, expect):
-    nfa = nfa_parse(FALLBACK, PriorityAlphabet.from_map({"a": 0, "b": 0, "c": 0}))
-    assert nfa_serialize(closure_regular(nfa, order)) == expect
-    # the product's language has this 4-state minimal DFA in every order
+    alphabet = PriorityAlphabet.from_map({"a": 0, "b": 0, "c": 0})
+    nfa = nfa_parse(FALLBACK, alphabet)
+    closed = closure_regular(nfa, order)
+    assert nfa_serialize(closed) == expect
+    if order is not OrderKind.PRIORITY:
+        # the same language as the product that the closure once returned unreduced
+        assert nfa_equivalent(closed, nfa_parse(EPS_PRODUCT, alphabet))
+        # the product fits in 4 states, and the subset construction does not
+        with pytest.raises(ResourceLimit, match=f"^{order.value} closure DFA exceeded 4 states$"):
+            closure_regular(nfa, order, 4)
     assert nfa_serialize(nfa_reduce(nfa)) == DFA

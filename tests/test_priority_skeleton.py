@@ -1,12 +1,13 @@
 """Checks behind building priority closures straight from skeletons.
 
-``closure_regular`` maps the clamped skeletons that ``_priority_skeleton``
-joins through the priority transducer without taking their block closure
-first.  That is exact only because, on a flat alphabet, lying
-absorbing-block-below a word with the same last letter implies lying
-priority-below it.  The first test checks that implication exhaustively;
-the second checks that the three model kinds give the same automaton for
-one regular language written three ways, in all three orders.
+``closure_regular`` maps the clamped skeletons that
+``automata._closure_from_skeletons`` joins through the priority
+transducer without taking their block closure first.  That is exact
+only because, on a flat alphabet, lying absorbing-block-below a word
+with the same last letter implies lying priority-below it.  The first
+test checks that implication exhaustively; the second checks that the
+three model kinds give the same automaton for one regular language
+written three ways, in all three orders.
 """
 
 from __future__ import annotations
@@ -21,16 +22,13 @@ from prioclose import (
     Oca,
     OrderKind,
     PriorityAlphabet,
-    cfg_block_closure,
-    cfg_priority_closure,
+    cfg_closure,
     closure_regular,
     flatten,
     leq_priority,
     nfa_parse,
-    oca_block_closure,
-    oca_priority_closure,
+    oca_closure,
 )
-from prioclose.cli import build_closure
 from reference import all_words, leq_block_absorbing_ref
 
 FLAT3 = PriorityAlphabet.from_map({"0": 0, "1": 1, "2": 2})
@@ -83,13 +81,5 @@ def _as_oca() -> Oca:
 )
 def test_model_kinds_agree_on_one_regular_language(order):
     expected = closure_regular(_as_nfa(), order)
-    if order is OrderKind.SUBWORD:
-        # the CLI's route: the block closure over an all-zero alphabet
-        models = {"nfa": _as_nfa(), "cfg": _as_cfg(), "oca": _as_oca()}
-        others = {kind: build_closure(kind, order, m, 1_000_000) for kind, m in models.items()}
-    elif order is OrderKind.PRIORITY:
-        others = {"cfg": cfg_priority_closure(_as_cfg()), "oca": oca_priority_closure(_as_oca())}
-    else:
-        others = {"cfg": cfg_block_closure(_as_cfg()), "oca": oca_block_closure(_as_oca())}
-    for kind, closed in others.items():
-        assert closed == expected, kind
+    assert cfg_closure(_as_cfg(), order) == expected
+    assert oca_closure(_as_oca(), order) == expected

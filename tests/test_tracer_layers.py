@@ -1,12 +1,14 @@
-"""The benchmark's tracer wraps package functions by name; they must exist."""
+"""The benchmark's tracer and worker use package functions by name; they must exist."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+TRACER = BENCH / "tracer.py"
 
 
 def _layers():
@@ -20,6 +22,24 @@ def _layers():
 def test_traced_function_exists(layer, name):
     module = importlib.import_module(f"prioclose.{layer}")
     assert callable(getattr(module, name, None))
+
+
+def _worker_names():
+    tree = ast.parse((BENCH / "worker.py").read_text(encoding="utf-8"))
+    return sorted({
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "prioclose"
+    })
+
+
+@pytest.mark.parametrize("name", _worker_names())
+def test_worker_name_exists_in_the_package_root(name):
+    import prioclose
+
+    assert hasattr(prioclose, name)
 
 
 def _nfas():

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -23,11 +24,12 @@ from prioclose.cfg import (
     Cfg,
     acyclic_nfa,
     cfg_block_closure,
+    cfg_closure,
     cfg_priority_closure,
     cfg_serialize,
     kleene_closure_grammar,
 )
-from prioclose.cli import build_closure, main
+from prioclose.cli import main
 from prioclose.core import OrderKind, PriorityAlphabet
 from prioclose.oca import (
     AcceptMode,
@@ -36,6 +38,7 @@ from prioclose.oca import (
     SimpleOca,
     _glue_nfa,
     oca_block_closure,
+    oca_closure,
     oca_priority_closure,
     soca_closure_nfa,
 )
@@ -122,9 +125,16 @@ def test_grammar_and_counter_closures_are_trimmed():
         oca_block_closure(OCA_ANBNC),
         oca_priority_closure(OCA_ANBNC),
     ]
-    for order in ORDERS:
-        closures.append(build_closure("cfg", order, RING, 1_000_000))
-        closures.append(build_closure("oca", order, SOCA_ANBN, 1_000_000))
+    for closure, model in ((cfg_closure, RING), (oca_closure, SOCA_ANBN)):
+        by_order = {order: closure(model, order) for order in ORDERS}
+        closures += by_order.values()
+        # Subword order closes the skeleton itself.  That must agree with block
+        # order on an all-zero alphabet, and with closing the block closure.
+        zeroed = PriorityAlphabet(tuple((a, 0) for a in model.alphabet.letters))
+        via_zeroed = closure(replace(model, alphabet=zeroed), OrderKind.BLOCK)
+        subword = by_order[OrderKind.SUBWORD]
+        assert subword == replace(via_zeroed, alphabet=model.alphabet)
+        assert subword == closure_regular(by_order[OrderKind.BLOCK], OrderKind.SUBWORD)
     for closed in closures:
         assert closed.finals
         assert_trimmed(closed)
