@@ -8,7 +8,12 @@ are expressed that way.  ``nfa_reduce`` turns an NFA into its canonical
 minimal DFA when the subset construction stays within the NFA's size.
 Every closure is the canonical minimal DFA that ``closure_regular``
 makes from one product with the order's table, built once per priority
-profile.  A grammar or counter machine only builds skeleton NFAs, and
+profile.  That product merges the states (t, q) whose NFA states q share
+a cycle of letters that table state t drops in place: a cycle closes to
+the star of its letters, so its states lie on one epsilon cycle of the
+product and have one epsilon closure, and the merge keeps the language
+of every subset that the subset construction builds.  A grammar or
+counter machine only builds skeleton NFAs, and
 ``_closure_from_skeletons`` does the rest.
 """
 
@@ -411,22 +416,16 @@ def nfa_equivalent(a: Nfa, b: Nfa, max_subsets: int = DEFAULT_MAX_STATES) -> boo
     return dfas[0] == dfas[1]
 
 
-def _eps_closures(eps: list[list[int]], pos: list[int]) -> list[int]:
-    """Per state, the bitmask of the states it reaches by epsilon.
+def _components(succ: Sequence[Sequence[int]]) -> Iterator[list[int]]:
+    """Strongly connected components of a graph, by Tarjan's algorithm.
 
-    State q is bit ``pos[q]`` of a mask, or left out when that is -1.
-
-    Tarjan's algorithm finishes a strongly connected component of the
-    epsilon graph after every component it reaches, so each component's
-    closure is one union over its members and their finished successors.
-    A state without epsilon edges is such a component on its own, so it
-    is finished before the search starts.
+    ``succ[v]`` lists the successors of node v.  Each component comes
+    after every component it reaches.  A node without successors is a
+    component on its own; it is finished before the search starts and
+    never yielded.
     """
-    n = len(eps)
-    closure = [1 << j if j >= 0 and not e else 0 for j, e in zip(pos, eps)]
-    if not any(eps):
-        return closure
-    index = [-1 if e else 0 for e in eps]  # finished states are never on the stack
+    n = len(succ)
+    index = [-1 if s else 0 for s in succ]  # finished nodes are never on the stack
     low = [0] * n
     on_stack = bytearray(n)
     spot = [0] * n  # position on the stack
@@ -440,7 +439,7 @@ def _eps_closures(eps: list[list[int]], pos: list[int]) -> list[int]:
         spot[root] = len(stack)
         stack.append(root)
         on_stack[root] = 1
-        work = [(root, iter(eps[root]))]
+        work = [(root, iter(succ[root]))]
         while work:
             v, targets = work[-1]
             for w in targets:
@@ -450,7 +449,7 @@ def _eps_closures(eps: list[list[int]], pos: list[int]) -> list[int]:
                     spot[w] = len(stack)
                     stack.append(w)
                     on_stack[w] = 1
-                    work.append((w, iter(eps[w])))
+                    work.append((w, iter(succ[w])))
                     break
                 if on_stack[w] and index[w] < low[v]:
                     low[v] = index[w]
@@ -462,15 +461,31 @@ def _eps_closures(eps: list[list[int]], pos: list[int]) -> list[int]:
                     continue
                 members = stack[spot[v] :]
                 del stack[spot[v] :]
-                mask = 0
                 for w in members:
                     on_stack[w] = 0
-                    if pos[w] >= 0:
-                        mask |= 1 << pos[w]
-                    for x in eps[w]:
-                        mask |= closure[x]  # 0 inside this component
-                for w in members:
-                    closure[w] = mask
+                yield members
+
+
+def _eps_closures(eps: list[list[int]], pos: list[int]) -> list[int]:
+    """Per state, the bitmask of the states it reaches by epsilon.
+
+    State q is bit ``pos[q]`` of a mask, or left out when that is -1.
+    ``_components`` yields a component of the epsilon graph after every
+    component it reaches, so each component's closure is one union over
+    its members and their finished successors.
+    """
+    closure = [1 << j if j >= 0 and not e else 0 for j, e in zip(pos, eps)]
+    if not any(eps):
+        return closure
+    for members in _components(eps):
+        mask = 0
+        for w in members:
+            if pos[w] >= 0:
+                mask |= 1 << pos[w]
+            for x in eps[w]:
+                mask |= closure[x]  # 0 inside this component
+        for w in members:
+            closure[w] = mask
     return closure
 
 
@@ -919,7 +934,11 @@ def _order_moves(order: OrderKind, alphabet: PriorityAlphabet, max_states: int):
     table is ``_minimal_controller``'s, whose image of {v} is the
     absorbing block cone below v (cold, 1 to 41 ms with every priority
     0..d for d = 0..7 on a 2-CPU Xeon container); priority order's keeps
-    ``priority_transducer``'s state ids and move order.  More than
+    ``priority_transducer``'s state ids and move order.  A state drops a
+    class in place when it has the move (None, itself) on it.
+    ``_merged_product`` reads these moves per letter and merges the NFA
+    cycles of such letters; the merge is exact, as dropping a cycle's
+    letters leaves the table state where it was.  More than
     ``max_states`` states in one automaton of a table's construction
     raise ResourceLimit, on a cached profile too.
     """
@@ -954,15 +973,103 @@ def _order_moves(order: OrderKind, alphabet: PriorityAlphabet, max_states: int):
     return initial, moves
 
 
-def _graph_rows(graph: Graph) -> tuple[list, list[int]]:
-    """A graph's rows, grouped but unsorted, and its finals; the graph can then be freed."""
-    moves, ends, finals = graph
-    rows = []
-    for s, e in zip([0, *ends], ends):
-        on: dict[str | None, list[int]] = defaultdict(list)
-        for label, d in moves[s:e]:
-            on[label].append(d)
-        rows.append((tuple(on.pop(None, ())), tuple([(a, tuple(ds)) for a, ds in on.items()])))
+def _merged_product(
+    nfa: Nfa, t_initial: int, t_moves: Callable[[int], TMoves], max_states: int, what: str
+) -> tuple[list, list[int]]:
+    """Rows and finals of the NFA's image under a letter transducer, with
+    the product states that lie on one epsilon cycle merged.
+
+    Where transducer state t drops letter a in place, a move on a of the
+    NFA is an epsilon move of the product that stays at t.  So the states
+    (t, q) for q in one strongly connected component r of the NFA's graph
+    of epsilon moves and such letters lie on one epsilon cycle, and share
+    their epsilon closure.  The walk keys a state by (t, r), as t * n
+    plus r's first member: the merged state takes its members' moves,
+    less its epsilon loops, and is final if any member is.  An
+    epsilon-closed subset holds all of a cycle or none of it, so every
+    such subset keeps its language, and ``_minimal_dfa`` gives the DFA of
+    the unmerged product of ``_product``.  Rows are grouped by label but
+    unsorted, and nothing is trimmed: the subset construction and
+    Hopcroft's refinement send dead states to the sink.  More than
+    ``max_states`` merged states raise ResourceLimit naming ``what``.
+    """
+    adjacency = nfa.adjacency
+    n = len(adjacency)
+    n_final = bytearray(n)
+    for q in nfa.finals:
+        n_final[q] = 1
+    by_state: dict[int, tuple] = {}
+    by_drops: dict[frozenset, tuple[list[int], list[tuple[int, ...]]]] = {}
+    memo: dict[int, tuple] = {}
+
+    def merged(t: int) -> tuple:
+        """Transducer state t's moves, then per NFA state the first member
+        of its component at t, and per first member the component."""
+        got = by_state.get(t)
+        if got is None:
+            moves = t_moves(t)
+            in_place = frozenset(a for a, ms in moves[1].items() if (None, t) in ms)
+            cycles = by_drops.get(in_place)
+            if cycles is None:
+                succ = [[*eps, *(d for a, ds in on if a in in_place for d in ds)]
+                        for eps, on in adjacency]
+                first = list(range(n))
+                members = [(q,) for q in range(n)]
+                for component in _components(succ):
+                    r = component[0]
+                    members[r] = tuple(component)
+                    for q in component:
+                        first[q] = r
+                cycles = by_drops[in_place] = (first, members)
+            got = by_state[t] = (moves, *cycles)
+        return got
+
+    def table(t: int) -> tuple:
+        # a move carries its target's t * n and component map: the target key is that plus first[q]
+        def targets(moves):
+            return [(label, u * n, merged(u)[1]) for label, u in moves]
+
+        (eps, on, final), first, members = merged(t)
+        got = memo[t * n] = (targets(eps), {a: targets(ms) for a, ms in on.items()}, final, first, members)
+        return got
+
+    index = {t_initial * n + merged(t_initial)[1][nfa.initial]: 0}
+    order = list(index)
+    rows: list = []
+    finals: list[int] = []
+
+    def number(keys: Iterable[int]) -> tuple[int, ...]:
+        out = []
+        for key in keys:
+            i = index.get(key)
+            if i is None:
+                i = index[key] = len(order)
+                order.append(key)
+            out.append(i)
+        return tuple(out)
+
+    for key in order:
+        r = key % n
+        base = key - r
+        t_eps, t_on, t_final, first, members = memo.get(base) or table(base // n)
+        group = members[r]
+        out: dict[str | None, set[int]] = defaultdict(set)
+        for q in group:
+            for label, b, u_first in t_eps:
+                out[label].add(b + u_first[q])
+            n_eps, n_on = adjacency[q]
+            if n_eps:
+                out[None].update([base + first[d] for d in n_eps])
+            for letter, dsts in n_on:
+                for label, b, u_first in t_on.get(letter, ()):
+                    out[label].update([b + u_first[d] for d in dsts])
+        eps_keys = out.pop(None, set())
+        eps_keys.discard(key)
+        rows.append((number(eps_keys), tuple([(a, number(ks)) for a, ks in out.items()])))
+        if t_final and any(n_final[q] for q in group):
+            finals.append(len(rows) - 1)
+        if len(order) > max_states:
+            raise ResourceLimit(f"{what} exceeded {max_states} states")
     return rows, finals
 
 
@@ -974,17 +1081,21 @@ def closure_regular(nfa: Nfa, order: OrderKind, max_states: int = DEFAULT_MAX_ST
     skeleton (see ``_closure_from_skeletons``); an NFA is its own
     skeleton.  The input goes through ``nfa_reduce``, then one product
     with the order's table, built once per priority profile
-    (``_order_moves``), and the product's graph goes straight to
-    ``_minimal_dfa`` as grouped rows.  An empty closure is one state
-    with no finals.  More than ``max_states`` states in the product, in
-    one automaton of the block controller's construction, or in the
+    (``_order_moves``), and the product's rows go straight to
+    ``_minimal_dfa``.  The product merges the states that a table state
+    joins into one epsilon cycle by dropping every letter of an NFA
+    cycle in place (``_merged_product``): a cycle closes to the star of
+    its letters.  Merging the states of an epsilon cycle keeps every
+    epsilon-closed subset's language, so the DFA is the one of the
+    unmerged product, ``apply_transduction`` with the order's
+    transducer.  An empty closure is one state with no finals.  More
+    than ``max_states`` merged states in the product, states in one
+    automaton of the block controller's construction, or subsets in the
     subset construction raise ResourceLimit.
     """
     initial, moves = _order_moves(order, nfa.alphabet, max_states)
     what = f"{order.value} closure"
-    rows, finals = _graph_rows(
-        _product(nfa_reduce(nfa), initial, moves, max_states, f"{what} product")
-    )
+    rows, finals = _merged_product(nfa_reduce(nfa), initial, moves, max_states, f"{what} product")
     dfa = _minimal_dfa(nfa.alphabet, rows, 0, finals, max_states)
     if dfa is None:
         raise ResourceLimit(f"{what} DFA exceeded {max_states} states")

@@ -307,17 +307,30 @@ class TestTransducerSemantics:
             assert () in transduce_word(t, EX, v)
 
 
-def random_nfa(alphabet, rng, n_states=4):
+def random_nfa(alphabet, rng, n_states=4, n_edges=None):
+    """A random NFA; without ``n_edges`` it draws 4 to 10 edges."""
     states = tuple(f"q{i}" for i in range(n_states))
     labels = list(alphabet.letters) + [None]
     edges = tuple(
         (rng.choice(states), rng.choice(labels), rng.choice(states))
-        for _ in range(rng.randint(4, 10))
+        for _ in range(rng.randint(4, 10) if n_edges is None else n_edges)
     )
     finals = tuple(rng.sample(states, rng.randint(1, 2)))
     return nfa_parse(
         {"states": states, "initial": "q0", "finals": finals, "edges": edges}, alphabet
     )
+
+
+# Two priority-0 cycles of "a", joined by priority-1 "b" moves.
+CYCLE_BESIDE_1 = {
+    "states": ["q0", "q1", "q2", "q3"],
+    "initial": "q0",
+    "finals": ["q3"],
+    "edges": [
+        ["q0", "a", "q1"], ["q1", "a", "q0"], ["q1", "b", "q2"],
+        ["q2", "a", "q3"], ["q3", "a", "q2"], ["q3", "b", "q1"],
+    ],
+}
 
 
 def flat3_nfa(spec_edges, finals):

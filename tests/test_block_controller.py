@@ -23,13 +23,14 @@ from prioclose.automata import (
     _product,
     closure_regular,
     nfa_for_words,
+    nfa_parse,
     nfa_reduce,
     nfa_serialize,
 )
 from prioclose.cli import main
 from prioclose.core import OrderKind, PriorityAlphabet
 from reference import minimal_stack_controller, stack_controller
-from test_automata import random_nfa
+from test_automata import CYCLE_BESIDE_1, random_nfa
 
 CAP = 1_000_000
 
@@ -60,8 +61,15 @@ def test_levels_give_the_minimal_stack_controller(d):
 def test_block_closure_matches_stack_controller(priorities, seed):
     alphabet = PriorityAlphabet.from_map(priorities)
     rng = random.Random(seed)
-    for _ in range(6):
-        nfa = random_nfa(alphabet, rng, n_states=rng.randint(2, 6))
+    nfas = [random_nfa(alphabet, rng, n_states=rng.randint(2, 6)) for _ in range(6)]
+    # larger draws, with more cycles for the product to merge
+    nfas += [
+        random_nfa(alphabet, rng, n_states=rng.randint(6, 10), n_edges=rng.randint(12, 20))
+        for _ in range(3)
+    ]
+    if {"a", "b"} <= set(priorities):
+        nfas.append(nfa_parse(CYCLE_BESIDE_1, alphabet))
+    for nfa in nfas:
         via_stack = _graph_nfa(alphabet, _product(
             nfa_reduce(nfa), *stack_controller(alphabet), CAP, "stack controller product"
         ))

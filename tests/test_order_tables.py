@@ -3,8 +3,9 @@
 ``closure_regular`` takes its moves in all three orders from
 ``_order_moves``, which builds one table per priority profile and expands
 it to an alphabet's letters.  These tests check it against the public
-transducers, cold and warm, on two alphabets with one profile, and pin
-the minimal DFA of a product whose subset construction passes its size.
+transducers, cold and warm, on two alphabets with one profile, check
+that the state cap counts the product's merged states, and pin the
+minimal DFA of a product whose subset construction passes its size.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from prioclose.automata import (
 )
 from prioclose.cli import main
 from prioclose.core import OrderKind, PriorityAlphabet, ResourceLimit
-from test_automata import random_nfa
+from test_automata import CYCLE_BESIDE_1, random_nfa
 
 # one priority profile, (0, 1), spelled with different letters
 ALPHABETS = (
@@ -52,6 +53,13 @@ def test_tables_match_the_transducers(order, seed, monkeypatch):
         for alphabet in ALPHABETS
         for _ in range(5)
     ]
+    # larger draws, with more cycles for the product to merge
+    nfas += [
+        random_nfa(alphabet, rng, n_states=rng.randint(6, 10), n_edges=rng.randint(12, 20))
+        for alphabet in ALPHABETS
+        for _ in range(3)
+    ]
+    nfas.append(nfa_parse(CYCLE_BESIDE_1, ALPHABETS[0]))
     cold = []
     for nfa in nfas:
         clear_tables(monkeypatch)
@@ -83,6 +91,43 @@ def test_state_cap_stops_the_product_cold_and_cached(order, tmp_path, monkeypatc
     assert main(argv) == 0
     capsys.readouterr()
     capped()
+
+
+# aa(b^6)*: a path into a priority-0 cycle, whose states are all live.
+CYCLE = {
+    "states": [f"q{i}" for i in range(8)],
+    "initial": "q0",
+    "finals": ["q2"],
+    "edges": [["q0", "a", "q1"], ["q1", "a", "q2"]]
+    + [[f"q{2 + i}", "b", f"q{2 + (i + 1) % 6}"] for i in range(6)],
+}
+
+
+def test_state_cap_counts_merged_product_states(tmp_path, capsys):
+    # Subword order's one table state drops every letter in place, so the
+    # cycle's six product states are one: the product has 3 states, not 8.
+    alphabet = PriorityAlphabet.from_map({"a": 0, "b": 0})
+    nfa = nfa_parse(CYCLE, alphabet)
+    unmerged = apply_transduction(subword_transducer(alphabet), nfa_reduce(nfa))
+    assert len(unmerged.states) == 8
+    closed = closure_regular(nfa, OrderKind.SUBWORD, max_states=3)
+    assert closed == nfa_reduce(unmerged)
+    assert len(closed.states) == 3
+    with pytest.raises(ResourceLimit, match="^subword closure product exceeded 2 states$"):
+        closure_regular(nfa, OrderKind.SUBWORD, max_states=2)
+
+    alpha = tmp_path / "alphabet.json"
+    alpha.write_text(alphabet.to_json(), encoding="utf-8")
+    model = tmp_path / "cycle.json"
+    model.write_text(json.dumps(CYCLE), encoding="utf-8")
+    out = tmp_path / "out.json"
+    argv = ["closure", "--type", "nfa", "--order", "subword", "--alphabet", str(alpha),
+            "--input", str(model), "--output", str(out)]
+    assert main([*argv, "--state-cap", "3"]) == 0
+    assert json.loads(out.read_text(encoding="utf-8")) == nfa_serialize(closed)
+    capsys.readouterr()
+    assert main([*argv, "--state-cap", "2"]) == 2
+    assert capsys.readouterr().err == "error: subword closure product exceeded 2 states\n"
 
 
 # The 6-state NFA whose closure products in subword and block order have 4
