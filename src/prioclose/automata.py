@@ -13,14 +13,14 @@ a cycle of letters that table state t drops in place: a cycle closes to
 the star of its letters, so its states lie on one epsilon cycle of the
 product and have one epsilon closure, and the merge keeps the language
 of every subset that the subset construction builds.  A grammar or
-counter machine only builds skeleton NFAs, and
-``_closure_from_skeletons`` does the rest.
+counter machine only builds one skeleton NFA, which serves every order,
+and ``closure_regular`` does the rest.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
@@ -930,7 +930,11 @@ def _order_moves(order: OrderKind, alphabet: PriorityAlphabet, max_states: int):
     Moves depend only on a letter's class, its priority (0 in subword
     order, which is block order on one priority), so a table is built
     once per profile, the sorted set of classes in use, and ``_product``
-    expands a state's classes to the alphabet's letters.  Block order's
+    expands a state's classes to the alphabet's letters.  Every order
+    only compares priorities and tests them for 0, so a class is its
+    priority's rank: 0 stays 0 and the positive priorities in use become
+    1..k, and a sparse alphabet such as {a: 0, b: 10**9} costs what
+    {a: 0, b: 1} does.  Block order's
     table is ``_minimal_controller``'s, whose image of {v} is the
     absorbing block cone below v (cold, 1 to 41 ms with every priority
     0..d for d = 0..7 on a 2-CPU Xeon container); priority order's keeps
@@ -944,9 +948,10 @@ def _order_moves(order: OrderKind, alphabet: PriorityAlphabet, max_states: int):
     """
     if not isinstance(order, OrderKind):
         raise ValueError(f"unknown order {order!r}")
+    rank = {s: i for i, s in enumerate(sorted({0, *(s for _, s in alphabet.entries)}))}
     letters: dict[int, list[str]] = {}
     for a, s in alphabet.entries:
-        letters.setdefault(0 if order is OrderKind.SUBWORD else s, []).append(a)
+        letters.setdefault(0 if order is OrderKind.SUBWORD else rank[s], []).append(a)
     profile = tuple(sorted(letters))
     cache = _PRIORITY_TABLES if order is OrderKind.PRIORITY else _CONTROLLERS
     built = cache.get(profile)
@@ -1077,21 +1082,36 @@ def closure_regular(nfa: Nfa, order: OrderKind, max_states: int = DEFAULT_MAX_ST
     """Canonical minimal DFA of the downward closure of the language
     under the order.
 
-    Every closure ends here.  A grammar or counter machine passes in a
-    skeleton (see ``_closure_from_skeletons``); an NFA is its own
-    skeleton.  The input goes through ``nfa_reduce``, then one product
-    with the order's table, built once per priority profile
-    (``_order_moves``), and the product's rows go straight to
-    ``_minimal_dfa``.  The product merges the states that a table state
-    joins into one epsilon cycle by dropping every letter of an NFA
-    cycle in place (``_merged_product``): a cycle closes to the star of
-    its letters.  Merging the states of an epsilon cycle keeps every
-    epsilon-closed subset's language, so the DFA is the one of the
-    unmerged product, ``apply_transduction`` with the order's
-    transducer.  An empty closure is one state with no finals.  More
-    than ``max_states`` merged states in the product, states in one
-    automaton of the block controller's construction, or subsets in the
-    subset construction raise ResourceLimit.
+    Every closure ends here.  A grammar or counter machine passes in one
+    skeleton S of its language L, over L's alphabet whatever alphabet it
+    was built over; an NFA is its own skeleton.  S serves every order:
+      - S contains L and lies inside L's block closure, so it has L's
+        closure in block order and, as a block embedding is a subword
+        embedding, in subword order.
+      - Each nonempty word of S lies absorbing-block-below a word of L
+        with the same last letter over ``flatten(alphabet)``: ``oca``'s
+        glue repeats the letters of a run's cycles in place, and
+        ``cfg``'s Kleene grammar keeps, through its right marker, the
+        tail after the last separator.  On a flat alphabet that implies
+        priority-below (``test_priority_skeleton`` checks it
+        exhaustively), and ``flatten`` only breaks ties between equal
+        priorities, so a flat priority embedding is one under L's
+        priorities too.  The empty word is priority-below every word,
+        and S is empty when L is.  So S lies inside L's priority
+        closure, and has L's priority closure.
+
+    The input goes through ``nfa_reduce``, then one product with the
+    order's table, built once per priority profile (``_order_moves``),
+    and the product's rows go straight to ``_minimal_dfa``.  The product
+    merges the states that a table state joins into one epsilon cycle by
+    dropping every letter of an NFA cycle in place (``_merged_product``):
+    a cycle closes to the star of its letters.  Merging the states of an
+    epsilon cycle keeps every epsilon-closed subset's language, so the
+    DFA is the one of the unmerged product, ``apply_transduction`` with
+    the order's transducer.  An empty closure is one state with no
+    finals.  More than ``max_states`` merged states in the product,
+    states in one automaton of the block controller's construction, or
+    subsets in the subset construction raise ResourceLimit.
     """
     initial, moves = _order_moves(order, nfa.alphabet, max_states)
     what = f"{order.value} closure"
@@ -1100,63 +1120,6 @@ def closure_regular(nfa: Nfa, order: OrderKind, max_states: int = DEFAULT_MAX_ST
     if dfa is None:
         raise ResourceLimit(f"{what} DFA exceeded {max_states} states")
     return dfa
-
-
-def _last_letter_nfa(alphabet: PriorityAlphabet, letter: str) -> Nfa:
-    """Words whose final letter is the given one (deterministic)."""
-    row = ((), tuple((a, (1,) if a == letter else (0,)) for a in alphabet.letters))
-    return Nfa(alphabet, (row, row), 0, (1,))
-
-
-def _closure_from_skeletons(
-    alphabet: PriorityAlphabet,
-    order: OrderKind,
-    skeleton: Callable[[str | None], Nfa],
-    with_empty: bool,
-    max_states: int,
-) -> Nfa:
-    """The closure of a model's language L from the model's skeletons.
-
-    A model kind only builds skeletons; this does everything after.
-    ``skeleton(None)`` contains L, the empty word included when L has
-    it, and lies inside L's block closure.  ``skeleton(a)`` contains L_a,
-    the nonempty words of L that end in a, and lies inside the absorbing
-    block closure of L_a over ``flatten(alphabet)``.  A skeleton may
-    carry any alphabet with the same letters; only its language is
-    read.  ``with_empty`` says whether L holds the empty word, and only
-    priority order reads it.  ``max_states`` caps every stage.
-
-    In subword and block order the result is the closure of
-    ``skeleton(None)``: a block embedding is a subword embedding, so the
-    skeleton lies inside L's closure in both orders and has the same one.
-
-    In priority order each ``skeleton(a)`` is reduced and clamped to the
-    words ending in a, the pieces are joined, with the empty word when L
-    has it, and the union is closed.  Let S_a be the clamped piece.
-      - S_a contains L_a.
-      - Every word of S_a is absorbing-block-below some word of L_a over
-        the flat alphabet, and both words end in a.
-      - On a flat alphabet, absorbing-block-below with the same last
-        letter implies priority-below.
-      - ``flatten`` only breaks ties between equal priorities, so a flat
-        priority embedding is also one under the original priorities.
-    Hence the priority closure of S_a equals that of L_a, and no block
-    closure of the pieces is needed.  Adding the empty word is exact,
-    as ↓(S ∪ {ε}) = ↓S ∪ {ε} in every order.
-    """
-    if order is not OrderKind.PRIORITY:
-        return closure_regular(replace(skeleton(None), alphabet=alphabet), order, max_states)
-    joined = nfa_for_words(alphabet, [()] if with_empty else [])
-    for letter in alphabet.letters:
-        clamped = nfa_intersect(
-            nfa_reduce(replace(skeleton(letter), alphabet=alphabet)),
-            _last_letter_nfa(alphabet, letter),
-            max_states,
-        )
-        # unioning in an empty piece would only add an initial state
-        if clamped.finals:
-            joined = nfa_union(joined, clamped) if joined.finals else clamped
-    return closure_regular(joined, OrderKind.PRIORITY, max_states)
 
 
 def _state_names(nfa: Nfa) -> Sequence[str]:

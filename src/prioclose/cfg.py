@@ -1,12 +1,11 @@
 """Context-free grammars, Kleene grammars, and their downward closures.
 
-``cfg_closure`` builds a grammar's skeletons in stages: normalize to a
+``cfg_closure`` builds a grammar's skeleton in stages: normalize to a
 binary normal form over the flattened alphabet, single out the letter
 runs that can repeat around a self-embedding nonterminal, rebuild them
 as starred productions of a Kleene grammar, and turn acyclic derivations
-of that grammar into an NFA.  For priority order the same is done for
-the words ending in each letter.  ``automata`` closes the skeletons in
-every order.  Pump ends and repeats are
+of that grammar into an NFA.  That one skeleton serves every order, and
+``automata.closure_regular`` closes it.  Pump ends and repeats are
 extracted with letter transducers over a marker-extended alphabet.  Each
 joins two half-pump gadgets at the seam: ``_outer`` keeps a half's ends,
 ``_pick`` one of its repeatable runs, and ``_check`` only checks its top
@@ -25,12 +24,11 @@ from typing import Mapping
 from .automata import (
     Nfa,
     Transducer,
-    _closure_from_skeletons,
     _explore,
-    _last_letter_nfa,
     _name,
     _names,
     _state_names,
+    closure_regular,
     nfa_for_words,
     nfa_union,
 )
@@ -992,30 +990,24 @@ def acyclic_nfa(h: KleeneGrammar, max_states: int = DEFAULT_MAX_STATES) -> Nfa:
 def cfg_closure(g: Cfg, order: OrderKind, max_states: int = DEFAULT_MAX_STATES) -> Nfa:
     """NFA for the downward closure of the grammar's language under the order.
 
-    The skeletons are acyclic NFAs of Kleene closure grammars over the
-    flattened alphabet: of the whole grammar, with the empty word added
-    back when the grammar derives it, or of the words ending in one
-    letter, cut out of it by a transduction.  Each contains its words
-    and lies inside their block closure, as
-    ``automata._closure_from_skeletons`` requires, and that closes them.
+    The skeleton is the acyclic NFA of the grammar's Kleene closure
+    grammar over the flattened alphabet, with the empty word added back
+    when the grammar derives it.  It contains the language and lies
+    inside its block closure, and each of its nonempty words lies
+    absorbing-block-below a word of the language with the same last
+    letter over the flattened alphabet, as the right marker keeps the
+    tail after the last separator.  That is what
+    ``automata.closure_regular`` requires, and it closes the skeleton in
+    every order.
     """
     flat = flatten(g.alphabet)
-    normal = to_cnf(replace(g, alphabet=flat))
-    cnf, had_empty = normal
-
-    def skeleton(letter: str | None) -> Nfa:
-        words = cnf
-        if letter is not None:
-            group = _transduce_cnf(_identity(_last_letter_nfa(flat, letter)), normal, max_states)
-            words, _ = to_cnf(group)
-        out = nfa_for_words(flat, [])
-        if words.productions:
-            out = acyclic_nfa(_kleene(words, frozenset(), max_states=max_states), max_states)
-        if letter is None and had_empty:
-            out = nfa_union(out, nfa_for_words(flat, [()]))
-        return out
-
-    return _closure_from_skeletons(g.alphabet, order, skeleton, had_empty, max_states)
+    cnf, had_empty = to_cnf(replace(g, alphabet=flat))
+    skeleton = nfa_for_words(flat, [])
+    if cnf.productions:
+        skeleton = acyclic_nfa(_kleene(cnf, frozenset(), max_states=max_states), max_states)
+    if had_empty:
+        skeleton = nfa_union(skeleton, nfa_for_words(flat, [()]))
+    return closure_regular(replace(skeleton, alphabet=g.alphabet), order, max_states)
 
 
 cfg_block_closure = partial(cfg_closure, order=OrderKind.BLOCK)

@@ -1,8 +1,8 @@
 """One-counter automata and their downward-closure constructions.
 
-``oca_closure`` builds a machine's skeleton NFAs, which track counter
-values inside their state space up to a polynomial cap, and ``automata``
-closes them in every order; the bounded semantics used by tests and
+``oca_closure`` builds a machine's skeleton NFA, which tracks counter
+values inside its state space up to a polynomial cap, and ``automata``
+closes it in every order; the bounded semantics used by tests and
 oracles caps the counter explicitly instead.
 """
 
@@ -16,7 +16,6 @@ from typing import Hashable, Iterable, Mapping
 from .automata import (
     Nfa,
     _check_ends,
-    _closure_from_skeletons,
     _dot,
     _enumerate_walk,
     _explore,
@@ -25,6 +24,7 @@ from .automata import (
     _name,
     _names,
     _parse_edge,
+    closure_regular,
 )
 from .core import DEFAULT_MAX_STATES, OrderKind, PriorityAlphabet, Word
 
@@ -387,47 +387,22 @@ def _glue_nfa(oca: Oca | SimpleOca, max_states: int = DEFAULT_MAX_STATES) -> Nfa
     )
 
 
-def _last_letter_oca(oca: Oca | SimpleOca, letter: str) -> Oca:
-    """Product with the two-state tracker of whether the last letter
-    read so far is the chosen one."""
-    alphabet, states, edges, initial, finals, mode = _machine_parts(oca)
-
-    def name(q: str, bit: int) -> str:
-        return f"{q}~{bit}"
-
-    tracked = []
-    for src, label, op, dst in edges:
-        for bit in (0, 1):
-            nxt = bit if label is None else (1 if label == letter else 0)
-            tracked.append((name(src, bit), label, op, name(dst, nxt)))
-    return Oca(
-        alphabet,
-        tuple(name(q, bit) for q in states for bit in (0, 1)),
-        tuple(tracked),
-        name(initial, 0),
-        tuple(name(f, 1) for f in finals),
-        mode,
-    )
-
-
 def oca_closure(
     oca: Oca | SimpleOca, order: OrderKind, max_states: int = DEFAULT_MAX_STATES
 ) -> Nfa:
     """NFA for the downward closure of the machine's language under the order.
 
-    The skeletons are glued skeletons: of the machine, which holds the
-    empty word when the machine accepts it, or of the machine restricted
-    to words ending in one letter.  Each contains its words and lies
-    inside their block closure.  The glue construction never reads
-    priorities, so this holds over the flattened alphabet as well, as
-    ``automata._closure_from_skeletons`` requires, and that closes them.
+    The skeleton is the machine's glued skeleton.  It contains the
+    language, the empty word included when the machine accepts it, and
+    lies inside its block closure, and each of its nonempty words lies
+    absorbing-block-below a word of the language with the same last
+    letter, as the glue repeats a run's cycles in place.  The glue
+    construction never reads priorities, so this holds over the
+    flattened alphabet as well.  That is what
+    ``automata.closure_regular`` requires, and it closes the skeleton in
+    every order.
     """
-
-    def skeleton(letter: str | None) -> Nfa:
-        return _glue_nfa(oca if letter is None else _last_letter_oca(oca, letter), max_states)
-
-    with_empty = oca_accepts_bounded(oca, (), counter_cap=len(oca.states) ** 2)
-    return _closure_from_skeletons(oca.alphabet, order, skeleton, with_empty, max_states)
+    return closure_regular(_glue_nfa(oca, max_states), order, max_states)
 
 
 oca_block_closure = partial(oca_closure, order=OrderKind.BLOCK)

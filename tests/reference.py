@@ -2,12 +2,15 @@
 
 These deliberately mirror the definitions rather than the production
 algorithms: the block check enumerates every witness map, the priority
-check enumerates every position embedding, and the block controller is
-one stack of matching frames rather than one minimal machine per level.
+check enumerates every position embedding, the block controller is one
+stack of matching frames rather than one minimal machine per level, and
+the priority closure of a grammar or counter machine is built from one
+skeleton per last letter rather than from the model's one skeleton.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import lru_cache
 from itertools import combinations, product
 
@@ -23,10 +26,26 @@ from prioclose.automata import (
     _START,
     _XMID,
     _XSTART,
+    Nfa,
     _explore,
     _minimal_dfa,
+    closure_regular,
+    nfa_for_words,
+    nfa_intersect,
+    nfa_reduce,
+    nfa_union,
 )
-from prioclose.core import PriorityAlphabet, Word, block_decompose, max_priority
+from prioclose.cfg import Cfg, _identity, _kleene, acyclic_nfa, apply_transducer_to_cfg, to_cnf
+from prioclose.core import (
+    DEFAULT_MAX_STATES,
+    OrderKind,
+    PriorityAlphabet,
+    Word,
+    block_decompose,
+    flatten,
+    max_priority,
+)
+from prioclose.oca import Oca, SimpleOca, _glue_nfa, _machine_parts, oca_accepts_bounded
 
 
 def subword_ref(u: Word, v: Word) -> bool:
@@ -249,3 +268,81 @@ def minimal_stack_controller(profile: tuple[int, ...]) -> tuple:
         classes = tuple((s, target.get(f"+{s}", -1), target.get(f"-{s}", -1)) for s in profile)
         rows.append((q in dfa.finals, classes))
     return tuple(rows)
+
+
+def _last_letter_nfa(alphabet: PriorityAlphabet, letter: str) -> Nfa:
+    """Words whose final letter is the given one (deterministic)."""
+    row = ((), tuple((a, (1,) if a == letter else (0,)) for a in alphabet.letters))
+    return Nfa(alphabet, (row, row), 0, (1,))
+
+
+def _last_letter_oca(oca: Oca | SimpleOca, letter: str) -> Oca:
+    """Product with the two-state tracker of whether the last letter
+    read so far is the chosen one."""
+    alphabet, states, edges, initial, finals, mode = _machine_parts(oca)
+
+    def name(q: str, bit: int) -> str:
+        return f"{q}~{bit}"
+
+    tracked = []
+    for src, label, op, dst in edges:
+        for bit in (0, 1):
+            nxt = bit if label is None else (1 if label == letter else 0)
+            tracked.append((name(src, bit), label, op, name(dst, nxt)))
+    return Oca(
+        alphabet,
+        tuple(name(q, bit) for q in states for bit in (0, 1)),
+        tuple(tracked),
+        name(initial, 0),
+        tuple(name(f, 1) for f in finals),
+        mode,
+    )
+
+
+def per_letter_priority_closure(
+    model: Cfg | Oca | SimpleOca, max_states: int = DEFAULT_MAX_STATES
+) -> Nfa:
+    """Priority closure of a grammar or counter machine, one skeleton per
+    last letter.
+
+    For each letter a, the model is restricted to its nonempty words
+    ending in a (a grammar by a transduction over the flattened alphabet,
+    a counter machine by a last-letter tracker), that restriction's
+    skeleton is built, reduced and clamped to the words ending in a, and
+    the pieces are joined, with the empty word when the model has it.
+    Each piece lies absorbing-block-below the model's words ending in a
+    over the flattened alphabet, so the union has the model's priority
+    closure.  A counter machine's empty word is decided with the counter
+    capped at the square of its state count.
+    """
+    alphabet = model.alphabet
+    if isinstance(model, Cfg):
+        flat = flatten(alphabet)
+        flat_model = replace(model, alphabet=flat)
+        _, with_empty = to_cnf(flat_model)
+
+        def skeleton(letter: str) -> Nfa:
+            group = apply_transducer_to_cfg(
+                _identity(_last_letter_nfa(flat, letter)), flat_model, max_states
+            )
+            words, _ = to_cnf(group)
+            if not words.productions:
+                return nfa_for_words(flat, [])
+            return acyclic_nfa(_kleene(words, frozenset(), max_states=max_states), max_states)
+
+    else:
+        with_empty = oca_accepts_bounded(model, (), counter_cap=len(model.states) ** 2)
+
+        def skeleton(letter: str) -> Nfa:
+            return _glue_nfa(_last_letter_oca(model, letter), max_states)
+
+    joined = nfa_for_words(alphabet, [()] if with_empty else [])
+    for letter in alphabet.letters:
+        clamped = nfa_intersect(
+            nfa_reduce(replace(skeleton(letter), alphabet=alphabet)),
+            _last_letter_nfa(alphabet, letter),
+            max_states,
+        )
+        if clamped.finals:
+            joined = nfa_union(joined, clamped) if joined.finals else clamped
+    return closure_regular(joined, OrderKind.PRIORITY, max_states)

@@ -290,7 +290,7 @@ class TestApplyTransducer:
         with pytest.raises(ResourceLimit, match="grammar transduction exceeded 2 states"):
             apply_transducer_to_cfg(subword_transducer(AB0), anbn(), max_states=2)
 
-    def test_priority_closure_caps_the_last_letter_split(self):
+    def test_priority_closure_caps_the_kleene_rebuild(self):
         with pytest.raises(ResourceLimit, match="grammar transduction exceeded 3 states"):
             cfg_priority_closure(flagship(), max_states=3)
 

@@ -4,14 +4,16 @@
 ``_order_moves``, which builds one table per priority profile and expands
 it to an alphabet's letters.  These tests check it against the public
 transducers, cold and warm, on two alphabets with one profile, check
-that the state cap counts the product's merged states, and pin the
-minimal DFA of a product whose subset construction passes its size.
+that a sparse priority closes like its rank, that the state cap counts
+the product's merged states, and pin the minimal DFA of a product whose
+subset construction passes its size.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -68,6 +70,15 @@ def test_tables_match_the_transducers(order, seed, monkeypatch):
         assert cold[-1] == expect
     # warm: the table now cached was built for the other alphabet's letters
     assert [closure_regular(nfa, order) for nfa in nfas] == cold
+
+
+@pytest.mark.parametrize("order", list(OrderKind), ids=lambda o: o.value)
+def test_sparse_priorities_close_like_their_ranks(order):
+    dense = ALPHABETS[0]
+    sparse = PriorityAlphabet.from_map({"a": 0, "b": 10**9})
+    nfa = nfa_parse(CYCLE_BESIDE_1, dense)
+    expected = replace(closure_regular(nfa, order), alphabet=sparse)
+    assert closure_regular(replace(nfa, alphabet=sparse), order) == expected
 
 
 @pytest.mark.parametrize("order", ["subword", "priority"])
