@@ -1100,9 +1100,10 @@ def closure_regular(nfa: Nfa, order: OrderKind, max_states: int = DEFAULT_MAX_ST
         and S is empty when L is.  So S lies inside L's priority
         closure, and has L's priority closure.
 
-    The input goes through ``nfa_reduce``, then one product with the
-    order's table, built once per priority profile (``_order_moves``),
-    and the product's rows go straight to ``_minimal_dfa``.  The product
+    The input goes unreduced into one product with the order's table,
+    built once per priority profile (``_order_moves``), and the
+    product's rows go straight to ``_minimal_dfa``; a caller whose
+    skeleton shrinks under ``nfa_reduce`` reduces it first.  The product
     merges the states that a table state joins into one epsilon cycle by
     dropping every letter of an NFA cycle in place (``_merged_product``):
     a cycle closes to the star of its letters.  Merging the states of an
@@ -1115,7 +1116,7 @@ def closure_regular(nfa: Nfa, order: OrderKind, max_states: int = DEFAULT_MAX_ST
     """
     initial, moves = _order_moves(order, nfa.alphabet, max_states)
     what = f"{order.value} closure"
-    rows, finals = _merged_product(nfa_reduce(nfa), initial, moves, max_states, f"{what} product")
+    rows, finals = _merged_product(nfa, initial, moves, max_states, f"{what} product")
     dfa = _minimal_dfa(nfa.alphabet, rows, 0, finals, max_states)
     if dfa is None:
         raise ResourceLimit(f"{what} DFA exceeded {max_states} states")

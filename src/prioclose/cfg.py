@@ -10,8 +10,8 @@ extracted with letter transducers over a marker-extended alphabet.  Each
 joins two half-pump gadgets at the seam: ``_outer`` keeps a half's ends,
 ``_pick`` one of its repeatable runs, and ``_check`` only checks its top
 priority.
-The letters that can stand on either side of a pump's seam come from one
-least fixpoint over the seam-marked pump grammar, with no automaton.
+The letters on either side of a pump come from one pass over the
+grammar's strongly connected components (``_pump_sides``).
 """
 
 from __future__ import annotations
@@ -24,12 +24,14 @@ from typing import Mapping
 from .automata import (
     Nfa,
     Transducer,
+    _components,
     _explore,
     _name,
     _names,
     _state_names,
     closure_regular,
     nfa_for_words,
+    nfa_reduce,
     nfa_union,
 )
 from .core import (
@@ -717,57 +719,61 @@ def repeats_grammars(g: Cfg, x: str, r: int, s: int) -> tuple[Cfg, Cfg]:
     )
 
 
-def _mid_sides(g: Cfg, mid: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Letters before, respectively after, a ``mid`` in the words of g.
+def _pump_sides(cnf: Cfg) -> dict[str, tuple[tuple[str, ...], tuple[str, ...]]]:
+    """Per nonterminal x of a pruned binary grammar (``to_cnf``'s), the
+    letters left respectively right of x in its pumps x =>+ u x v.
 
-    One least fixpoint over a pruned grammar, in the style of the
-    useful-symbol analyses (Hopcroft & Ullman, §7.4).  ``occurs`` holds
-    the letters of each symbol's words.  ``sides`` holds, for each symbol
-    whose words can contain ``mid``, the letters that can stand left and
-    right of it: a rule N -> X1...Xk with such an Xi gives N those of Xi,
-    plus what X1...Xi-1 hold on the left and Xi+1...Xk on the right.
-    Every other item derives some word because the grammar is pruned, so
-    the sets are exact.
+    A pump's spine, from x down to the x it derives, stays in x's
+    strongly connected component, as each spine symbol reaches x and is
+    reached from it.  So a rule y -> A B with y and B in the component
+    puts A's letters on the left, one with y and A in it B's on the
+    right, and no other rule lies on a spine.  The sets are exact, since
+    every symbol of a pruned grammar derives a word: x some u y v, A one
+    with any of its letters, B some u' x v'.  Both are empty exactly when
+    x lies on no cycle, as every nonterminal derives a nonempty word.
+    ``automata._components`` yields each component after those it
+    reaches, so the same pass collects the letters ``occurs`` in words.
     """
-    occurs: dict[str, set[str]] = {a: {a} for a in g.alphabet.letters}
-    occurs.update((n, set()) for n in g.nonterminals)
-    sides: dict[str, tuple[set[str], set[str]]] = {mid: (set(), set())}
-    changed = True
-    while changed:
-        changed = False
-        for lhs, rhs in g.productions:
-            seen = occurs[lhs]
-            size = len(seen)
-            for sym in rhs:
-                seen |= occurs[sym]
-            changed = changed or len(seen) != size
-            for i, sym in enumerate(rhs):
-                if sym not in sides:
-                    continue
-                if lhs not in sides:
-                    sides[lhs] = (set(), set())
-                    changed = True
-                left, right = sides[lhs]
-                more_left = sides[sym][0].union(*(occurs[s] for s in rhs[:i]))
-                more_right = sides[sym][1].union(*(occurs[s] for s in rhs[i + 1 :]))
-                if not (more_left <= left and more_right <= right):
-                    left |= more_left
-                    right |= more_right
-                    changed = True
-    left, right = sides.get(g.start, ((), ()))
-    return (
-        tuple(a for a in g.alphabet.letters if a in left),
-        tuple(a for a in g.alphabet.letters if a in right),
-    )
+    nts = cnf.nonterminals
+    index = {n: i for i, n in enumerate(nts)}
+    occurs: list[set[str]] = [set() for _ in nts]
+    succ: list[list[int]] = [[] for _ in nts]
+    for lhs, rhs in cnf.productions:
+        if len(rhs) == 1:
+            occurs[index[lhs]].add(rhs[0])
+        else:
+            succ[index[lhs]] += (index[rhs[0]], index[rhs[1]])
+    # no successor, no component: -1 reads the spare last sides, which stay empty
+    component = [-1] * len(nts)
+    sides = [(set(), set()) for _ in range(len(nts) + 1)]
+    for c, members in enumerate(_components(succ)):
+        seen = set().union(*(occurs[w] for m in members for w in (m, *succ[m])))
+        for m in members:
+            component[m] = c
+            occurs[m] = seen
+    for y, targets in enumerate(succ):
+        left, right = sides[component[y]]
+        for a, b in zip(targets[::2], targets[1::2]):
+            if component[b] == component[y]:
+                left |= occurs[a]
+            if component[a] == component[y]:
+                right |= occurs[b]
+    letters = cnf.alphabet.letters
+    return {
+        n: tuple(tuple(a for a in letters if a in side) for side in sides[component[i]])
+        for i, n in enumerate(nts)
+    }
 
 
 def side_alphabets(g: Cfg, x: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """Letters that can recur left respectively right of pumps at ``x``.
 
-    They are read off the seam-marked pump grammar by one grammar
-    fixpoint, ``_mid_sides``: the letters before and after the seam.
+    They are those before and after the seam of ``pump_pair_grammar``,
+    read off by ``_pump_sides``; a nonterminal pruned away has none.
     """
-    return _mid_sides(pump_pair_grammar(g, x), HatAlphabet.extend(g.alphabet).mid)
+    if x not in g.nonterminals:
+        raise ValueError(f"nonterminal {x!r} not declared")
+    return _pump_sides(to_cnf(g)[0]).get(x, ((), ()))
 
 
 def _kleene_base(cnf: Cfg, protected: frozenset[str]) -> KleeneGrammar:
@@ -779,14 +785,14 @@ def _kleene_base(cnf: Cfg, protected: frozenset[str]) -> KleeneGrammar:
     """
     letters = set(cnf.alphabet.letters)
     taken = set(cnf.nonterminals) | letters
-    hat = HatAlphabet.extend(cnf.alphabet)
     cl = {x: _fresh(f"C.{x}", taken) for x in cnf.nonterminals}
     mid = {x: _fresh(f"M.{x}", taken) for x in cnf.nonterminals}
     lt = {x: _fresh(f"L.{x}", taken) for x in cnf.nonterminals}
     rt = {x: _fresh(f"R.{x}", taken) for x in cnf.nonterminals}
     prods: list[tuple[str, tuple[KItem, ...]]] = []
+    sides = _pump_sides(cnf)
     for x in cnf.nonterminals:
-        gl, gr = _mid_sides(_pump_from_cnf(cnf, x, hat), hat.mid)
+        gl, gr = sides[x]
         for a in gl:
             prods.append((lt[x], ((LIT, a),)))
         for a in gr:
@@ -819,10 +825,7 @@ def _renamed(
 
 
 def _kleene(
-    cnf: Cfg,
-    protected: frozenset[str],
-    stats: dict | None = None,
-    max_states: int = DEFAULT_MAX_STATES,
+    cnf: Cfg, protected: frozenset[str], max_states: int = DEFAULT_MAX_STATES
 ) -> KleeneGrammar:
     """Recursive Kleene rebuild; see kleene_closure_grammar.
 
@@ -831,16 +834,8 @@ def _kleene(
     """
     alpha = cnf.alphabet
     p = alpha.max_assigned_priority
-    if stats is not None:
-        stats["n"] = len(cnf.nonterminals)
-        stats["p"] = p
-        stats["pairs"] = 0
-        stats["inner"] = []
     if p == 0:
-        out = _kleene_base(cnf, protected)
-        if stats is not None:
-            stats["result"] = len(out.nonterminals)
-        return out
+        return _kleene_base(cnf, protected)
     letters = set(alpha.letters)
     taken = set(cnf.nonterminals) | letters
     prods: list[tuple[str, tuple[KItem, ...]]] = [
@@ -855,13 +850,12 @@ def _kleene(
             prods.append((z[pri], ((LIT, alpha.letters_of(pri)[0]),)))
     hat = HatAlphabet.extend(alpha)
     counter = 0
+    sides = _pump_sides(cnf)
     for x in cnf.nonterminals:
-        marked = _pump_from_cnf(cnf, x, hat)
-        # Every pump word holds the seam once, so a side letter means a
-        # pump other than the bare seam.
-        if not any(_mid_sides(marked, hat.mid)):
+        # only a nonterminal on a cycle has a pump other than the bare seam
+        if not any(sides[x]):
             continue
-        pump = to_cnf(marked)
+        pump = to_cnf(_pump_from_cnf(cnf, x, hat))
         for r in range(p + 1):
             if r >= 1 and not alpha.letters_of(r):
                 continue
@@ -874,10 +868,7 @@ def _kleene(
                 counter += 1
                 tag = f"k{counter}"
                 inner_protected = protected | {hat.mid, hat.left, hat.right}
-                ends_closed = _kleene(ends_cnf, inner_protected, max_states=max_states)
-                if stats is not None:
-                    stats["pairs"] += 1
-                    stats["inner"].append(len(ends_closed.nonterminals))
+                ends_closed = _kleene(ends_cnf, inner_protected, max_states)
                 # A positive-priority run leaves its closing separator out,
                 # because the wrapper below appends z[pri] itself.
                 side_starts: dict[str, str | None] = {}
@@ -888,9 +879,7 @@ def _kleene(
                     wrapper = _fresh(f"W{counter}.{side}", taken)
                     have_any = False
                     if run_cnf.productions:
-                        closed = _kleene(run_cnf, protected, max_states=max_states)
-                        if stats is not None:
-                            stats["inner"].append(len(closed.nonterminals))
+                        closed = _kleene(run_cnf, protected, max_states)
                         run_start, run_prods = _renamed(closed, f"{tag}.{side}")
                         prods.extend(run_prods)
                         if pri == 0:
@@ -922,10 +911,7 @@ def _kleene(
                         prods.append((head, rhs))
                 prods.append((x, ((NT, ends_start),)))
     kept, pruned = _prune(prods, cnf.start)
-    out = KleeneGrammar(alpha, tuple(kept), tuple(pruned), cnf.start)
-    if stats is not None:
-        stats["result"] = len(out.nonterminals)
-    return out
+    return KleeneGrammar(alpha, tuple(kept), tuple(pruned), cnf.start)
 
 
 def kleene_closure_grammar(g: Cfg) -> KleeneGrammar:
@@ -998,7 +984,8 @@ def cfg_closure(g: Cfg, order: OrderKind, max_states: int = DEFAULT_MAX_STATES) 
     letter over the flattened alphabet, as the right marker keeps the
     tail after the last separator.  That is what
     ``automata.closure_regular`` requires, and it closes the skeleton in
-    every order.
+    every order, after ``nfa_reduce``: a ring grammar's skeleton of
+    3,694 states reduces to 10.
     """
     flat = flatten(g.alphabet)
     cnf, had_empty = to_cnf(replace(g, alphabet=flat))
@@ -1007,7 +994,7 @@ def cfg_closure(g: Cfg, order: OrderKind, max_states: int = DEFAULT_MAX_STATES) 
         skeleton = acyclic_nfa(_kleene(cnf, frozenset(), max_states=max_states), max_states)
     if had_empty:
         skeleton = nfa_union(skeleton, nfa_for_words(flat, [()]))
-    return closure_regular(replace(skeleton, alphabet=g.alphabet), order, max_states)
+    return closure_regular(nfa_reduce(replace(skeleton, alphabet=g.alphabet)), order, max_states)
 
 
 cfg_block_closure = partial(cfg_closure, order=OrderKind.BLOCK)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import Hashable, Iterable, Mapping
+from typing import Callable, Hashable, Iterable, Mapping
 
 from .automata import (
     Nfa,
@@ -20,7 +20,6 @@ from .automata import (
     _enumerate_walk,
     _explore,
     _letters_to_final,
-    _moves,
     _name,
     _names,
     _parse_edge,
@@ -249,20 +248,20 @@ def oca_enumerate(
     )
 
 
-def soca_closure_nfa(soca: SimpleOca, max_states: int = DEFAULT_MAX_STATES) -> Nfa:
-    """Three-mode NFA sandwiched between the language and its block closure.
+def _soca_moves(soca: SimpleOca):
+    """Initial key and ``successors`` of the three-mode NFA sandwiched
+    between the language and its block closure.
 
-    Mode 1 simulates exactly while the counter stays <= K; the increment
-    crossing K switches to mode 2, which tracks it up to U = K^2+K+1 and
-    may additionally run spontaneous state loops that ignore counter
-    updates; a decrement from K+1 may switch to mode 3, which again
-    simulates exactly below K.  Spontaneous loops store the counter they
-    froze so returning cannot jump it.
+    Mode 1 simulates exactly while the counter stays <= K, the machine's
+    state count; the increment crossing K switches to mode 2, which
+    tracks it up to U = K^2+K+1 and may additionally run spontaneous
+    state loops that ignore counter updates; a decrement from K+1 may
+    switch to mode 3, which again simulates exactly below K.
+    Spontaneous loops store the counter they froze so returning cannot
+    jump it.
 
     The key (mode, q, c) is state q with counter c in mode 1, 2 or 3;
     (anchor, q, c) is a loop from state ``anchor`` that has reached q.
-    The result is trimmed, and more than ``max_states`` states raise
-    ResourceLimit.
     """
     k = len(soca.states)
     cap_u = k * k + k + 1
@@ -296,9 +295,13 @@ def soca_closure_nfa(soca: SimpleOca, max_states: int = DEFAULT_MAX_STATES) -> N
             moves.append((None, (q, q, c)))
         return mode != 2 and q == soca.final and c == 0, moves
 
-    return _explore(
-        soca.alphabet, (1, soca.initial, 0), successors, max_states, "one-counter skeleton"
-    )
+    return (1, soca.initial, 0), successors
+
+
+def soca_closure_nfa(soca: SimpleOca, max_states: int = DEFAULT_MAX_STATES) -> Nfa:
+    """Trimmed NFA of ``_soca_moves``; more than ``max_states`` states
+    raise ResourceLimit."""
+    return _explore(soca.alphabet, *_soca_moves(soca), max_states, "one-counter skeleton")
 
 
 def _trim_soca(soca: SimpleOca) -> SimpleOca | None:
@@ -332,14 +335,15 @@ def _trim_soca(soca: SimpleOca) -> SimpleOca | None:
 def _glue_nfa(oca: Oca | SimpleOca, max_states: int = DEFAULT_MAX_STATES) -> Nfa:
     """Skeleton of zero tests with closure-approximating pieces glued in.
 
-    Pieces are the three-mode NFAs of the zero-test-free fragments
-    between zero configurations; anyCounter acceptance routes drained
-    variants (a spontaneous discarding decrement at the final state)
-    into one fresh global final.
+    Pieces are the three-mode NFAs of the trimmed zero-test-free
+    fragments between zero configurations; anyCounter acceptance routes
+    drained variants (a spontaneous discarding decrement at the final
+    state) into one fresh global final.
 
-    The key ("z", q) is state q at a zero configuration, (i, p) is state
-    p of piece i, and None is the global final.  The result is trimmed,
-    and ``max_states`` caps it and each piece.
+    The key ("z", q) is state q at a zero configuration, (i, k) is key k
+    of piece i's ``_soca_moves``, and None is the global final.  One walk
+    explores the pieces with the rest; the result is trimmed, and
+    ``max_states`` caps it.
     """
     alphabet, states, edges, initial, finals, mode = _machine_parts(oca)
     zero_free = tuple(e for e in edges if e[2] is not CounterOp.ZERO)
@@ -352,14 +356,14 @@ def _glue_nfa(oca: Oca | SimpleOca, max_states: int = DEFAULT_MAX_STATES) -> Nfa
     zero_moves: dict[str, list[tuple[str | None, Hashable]]] = {q: [] for q in states}
     for src, label, _, dst in zero_edges:
         zero_moves[src].append((label, ("z", dst)))
-    pieces: list[tuple[tuple, set[int], Hashable]] = []  # adjacency, finals, exit
+    pieces: list[tuple[Callable, Hashable]] = []  # successors, exit
 
     def glue(entry: str, soca: SimpleOca, exit_key: Hashable) -> None:
         trimmed = _trim_soca(soca)
         if trimmed is not None:
-            piece = soca_closure_nfa(trimmed, max_states)
-            zero_moves[entry].append((None, (len(pieces), piece.initial)))
-            pieces.append((piece.adjacency, set(piece.finals), exit_key))
+            start, moves = _soca_moves(trimmed)
+            zero_moves[entry].append((None, (len(pieces), start)))
+            pieces.append((moves, exit_key))
 
     for p in sorted(sources):
         for q in sorted(sinks):
@@ -376,9 +380,10 @@ def _glue_nfa(oca: Oca | SimpleOca, max_states: int = DEFAULT_MAX_STATES) -> Nfa
         i, q = key
         if i == "z":
             return q in zero_finals, zero_moves[q]
-        adj, piece_finals, exit_key = pieces[i]
-        moves = [(label, (i, dst)) for label, dst in _moves(adj[q])]
-        if q in piece_finals:
+        piece_moves, exit_key = pieces[i]
+        final, targets = piece_moves(q)
+        moves = [(label, (i, dst)) for label, dst in targets]
+        if final:
             moves.append((None, exit_key))
         return False, moves
 

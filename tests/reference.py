@@ -5,7 +5,9 @@ algorithms: the block check enumerates every witness map, the priority
 check enumerates every position embedding, the block controller is one
 stack of matching frames rather than one minimal machine per level, and
 the priority closure of a grammar or counter machine is built from one
-skeleton per last letter rather than from the model's one skeleton.
+skeleton per last letter rather than from the model's one skeleton, and
+the side letters of a pump come from a fixpoint over the seam-marked pump
+grammar rather than from the grammar's components.
 """
 
 from __future__ import annotations
@@ -35,7 +37,16 @@ from prioclose.automata import (
     nfa_reduce,
     nfa_union,
 )
-from prioclose.cfg import Cfg, _identity, _kleene, acyclic_nfa, apply_transducer_to_cfg, to_cnf
+import prioclose.cfg as cfg_module
+from prioclose.cfg import (
+    Cfg,
+    KleeneGrammar,
+    _identity,
+    _kleene,
+    acyclic_nfa,
+    apply_transducer_to_cfg,
+    to_cnf,
+)
 from prioclose.core import (
     DEFAULT_MAX_STATES,
     OrderKind,
@@ -346,3 +357,79 @@ def per_letter_priority_closure(
         if clamped.finals:
             joined = nfa_union(joined, clamped) if joined.finals else clamped
     return closure_regular(joined, OrderKind.PRIORITY, max_states)
+
+
+def mid_sides(g: Cfg, mid: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Letters before, respectively after, a ``mid`` in the words of g.
+
+    One least fixpoint over a pruned grammar, in the style of the
+    useful-symbol analyses (Hopcroft & Ullman, §7.4).  ``occurs`` holds
+    the letters of each symbol's words.  ``sides`` holds, for each symbol
+    whose words can contain ``mid``, the letters that can stand left and
+    right of it: a rule N -> X1...Xk with such an Xi gives N those of Xi,
+    plus what X1...Xi-1 hold on the left and Xi+1...Xk on the right.
+    Every other item derives some word because the grammar is pruned, so
+    the sets are exact.  On the seam-marked pump grammar of x they are
+    the letters left and right of x in its pumps.
+    """
+    occurs: dict[str, set[str]] = {a: {a} for a in g.alphabet.letters}
+    occurs.update((n, set()) for n in g.nonterminals)
+    sides: dict[str, tuple[set[str], set[str]]] = {mid: (set(), set())}
+    changed = True
+    while changed:
+        changed = False
+        for lhs, rhs in g.productions:
+            seen = occurs[lhs]
+            size = len(seen)
+            for sym in rhs:
+                seen |= occurs[sym]
+            changed = changed or len(seen) != size
+            for i, sym in enumerate(rhs):
+                if sym not in sides:
+                    continue
+                if lhs not in sides:
+                    sides[lhs] = (set(), set())
+                    changed = True
+                left, right = sides[lhs]
+                more_left = sides[sym][0].union(*(occurs[s] for s in rhs[:i]))
+                more_right = sides[sym][1].union(*(occurs[s] for s in rhs[i + 1 :]))
+                if not (more_left <= left and more_right <= right):
+                    left |= more_left
+                    right |= more_right
+                    changed = True
+    left, right = sides.get(g.start, ((), ()))
+    return (
+        tuple(a for a in g.alphabet.letters if a in left),
+        tuple(a for a in g.alphabet.letters if a in right),
+    )
+
+
+def kleene_sizes(cnf: Cfg) -> tuple[int, int, list[int], int]:
+    """Sizes around one ``cfg._kleene`` call on a normalised grammar.
+
+    Returns its nonterminal count n, its top priority p, the nonterminal
+    counts of the grammars that the call closes directly inside it (the
+    pump ends and the runs of each side), and that of its result.  The
+    inner calls are counted by a wrapper that stands in for the module's
+    ``_kleene`` during the call.
+    """
+    inner: list[int] = []
+    depth = 0
+
+    def counted(*args, **kwargs) -> KleeneGrammar:
+        nonlocal depth
+        depth += 1
+        try:
+            out = _kleene(*args, **kwargs)
+        finally:
+            depth -= 1
+        if depth == 0:
+            inner.append(len(out.nonterminals))
+        return out
+
+    cfg_module._kleene = counted
+    try:
+        result = _kleene(cnf, frozenset())
+    finally:
+        cfg_module._kleene = _kleene
+    return len(cnf.nonterminals), cnf.alphabet.max_assigned_priority, inner, len(result.nonterminals)

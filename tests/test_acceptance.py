@@ -43,9 +43,8 @@ from prioclose import (
     subwords_up_to,
     to_cnf,
 )
-from prioclose.cfg import _kleene
 from prioclose.core import flatten
-from reference import all_words, leq_block_ref, leq_priority_ref
+from reference import all_words, kleene_sizes, leq_block_ref, leq_priority_ref
 
 EX = PriorityAlphabet.from_map(
     {"0a": 0, "0b": 0, "1a": 1, "1b": 1, "2a": 2, "2b": 2}
@@ -417,12 +416,10 @@ def test_6_grammar_closures_verify():
         flat = flatten(grammar.alphabet)
         cnf, _ = to_cnf(grammar)
         fcnf = Cfg(flat, cnf.nonterminals, cnf.productions, cnf.start)
-        stats = {}
-        _kleene(fcnf, frozenset(), stats)
-        n, p = stats["n"], stats["p"]
-        biggest = max(stats["inner"], default=1)
+        n, p, inner, result = kleene_sizes(fcnf)
+        biggest = max(inner, default=1)
         allowed = n + n * (p + 1) ** 2 * (3 * biggest + 2) + p + 2
-        assert stats["result"] <= allowed, stats
+        assert result <= allowed, (n, p, inner, result)
 
 
 def test_7_closures_idempotent_and_sound():

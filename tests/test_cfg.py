@@ -32,7 +32,6 @@ from prioclose.cfg import (
     repeats_grammars,
     side_alphabets,
     to_cnf,
-    _kleene,
 )
 from prioclose.core import (
     OrderKind,
@@ -43,7 +42,7 @@ from prioclose.core import (
 )
 from prioclose.oracle import closure_bounded
 
-from reference import leq_block_absorbing_ref
+from reference import kleene_sizes, leq_block_absorbing_ref
 
 w = parse_word
 
@@ -596,13 +595,10 @@ class TestClosureInvariants:
             flat = flatten(g.alphabet)
             cnf, _ = to_cnf(g)
             fcnf = Cfg(flat, cnf.nonterminals, cnf.productions, cnf.start)
-            stats = {}
-            _kleene(fcnf, frozenset(), stats)
-            n = stats["n"]
-            p = stats["p"]
-            biggest = max(stats["inner"], default=1)
+            n, p, inner, result = kleene_sizes(fcnf)
+            biggest = max(inner, default=1)
             allowed = n + n * (p + 1) ** 2 * (3 * biggest + 2) + p + 2
-            assert stats["result"] <= allowed, stats
+            assert result <= allowed, (n, p, inner, result)
 
     def test_expanded_seams_dominated_by_pumps(self):
         cases = [

@@ -3,14 +3,16 @@
 The image of a grammar under the identity transducer of an automaton is
 their intersection, and the identity keeps word lengths, so up to a
 length bound the image's words are exactly the grammar's words that the
-automaton accepts.  The side-letter fixpoint is checked against that
-intersection with small pattern automata.
+automaton accepts.  The reference side-letter fixpoint is checked against
+that intersection with small pattern automata, and the grammar's
+component reading of the pump sides against that fixpoint.
 """
 
 import random
 
 import pytest
 
+import prioclose.cfg as cfg_module
 from prioclose.automata import Nfa, nfa_accepts, nfa_parse
 from prioclose.cfg import (
     LIT,
@@ -19,16 +21,22 @@ from prioclose.cfg import (
     Cfg,
     HatAlphabet,
     _identity,
-    _mid_sides,
     _prune,
     _pruned,
+    _pump_from_cnf,
+    _pump_sides,
     apply_transducer_to_cfg,
+    cfg_closure,
     cfg_enumerate,
     cfg_intersect_regular_empty,
     pump_pair_grammar,
     side_alphabets,
+    to_cnf,
 )
-from prioclose.core import PriorityAlphabet
+from prioclose.core import OrderKind, PriorityAlphabet
+
+from reference import mid_sides
+from test_oracle_enumerate import random_cfg
 
 AB01 = PriorityAlphabet.from_map({"a": 0, "b": 1})
 BOUND = 6
@@ -146,7 +154,34 @@ def test_mid_sides_on_raw_grammars(seed):
     """With a letter that may occur many times, on grammars that keep their
     empty and unit rules."""
     g = _pruned(random_grammar(random.Random(seed)))
-    assert _mid_sides(g, "b") == sides_by_products(g, "b")
+    assert mid_sides(g, "b") == sides_by_products(g, "b")
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_pump_sides_match_the_spine_grammar_fixpoint(seed):
+    rng = random.Random(seed)
+    alphabet = PriorityAlphabet.from_map({"a": 0, "b": 1, "c": 2})
+    hat = HatAlphabet.extend(alphabet)
+    for _ in range(10):
+        cnf, _ = to_cnf(random_cfg(rng, alphabet))
+        sides = _pump_sides(cnf)
+        assert set(sides) == set(cnf.nonterminals)
+        for x in cnf.nonterminals:
+            assert sides[x] == mid_sides(_pump_from_cnf(cnf, x, hat), hat.mid), (cnf, x)
+
+
+def test_kleene_builds_pumps_only_for_recursive_nonterminals(monkeypatch):
+    builds = []
+
+    def counted(*args):
+        builds.append(args[1])
+        return _pump_from_cnf(*args)
+
+    monkeypatch.setattr(cfg_module, "_pump_from_cnf", counted)
+    g = Cfg(AB01, ("S", "A"), (("S", ("A", "b", "A")), ("A", ("a", "b")), ("A", ("a",))), "S")
+    for order in OrderKind:
+        assert cfg_closure(g, order).finals
+    assert builds == []
 
 
 def test_side_draws_cover_the_cases():

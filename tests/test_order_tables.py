@@ -192,7 +192,10 @@ def test_reduction_fallback_returns_the_trimmed_product(order, expect):
     if order is not OrderKind.PRIORITY:
         # the same language as the product that the closure once returned unreduced
         assert nfa_equivalent(closed, nfa_parse(EPS_PRODUCT, alphabet))
-        # the product fits in 4 states, and the subset construction does not
+        # the reduced input's product fits in 4 states, and the subset construction does not
         with pytest.raises(ResourceLimit, match=f"^{order.value} closure DFA exceeded 4 states$"):
+            closure_regular(nfa_reduce(nfa), order, 4)
+        # the closure does not reduce its input, whose product does not fit
+        with pytest.raises(ResourceLimit, match=f"^{order.value} closure product exceeded 4 states$"):
             closure_regular(nfa, order, 4)
     assert nfa_serialize(nfa_reduce(nfa)) == DFA
