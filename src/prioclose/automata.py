@@ -30,6 +30,7 @@ from .core import (
     PriorityAlphabet,
     ResourceLimit,
     Word,
+    _word_key,
 )
 
 # One state's moves: its epsilon targets, then (letter, targets) pairs
@@ -157,10 +158,6 @@ def nfa_accepts(nfa: Nfa, word: Iterable[str]) -> bool:
         if not current:
             return False
     return accepting(current)
-
-
-def _word_key(word: Word) -> tuple[int, Word]:
-    return (len(word), word)
 
 
 def _letters_to_final(

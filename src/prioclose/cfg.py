@@ -3,15 +3,22 @@
 ``cfg_closure`` builds a grammar's skeleton in stages: normalize to a
 binary normal form over the flattened alphabet, single out the letter
 runs that can repeat around a self-embedding nonterminal, rebuild them
-as starred productions of a Kleene grammar, and turn acyclic derivations
-of that grammar into an NFA.  That one skeleton serves every order, and
-``automata.closure_regular`` closes it.  Pump ends and repeats are
-extracted with letter transducers over a marker-extended alphabet.  Each
-joins two half-pump gadgets at the seam: ``_outer`` keeps a half's ends,
-``_pick`` one of its repeatable runs, and ``_check`` only checks its top
-priority.
-The letters on either side of a pump come from one pass over the
-grammar's strongly connected components (``_pump_sides``).
+as starred productions of a Kleene grammar (``_kleene``), and turn
+acyclic derivations of that grammar into an NFA.  That one skeleton
+serves every order, and ``automata.closure_regular`` closes it.
+
+The rebuild works per nonterminal x on a cycle.  The letters on either
+side of x's pumps come from one pass over the grammar's strongly
+connected components (``_pump_sides``); only their priorities, and
+zero, can be a pump half's top priority, so only those pairs of
+priorities are tried.  For each pair, the pump ends and the runs that
+repeat on each side are extracted from the seam-marked pump grammar
+(``_pump_from_cnf``) with letter transducers over a marker-extended
+alphabet (``HatAlphabet``).  Each transducer joins two half-pump
+gadgets at the seam: ``_outer`` keeps a half's ends, ``_pick`` one of
+its repeatable runs, and ``_check`` only checks its top priority.  The
+state cap bounds every transduction, the rebuilt grammar and the
+acyclic automaton.
 """
 
 from __future__ import annotations
@@ -40,6 +47,7 @@ from .core import (
     PriorityAlphabet,
     ResourceLimit,
     Word,
+    _word_key,
     flatten,
 )
 
@@ -343,7 +351,7 @@ def cfg_enumerate(g: Cfg, bound: int) -> list[Word]:
                 ]
                 found[lhs] |= join(options)
         fresh = {nt: found[nt] - yields[nt] for nt in g.nonterminals}
-    return sorted(yields[g.start], key=lambda w: (len(w), w))
+    return sorted(yields[g.start], key=_word_key)
 
 
 def _identity(nfa: Nfa) -> Transducer:
@@ -388,20 +396,6 @@ def _pump_from_cnf(cnf: Cfg, x: str, hat: HatAlphabet) -> Cfg:
         start,
     )
     return _pruned(grammar)
-
-
-def pump_pair_grammar(g: Cfg, x: str) -> Cfg:
-    """Grammar for the seam-marked words u ``#`` v with x deriving u x v.
-
-    The input is normalized first; one marker letter separates the two
-    halves of each pump, and the zero-step pump contributes the bare
-    marker.
-    """
-    if x not in g.nonterminals:
-        raise ValueError(f"nonterminal {x!r} not declared")
-    hat = HatAlphabet.extend(g.alphabet)
-    cnf, _ = to_cnf(g)
-    return _pump_from_cnf(cnf, x, hat)
 
 
 def apply_transducer_to_cfg(
@@ -536,12 +530,6 @@ def _empty_input_image(t: Transducer) -> set[Word]:
     return out
 
 
-def _require_flat(alphabet: PriorityAlphabet) -> None:
-    for pri in range(1, alphabet.max_assigned_priority + 1):
-        if len(alphabet.letters_of(pri)) > 1:
-            raise ValueError(f"priority {pri} carried by more than one letter")
-
-
 def _low_letters(alphabet: PriorityAlphabet, cutoff: int) -> list[str]:
     return [a for a in alphabet.letters if alphabet.priority(a) <= cutoff]
 
@@ -574,12 +562,9 @@ def _outer(base: PriorityAlphabet, names: tuple[str, ...], pri: int, marker: str
     return edges, after
 
 
-def _pick(
-    base: PriorityAlphabet, names: tuple[str, ...], pri: int, with_separator: bool
-) -> Gadget:
+def _pick(base: PriorityAlphabet, names: tuple[str, ...], pri: int) -> Gadget:
     """Drop a half of top priority ``pri`` except one run strictly between
-    two adjacent separators, and the closing one if asked; for zero,
-    except one letter."""
+    two adjacent separators; for zero, except one letter."""
     before, run, after = names
     if pri == 0:
         edges = [(before, (a,), (a,), after) for a in _low_letters(base, 0)]
@@ -588,7 +573,7 @@ def _pick(
     edges += _loops(base, pri - 1, run, True)
     for sep in base.letters_of(pri):
         edges.append((before, (sep,), (), run))
-        edges.append((run, (sep,), (sep,) if with_separator else (), after))
+        edges.append((run, (sep,), (), after))
     return edges, after
 
 
@@ -625,38 +610,31 @@ def _ends_transducer(hat: HatAlphabet, r: int, s: int) -> Transducer:
     return _seamed(hat, "l0", left, "m0", right, keep_mid=True)
 
 
-def _repeat_transducer(
-    hat: HatAlphabet, r: int, s: int, side: str, with_separator: bool
-) -> Transducer:
+def _repeat_transducer(hat: HatAlphabet, r: int, s: int, side: str) -> Transducer:
     """Pick one repeatable run from one half of a pump-pair word.
 
     On the picking side a run strictly between two adjacent separators
-    is copied out (the closing separator too, when asked); the other
-    half is only checked for its top priority.
+    is copied out; the other half is only checked for its top priority.
     """
     if side == "left":
-        left = _pick(hat.base, ("a", "b", "c"), r, with_separator)
+        left = _pick(hat.base, ("a", "b", "c"), r)
         entry, right = "d", _check(hat.base, ("d", "e"), s)
     else:
         left = _check(hat.base, ("a", "b"), r)
-        entry, right = "c", _pick(hat.base, ("c", "d", "e"), s, with_separator)
+        entry, right = "c", _pick(hat.base, ("c", "d", "e"), s)
     return _seamed(hat, "a", left, entry, right, keep_mid=False)
 
 
-def _check_range(alphabet: PriorityAlphabet, r: int, s: int) -> None:
-    p = alphabet.max_assigned_priority
-    if not 0 <= r <= p or not 0 <= s <= p:
-        raise ValueError(f"priorities ({r}, {s}) out of range [0, {p}]")
-
-
 def _ends_from_pump(
-    pump: tuple[Cfg, bool],
-    hat: HatAlphabet,
-    r: int,
-    s: int,
-    max_states: int = DEFAULT_MAX_STATES,
+    pump: tuple[Cfg, bool], hat: HatAlphabet, r: int, s: int, max_states: int
 ) -> Cfg:
-    """``ends_grammar`` of the normalised pump grammar at one nonterminal."""
+    """Marked outer runs of the normalised pump grammar at one nonterminal.
+
+    Each word is the left pump half with its separator-bounded middle
+    replaced by a marker, the seam marker, then the right half treated
+    symmetrically.  Halves whose top priority is not exactly ``r``
+    respectively ``s`` (at most zero for zero) contribute nothing.
+    """
     out = _transduce_cnf(_ends_transducer(hat, r, s), pump, max_states)
     cutoff = max(r, s, 1) - 1
     entries = tuple((a, p) for a, p in hat.base.entries if p <= cutoff)
@@ -664,59 +642,21 @@ def _ends_from_pump(
     return replace(out, alphabet=PriorityAlphabet(entries + markers))
 
 
-def ends_grammar(g: Cfg, x: str, r: int, s: int) -> Cfg:
-    """Grammar for the marked outer runs of pumps at ``x``.
-
-    Each word is the left pump half with its separator-bounded middle
-    replaced by a marker, the seam marker, then the right half treated
-    symmetrically.  Halves whose top priority is not exactly the
-    requested one (at most zero when zero is requested) contribute
-    nothing.
-    """
-    _check_range(g.alphabet, r, s)
-    _require_flat(g.alphabet)
-    hat = HatAlphabet.extend(g.alphabet)
-    return _ends_from_pump(to_cnf(pump_pair_grammar(g, x)), hat, r, s)
-
-
 def _runs_from_pump(
-    pump: tuple[Cfg, bool],
-    hat: HatAlphabet,
-    r: int,
-    s: int,
-    side: str,
-    with_separator: bool,
-    max_states: int = DEFAULT_MAX_STATES,
+    pump: tuple[Cfg, bool], hat: HatAlphabet, r: int, s: int, side: str, max_states: int
 ) -> Cfg:
     """Runs of one side of the normalised pump grammar at one nonterminal.
 
-    A run holds letters up to its side's priority when it keeps the
-    closing separator, and below it (priority zero at least) when not.
-    """
-    pri = r if side == "left" else s
-    cutoff = pri if with_separator else max(pri - 1, 0)
-    t = _repeat_transducer(hat, r, s, side, with_separator)
-    out = _transduce_cnf(t, pump, max_states)
-    entries = tuple((a, p) for a, p in hat.base.entries if p <= cutoff)
-    return replace(out, alphabet=PriorityAlphabet(entries))
-
-
-def repeats_grammars(g: Cfg, x: str, r: int, s: int) -> tuple[Cfg, Cfg]:
-    """Grammars for the runs repeatable on each side of pumps at ``x``.
-
-    For a positive priority the words are a separator-free run followed
-    by the closing separator; for priority zero they are the single
-    letters occurring on that side.  The opposite side only filters by
+    For a positive priority they are the separator-free runs between two
+    adjacent separators, over the letters below it; for priority zero
+    the single letters on that side.  The opposite side only filters by
     its top priority.
     """
-    _check_range(g.alphabet, r, s)
-    _require_flat(g.alphabet)
-    hat = HatAlphabet.extend(g.alphabet)
-    pump = to_cnf(pump_pair_grammar(g, x))
-    return (
-        _runs_from_pump(pump, hat, r, s, "left", True),
-        _runs_from_pump(pump, hat, r, s, "right", True),
-    )
+    pri = r if side == "left" else s
+    cutoff = max(pri - 1, 0)
+    out = _transduce_cnf(_repeat_transducer(hat, r, s, side), pump, max_states)
+    entries = tuple((a, p) for a, p in hat.base.entries if p <= cutoff)
+    return replace(out, alphabet=PriorityAlphabet(entries))
 
 
 def _pump_sides(cnf: Cfg) -> dict[str, tuple[tuple[str, ...], tuple[str, ...]]]:
@@ -763,17 +703,6 @@ def _pump_sides(cnf: Cfg) -> dict[str, tuple[tuple[str, ...], tuple[str, ...]]]:
         n: tuple(tuple(a for a in letters if a in side) for side in sides[component[i]])
         for i, n in enumerate(nts)
     }
-
-
-def side_alphabets(g: Cfg, x: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Letters that can recur left respectively right of pumps at ``x``.
-
-    They are those before and after the seam of ``pump_pair_grammar``,
-    read off by ``_pump_sides``; a nonterminal pruned away has none.
-    """
-    if x not in g.nonterminals:
-        raise ValueError(f"nonterminal {x!r} not declared")
-    return _pump_sides(to_cnf(g)[0]).get(x, ((), ()))
 
 
 def _kleene_base(cnf: Cfg, protected: frozenset[str]) -> KleeneGrammar:
@@ -827,10 +756,18 @@ def _renamed(
 def _kleene(
     cnf: Cfg, protected: frozenset[str], max_states: int = DEFAULT_MAX_STATES
 ) -> KleeneGrammar:
-    """Recursive Kleene rebuild; see kleene_closure_grammar.
+    """Starred grammar whose acyclic derivations cover the language.
 
+    The result derives every word of the normalised grammar over a flat
+    alphabet (each positive priority carried by exactly one letter) and
+    nothing outside its block closure.  Repetition along derivation
+    paths is traded for starred side runs, one level of recursion per
+    priority, so acyclic derivations already reach everything needed
+    before the regular closure step.  A half of a pump with top
+    priority r >= 1 holds r's one letter, so only the priorities of the
+    letters on that side of x, and zero, can give a pump end.
     ``max_states`` caps every grammar transduction inside, as in
-    ``apply_transducer_to_cfg``.
+    ``apply_transducer_to_cfg``, and the productions of the result.
     """
     alpha = cnf.alphabet
     p = alpha.max_assigned_priority
@@ -856,12 +793,9 @@ def _kleene(
         if not any(sides[x]):
             continue
         pump = to_cnf(_pump_from_cnf(cnf, x, hat))
-        for r in range(p + 1):
-            if r >= 1 and not alpha.letters_of(r):
-                continue
-            for s in range(p + 1):
-                if s >= 1 and not alpha.letters_of(s):
-                    continue
+        left, right = ({0, *map(alpha.priority, side)} for side in sides[x])
+        for r in sorted(left):
+            for s in sorted(right):
                 ends_cnf, _ = to_cnf(_ends_from_pump(pump, hat, r, s, max_states))
                 if not ends_cnf.productions:
                     continue
@@ -874,7 +808,7 @@ def _kleene(
                 side_starts: dict[str, str | None] = {}
                 for side, pri in (("left", r), ("right", s)):
                     run_cnf, run_empty = to_cnf(
-                        _runs_from_pump(pump, hat, r, s, side, False, max_states)
+                        _runs_from_pump(pump, hat, r, s, side, max_states)
                     )
                     wrapper = _fresh(f"W{counter}.{side}", taken)
                     have_any = False
@@ -910,22 +844,10 @@ def _kleene(
                     else:
                         prods.append((head, rhs))
                 prods.append((x, ((NT, ends_start),)))
+                if len(prods) > max_states:
+                    raise ResourceLimit(f"Kleene grammar exceeded {max_states} states")
     kept, pruned = _prune(prods, cnf.start)
     return KleeneGrammar(alpha, tuple(kept), tuple(pruned), cnf.start)
-
-
-def kleene_closure_grammar(g: Cfg) -> KleeneGrammar:
-    """Starred grammar whose acyclic derivations cover the language.
-
-    The result derives every word of the input and nothing outside its
-    block closure; repetition along derivation paths is traded for
-    starred side runs, so acyclic derivations already reach everything
-    needed before the regular closure step.  Requires a flat alphabet:
-    each positive priority carried by exactly one letter.
-    """
-    _require_flat(g.alphabet)
-    cnf, _ = to_cnf(g)
-    return _kleene(cnf, frozenset())
 
 
 def acyclic_nfa(h: KleeneGrammar, max_states: int = DEFAULT_MAX_STATES) -> Nfa:
@@ -1031,35 +953,6 @@ def cfg_parse(data: Mapping, alphabet: PriorityAlphabet) -> Cfg:
     if unknown:
         raise ValueError(f"terminals not in alphabet: {unknown}")
     return Cfg(alphabet, nts, prods, start)
-
-
-def kleene_serialize(h: KleeneGrammar) -> dict:
-    return {
-        "start": h.start,
-        "nonterminals": list(h.nonterminals),
-        "terminals": list(h.alphabet.letters),
-        "productions": [
-            [lhs, [{kind: sym} for kind, sym in rhs]] for lhs, rhs in h.productions
-        ],
-    }
-
-
-def kleene_parse(data: Mapping, alphabet: PriorityAlphabet) -> KleeneGrammar:
-    try:
-        start = _name(data["start"], "nonterminal")
-        nts = tuple(_name(x, "nonterminal") for x in data["nonterminals"])
-        prods = []
-        for lhs, rhs in data["productions"]:
-            items = []
-            for item in rhs:
-                ((kind, sym),) = item.items()
-                if kind not in (NT, STAR, LIT):
-                    raise ValueError(f"bad item kind {kind!r}")
-                items.append((kind, _name(sym, "symbol")))
-            prods.append((_name(lhs, "nonterminal"), tuple(items)))
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise ValueError(f"malformed grammar data: {exc}") from exc
-    return KleeneGrammar(alphabet, nts, tuple(prods), start)
 
 
 def cfg_to_dot(g: Cfg, name: str = "cfg") -> str:

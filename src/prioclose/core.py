@@ -20,6 +20,11 @@ Word = tuple[str, ...]
 EMPTY_WORD: Word = ()
 
 
+def _word_key(word: Word) -> tuple[int, Word]:
+    """Shortlex order: shorter words first, then lexicographic by letter."""
+    return (len(word), word)
+
+
 class OrderKind(str, Enum):
     SUBWORD = "subword"
     PRIORITY = "priority"

@@ -21,6 +21,7 @@ from .core import (
     PriorityAlphabet,
     ResourceLimit,
     Word,
+    _word_key,
     format_word,
     leq,
 )
@@ -28,10 +29,6 @@ from .core import (
 # Upper bound on order checks per closure computation.  Hitting it raises
 # instead of silently returning a partial set.
 DEFAULT_CHECK_CAP = 20_000_000
-
-
-def _word_key(word: Word) -> tuple[int, Word]:
-    return (len(word), word)
 
 
 def subwords_up_to(word: Word, bound: int) -> set[Word]:

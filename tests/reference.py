@@ -40,9 +40,14 @@ from prioclose.automata import (
 import prioclose.cfg as cfg_module
 from prioclose.cfg import (
     Cfg,
+    HatAlphabet,
     KleeneGrammar,
+    _ends_from_pump,
     _identity,
     _kleene,
+    _pump_from_cnf,
+    _pump_sides,
+    _runs_from_pump,
     acyclic_nfa,
     apply_transducer_to_cfg,
     to_cnf,
@@ -402,6 +407,42 @@ def mid_sides(g: Cfg, mid: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
         tuple(a for a in g.alphabet.letters if a in left),
         tuple(a for a in g.alphabet.letters if a in right),
     )
+
+
+class KleeneSteps:
+    """The steps ``cfg._kleene`` runs, on one grammar over a flat alphabet.
+
+    The grammar is normalised once, as ``cfg_closure`` does before the
+    rebuild; ``hat`` is its alphabet with the three marker letters.
+    """
+
+    def __init__(self, g: Cfg):
+        self.cnf, _ = to_cnf(g)
+        self.hat = HatAlphabet.extend(g.alphabet)
+
+    def pump(self, x: str) -> Cfg:
+        """The seam-marked words u # v with x deriving u x v; the bare
+        seam stands for the zero-step pump."""
+        return _pump_from_cnf(self.cnf, x, self.hat)
+
+    def ends(self, x: str, r: int, s: int) -> Cfg:
+        """The marked outer runs of x's pumps with top priorities r and s."""
+        return _ends_from_pump(to_cnf(self.pump(x)), self.hat, r, s, DEFAULT_MAX_STATES)
+
+    def runs(self, x: str, r: int, s: int) -> tuple[Cfg, Cfg]:
+        """The separator-free runs that repeat left and right of x."""
+        pump = to_cnf(self.pump(x))
+        return tuple(
+            _runs_from_pump(pump, self.hat, r, s, side, DEFAULT_MAX_STATES)
+            for side in ("left", "right")
+        )
+
+    def sides(self, x: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """The letters left and right of x in its pumps; none if pruned."""
+        return _pump_sides(self.cnf).get(x, ((), ()))
+
+    def kleene(self) -> KleeneGrammar:
+        return _kleene(self.cnf, frozenset())
 
 
 def kleene_sizes(cnf: Cfg) -> tuple[int, int, list[int], int]:

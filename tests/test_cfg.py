@@ -13,24 +13,17 @@ from prioclose.automata import (
 )
 from prioclose.cfg import (
     Cfg,
-    HatAlphabet,
     KleeneGrammar,
     acyclic_nfa,
     apply_transducer_to_cfg,
     cfg_block_closure,
+    cfg_closure,
     cfg_enumerate,
     cfg_intersect_regular_empty,
     cfg_parse,
     cfg_priority_closure,
     cfg_serialize,
     cfg_to_dot,
-    ends_grammar,
-    kleene_closure_grammar,
-    kleene_parse,
-    kleene_serialize,
-    pump_pair_grammar,
-    repeats_grammars,
-    side_alphabets,
     to_cnf,
 )
 from prioclose.core import (
@@ -42,7 +35,7 @@ from prioclose.core import (
 )
 from prioclose.oracle import closure_bounded
 
-from reference import kleene_sizes, leq_block_absorbing_ref
+from reference import KleeneSteps, kleene_sizes, leq_block_absorbing_ref
 
 w = parse_word
 
@@ -230,7 +223,7 @@ class TestIntersectEmpty:
 
 class TestPumpPairs:
     def test_flagship_matches_definition(self):
-        pump = pump_pair_grammar(flagship(), "X")
+        pump = KleeneSteps(flagship()).pump("X")
         got = set(cfg_enumerate(pump, 7))
         expected = {
             u + ("#",) + v for u, v in derived_contexts(flagship(), "X", 6)
@@ -240,24 +233,20 @@ class TestPumpPairs:
 
     def test_no_self_embedding(self):
         g = Cfg(AB0, ("S",), (("S", ("a", "b")),), "S")
-        pump = pump_pair_grammar(g, "S")
+        pump = KleeneSteps(g).pump("S")
         assert cfg_enumerate(pump, 4) == [("#",)]
 
     def test_exactly_one_seam(self):
-        pump = pump_pair_grammar(ring(), "X")
+        pump = KleeneSteps(ring()).pump("X")
         for word in cfg_enumerate(pump, 9):
             assert word.count("#") == 1
-
-    def test_undeclared(self):
-        with pytest.raises(ValueError):
-            pump_pair_grammar(flagship(), "Y")
 
     def test_seam_token_fresh_against_base(self):
         taken = PriorityAlphabet.from_map({"#": 0, "a": 0})
         g = Cfg(taken, ("S",), (("S", ("a", "S", "#")), ("S", ("a",))), "S")
-        pump = pump_pair_grammar(g, "S")
-        hat = HatAlphabet.extend(taken)
-        assert hat.mid == "#1"
+        steps = KleeneSteps(g)
+        pump = steps.pump("S")
+        assert steps.hat.mid == "#1"
         words = cfg_enumerate(pump, 3)
         assert ("#1",) in words
         assert ("a", "#1", "#") in words
@@ -297,20 +286,33 @@ class TestApplyTransducer:
         with pytest.raises(ResourceLimit, match="grammar transduction exceeded 5 states"):
             cfg_block_closure(flagship(), max_states=5)
 
+    @pytest.mark.parametrize("order", [OrderKind.BLOCK, OrderKind.PRIORITY])
+    def test_cap_bounds_the_kleene_grammar(self, order):
+        # each rebuild step's transductions stay small; their sum does not
+        g = Cfg(
+            AB10,
+            ("N0",),
+            (("N0", ("N0", "N0", "N0")), ("N0", ("a",)), ("N0", ("b",))),
+            "N0",
+        )
+        with pytest.raises(ResourceLimit, match="Kleene grammar exceeded 500 states"):
+            cfg_closure(g, order, max_states=500)
+
 
 class TestEndsGrammar:
     def test_flagship_both_positive(self):
-        e = ends_grammar(flagship(), "X", 1, 1)
+        e = KleeneSteps(flagship()).ends("X", 1, 1)
         assert cfg_enumerate(e, 5) == [w("#L,#,#R")]
 
     def test_flagship_unreachable_priority(self):
-        e = ends_grammar(flagship(), "X", 2, 1)
+        e = KleeneSteps(flagship()).ends("X", 2, 1)
         assert cfg_enumerate(e, 6) == []
 
     def test_seam_pattern(self):
+        steps = KleeneSteps(flagship())
         for r in range(3):
             for s in range(3):
-                e = ends_grammar(flagship(), "X", r, s)
+                e = steps.ends("X", r, s)
                 for word in cfg_enumerate(e, 7):
                     assert [t for t in word if t in ("#L", "#", "#R")] == [
                         "#L",
@@ -319,46 +321,42 @@ class TestEndsGrammar:
                     ]
 
     def test_zero_zero_constant(self):
-        e = ends_grammar(ring(), "X", 0, 0)
+        e = KleeneSteps(ring()).ends("X", 0, 0)
         assert cfg_enumerate(e, 5) == [w("#L,#,#R")]
 
     def test_letterless_priority_gives_an_empty_grammar(self):
         # priority 1 carries no letter, so no half has top priority 1
-        g = gap_grammar()
+        steps = KleeneSteps(gap_grammar())
         for r, s in ((1, 1), (1, 0), (0, 1), (2, 1)):
-            e = ends_grammar(g, "X", r, s)
+            e = steps.ends("X", r, s)
             assert e.productions == ()
             assert cfg_enumerate(e, 6) == []
-
-    def test_range_errors(self):
-        with pytest.raises(ValueError):
-            ends_grammar(flagship(), "X", 3, 0)
-        with pytest.raises(ValueError):
-            ends_grammar(flagship(), "X", 0, -1)
 
 
 class TestRepeatsGrammars:
     def test_flagship(self):
-        left, right = repeats_grammars(flagship(), "X", 1, 1)
-        assert cfg_enumerate(left, 3) == [("1",)]
-        assert cfg_enumerate(right, 3) == [("1",)]
+        # between two adjacent 1s there is only the empty run; the
+        # rebuild appends the closing separator itself
+        left, right = KleeneSteps(flagship()).runs("X", 1, 1)
+        assert cfg_enumerate(left, 3) == [()]
+        assert cfg_enumerate(right, 3) == [()]
 
     def test_zero_priority_letters(self):
-        left, right = repeats_grammars(ring(), "X", 0, 0)
+        left, right = KleeneSteps(ring()).runs("X", 0, 0)
         assert cfg_enumerate(left, 2) == [("a",), ("b",)]
         assert cfg_enumerate(right, 2) == [("c",)]
 
     def test_letterless_priority_gives_empty_grammars(self):
-        g = gap_grammar()
+        steps = KleeneSteps(gap_grammar())
         for r, s in ((1, 1), (1, 0), (0, 1), (2, 1)):
-            left, right = repeats_grammars(g, "X", r, s)
+            left, right = steps.runs("X", r, s)
             assert left.productions == () and right.productions == ()
-        left, right = repeats_grammars(g, "X", 0, 0)
+        left, right = steps.runs("X", 0, 0)
         assert cfg_enumerate(left, 3) == cfg_enumerate(right, 3) == [("a",)]
 
     def test_no_pumps(self):
         g = Cfg(AB0, ("S",), (("S", ("a", "b")),), "S")
-        left, right = repeats_grammars(g, "S", 0, 0)
+        left, right = KleeneSteps(g).runs("S", 0, 0)
         assert cfg_enumerate(left, 3) == []
         assert cfg_enumerate(right, 3) == []
 
@@ -371,7 +369,7 @@ class TestSideAlphabets:
             (("X", ("a", "X", "b")), ("X", ("c",))),
             "X",
         )
-        assert side_alphabets(g, "X") == (("a",), ("b",))
+        assert KleeneSteps(g).sides("X") == (("a",), ("b",))
 
     def test_two_pumps(self):
         g = Cfg(
@@ -380,16 +378,16 @@ class TestSideAlphabets:
             (("X", ("a", "X", "a")), ("X", ("b", "X", "b")), ("X", ("c",))),
             "X",
         )
-        assert side_alphabets(g, "X") == (("a", "b"), ("a", "b"))
+        assert KleeneSteps(g).sides("X") == (("a", "b"), ("a", "b"))
 
     def test_no_self_embedding(self):
         g = Cfg(AB0, ("S",), (("S", ("a", "b")),), "S")
-        assert side_alphabets(g, "S") == ((), ())
+        assert KleeneSteps(g).sides("S") == ((), ())
 
 
 class TestKleeneGrammar:
     def test_flagship_sandwich(self):
-        kg = kleene_closure_grammar(flagship())
+        kg = KleeneSteps(flagship()).kleene()
         words = set(nfa_enumerate(acyclic_nfa(kg), 8))
         assert set(cfg_enumerate(flagship(), 8)) <= words
         dominators = cfg_enumerate(flagship(), 17)
@@ -399,24 +397,18 @@ class TestKleeneGrammar:
             ), u
 
     def test_all_zero_is_subword_construction(self):
-        kg = kleene_closure_grammar(anbn())
+        kg = KleeneSteps(anbn()).kleene()
         got = set(nfa_enumerate(acyclic_nfa(kg), 6))
         want = set(closure_bounded(cfg_enumerate(anbn(), 12), OrderKind.SUBWORD, AB0, 6))
         assert got == want
 
     def test_single_word(self):
         g = Cfg(D1, ("S",), (("S", ("0a", "1b", "0a")),), "S")
-        kg = kleene_closure_grammar(g)
+        kg = KleeneSteps(g).kleene()
         words = set(nfa_enumerate(acyclic_nfa(kg), 5))
         assert w("0a,1b,0a") in words
         for u in words:
             assert leq_block(D1, u, w("0a,1b,0a"))
-
-    def test_non_flat_rejected(self):
-        twin = PriorityAlphabet.from_map({"a": 1, "b": 1})
-        g = Cfg(twin, ("S",), (("S", ("a", "b")),), "S")
-        with pytest.raises(ValueError):
-            kleene_closure_grammar(g)
 
     def test_normal_form_enforced(self):
         with pytest.raises(ValueError):
@@ -460,7 +452,7 @@ class TestAcyclicNfa:
         ]
 
     def test_state_cap(self):
-        kg = kleene_closure_grammar(flagship())
+        kg = KleeneSteps(flagship()).kleene()
         with pytest.raises(ResourceLimit):
             acyclic_nfa(kg, max_states=10)
 
@@ -606,22 +598,24 @@ class TestClosureInvariants:
             (ring(), "X", 0, 0),
         ]
         for g, x, r, s in cases:
-            seam_words = cfg_enumerate(ends_grammar(g, x, r, s), 8)
-            left_g, right_g = repeats_grammars(g, x, r, s)
+            steps = KleeneSteps(g)
+            seam_words = cfg_enumerate(steps.ends(x, r, s), 8)
+            left_g, right_g = steps.runs(x, r, s)
             left_reps = cfg_enumerate(left_g, 4)
             right_reps = cfg_enumerate(right_g, 4)
             pumps = derived_contexts(g, x, 10)
 
             def expansions(pri, reps):
+                # a marker becomes its separator, each repeat a run and one more
                 if pri >= 1:
-                    head = (g.alphabet.letters_of(pri)[0],)
+                    sep = (g.alphabet.letters_of(pri)[0],)
                 else:
-                    head = ()
-                out = {head}
+                    sep = ()
+                out = {sep}
                 for first in reps:
-                    out.add(head + first)
+                    out.add(sep + first + sep)
                     for second in reps:
-                        out.add(head + first + second)
+                        out.add(sep + first + sep + second + sep)
                 return out
 
             for word in seam_words:
@@ -646,23 +640,6 @@ class TestSerialization:
         back = cfg_parse(data, P12)
         assert back == g
 
-    def test_kleene_round_trip(self):
-        h = kleene_closure_grammar(anbn())
-        data = kleene_serialize(h)
-        back = kleene_parse(data, AB0)
-        assert back == h
-
-    @pytest.mark.parametrize(
-        "data",
-        [
-            {"start": ["S"], "nonterminals": ["S"], "productions": []},
-            {"start": "S", "nonterminals": ["S"], "productions": [["S", [{"nt": ["S"]}]]]},
-        ],
-    )
-    def test_kleene_parse_rejects_non_string_names(self, data):
-        with pytest.raises(ValueError, match="malformed grammar data"):
-            kleene_parse(data, AB0)
-
     def test_malformed(self):
         with pytest.raises(ValueError):
             cfg_parse({"start": "S"}, AB0)
@@ -673,15 +650,6 @@ class TestSerialization:
                     "nonterminals": ["S"],
                     "terminals": ["z"],
                     "productions": [],
-                },
-                AB0,
-            )
-        with pytest.raises(ValueError):
-            kleene_parse(
-                {
-                    "start": "S",
-                    "nonterminals": ["S"],
-                    "productions": [["S", [{"weird": "A"}]]],
                 },
                 AB0,
             )

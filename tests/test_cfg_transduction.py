@@ -8,6 +8,7 @@ that intersection with small pattern automata, and the grammar's
 component reading of the pump sides against that fixpoint.
 """
 
+import itertools
 import random
 
 import pytest
@@ -29,13 +30,11 @@ from prioclose.cfg import (
     cfg_closure,
     cfg_enumerate,
     cfg_intersect_regular_empty,
-    pump_pair_grammar,
-    side_alphabets,
     to_cnf,
 )
-from prioclose.core import OrderKind, PriorityAlphabet
+from prioclose.core import OrderKind, PriorityAlphabet, flatten
 
-from reference import mid_sides
+from reference import KleeneSteps, mid_sides
 from test_oracle_enumerate import random_cfg
 
 AB01 = PriorityAlphabet.from_map({"a": 0, "b": 1})
@@ -140,10 +139,11 @@ def sides_by_products(g: Cfg, mid: str) -> tuple[tuple[str, ...], tuple[str, ...
 @pytest.mark.parametrize("seed", SEEDS)
 def test_side_alphabets_match_the_products(seed):
     g = random_grammar(random.Random(seed))
-    mid = HatAlphabet.extend(AB01).mid
+    steps = KleeneSteps(g)
+    mid = steps.hat.mid
     for x in g.nonterminals:
-        pump = pump_pair_grammar(g, x)
-        sides = side_alphabets(g, x)
+        pump = steps.pump(x)
+        sides = steps.sides(x)
         assert sides == sides_by_products(pump, mid)
         beyond_seam = not cfg_intersect_regular_empty(pump, not_just_nfa(pump.alphabet, mid))
         assert any(sides) == beyond_seam
@@ -184,12 +184,35 @@ def test_kleene_builds_pumps_only_for_recursive_nonterminals(monkeypatch):
     assert builds == []
 
 
+def test_kleene_skips_only_empty_pump_ends():
+    """``_kleene`` tries a pair (r, s) of top priorities only where r is 0
+    or the priority of a letter left of x in its pumps, and s likewise on
+    the right.  On a flat alphabet a half of top priority r >= 1 holds r's
+    one letter, so every other pair has no pump end."""
+    alphabet = flatten(PriorityAlphabet.from_map({"a": 0, "b": 1, "c": 2}))
+    pairs = list(itertools.product(range(alphabet.max_assigned_priority + 1), repeat=2))
+    skipped = 0
+    for seed in SEEDS:
+        steps = KleeneSteps(random_cfg(random.Random(seed), alphabet))
+        for x in steps.cnf.nonterminals:
+            sides = steps.sides(x)
+            if not any(sides):
+                continue
+            left, right = ({0, *map(alphabet.priority, side)} for side in sides)
+            for r, s in pairs:
+                if r not in left or s not in right:
+                    assert steps.ends(x, r, s).productions == (), (seed, x, r, s)
+                    skipped += 1
+    assert skipped >= 100
+
+
 def test_side_draws_cover_the_cases():
     one_sided = two_sided = bare = 0
     for seed in SEEDS:
         g = random_grammar(random.Random(seed))
+        steps = KleeneSteps(g)
         for x in g.nonterminals:
-            left, right = side_alphabets(g, x)
+            left, right = steps.sides(x)
             one_sided += bool(left) != bool(right)
             two_sided += bool(left and right)
             bare += not (left or right)

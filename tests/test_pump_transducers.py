@@ -2,7 +2,7 @@
 
 A pump transducer reads a seam-marked pump word u # v.  For every flat
 alphabet with top priority at most 2 and one or two priority-0 letters,
-and for every r, s, side and ``with_separator``, each transducer runs on
+and for every r, s and side, each transducer runs on
 every such word with |u|, |v| <= 4.  Its set of outputs must be the one
 its definition gives for the word:
 
@@ -11,10 +11,10 @@ its definition gives for the word:
   where outer keeps a half's letters before its first separator and
   after its last one and puts the side's marker in between.  A half of
   priority zero becomes the bare marker.
-- ``_repeat_transducer(r, s, side, with_separator)``: when u has top
-  priority exactly r and v exactly s, each run strictly between two
-  adjacent separators of the half on ``side``, followed by the separator
-  if asked.  For priority zero the runs are the half's single letters.
+- ``_repeat_transducer(r, s, side)``: when u has top priority exactly r
+  and v exactly s, each run strictly between two adjacent separators of
+  the half on ``side``.  For priority zero the runs are the half's single
+  letters.
 
 Runs of a transducer compose, so each run is split after the seam and
 both parts are memoised: the outputs on u # v are those on u # followed
@@ -55,15 +55,14 @@ def outer(alphabet, half, pri: int, marker: str) -> set:
     return {half[:first] + (marker,) + half[last + 1 :]}
 
 
-def runs(alphabet, half, pri: int, with_separator: bool) -> set:
+def runs(alphabet, half, pri: int) -> set:
     if top_priority(alphabet, half) != pri:
         return set()
     if pri == 0:
         return {(a,) for a in half}
     sep = alphabet.letters_of(pri)[0]
     at = [i for i, a in enumerate(half) if a == sep]
-    closing = (sep,) if with_separator else ()
-    return {half[i + 1 : j] + closing for i, j in zip(at, at[1:])}
+    return {half[i + 1 : j] for i, j in zip(at, at[1:])}
 
 
 class Runs:
@@ -144,21 +143,20 @@ def test_ends_transducer(top, zeros):
         )
 
 
-@pytest.mark.parametrize("with_separator", [True, False])
 @pytest.mark.parametrize("side", ["left", "right"])
 @pytest.mark.parametrize("top, zeros", ALPHABETS)
-def test_repeat_transducer(top, zeros, side, with_separator):
+def test_repeat_transducer(top, zeros, side):
     hat = HatAlphabet.extend(flat_alphabet(top, zeros))
     base = hat.base
 
     def part(half, pri, picked):
         if picked:
-            return runs(base, half, pri, with_separator)
+            return runs(base, half, pri)
         return {()} if top_priority(base, half) == pri else set()
 
     for r, s in itertools.product(range(top + 1), repeat=2):
         check_against(
-            _repeat_transducer(hat, r, s, side, with_separator),
+            _repeat_transducer(hat, r, s, side),
             hat,
             lambda u: part(u, r, side == "left"),
             lambda v: part(v, s, side == "right"),

@@ -27,7 +27,6 @@ from prioclose.cfg import (
     cfg_closure,
     cfg_priority_closure,
     cfg_serialize,
-    kleene_closure_grammar,
 )
 from prioclose.cli import main
 from prioclose.core import OrderKind, PriorityAlphabet
@@ -42,6 +41,8 @@ from prioclose.oca import (
     oca_priority_closure,
     soca_closure_nfa,
 )
+
+from reference import KleeneSteps
 
 ROOT = Path(__file__).resolve().parents[1]
 ORDERS = [OrderKind.SUBWORD, OrderKind.PRIORITY, OrderKind.BLOCK]
@@ -271,8 +272,8 @@ OCA_ANBNC = Oca(
     AcceptMode.ZERO_COUNTER,
 )
 BUILDERS = {
-    "acyclic-flagship": lambda: acyclic_nfa(kleene_closure_grammar(FLAGSHIP)),
-    "acyclic-ring": lambda: acyclic_nfa(kleene_closure_grammar(RING)),
+    "acyclic-flagship": lambda: acyclic_nfa(KleeneSteps(FLAGSHIP).kleene()),
+    "acyclic-ring": lambda: acyclic_nfa(KleeneSteps(RING).kleene()),
     "soca": lambda: soca_closure_nfa(SOCA_ANBN),
     "glue": lambda: _glue_nfa(OCA_ANBNC),
     "union": lambda: nfa_union(WITH_DEAD, nfa_for_words(AB01, [("b", "b")])),
