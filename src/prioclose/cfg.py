@@ -853,12 +853,31 @@ def _kleene(
 def acyclic_nfa(h: KleeneGrammar, max_states: int = DEFAULT_MAX_STATES) -> Nfa:
     """Automaton for the words with a repetition-free derivation path.
 
-    States are the stacks of open productions with their cursors in a
-    preorder walk, plus None for the final state; a nonterminal already
-    on the stack cannot be opened again, while starred items may open
-    any number of children.  States materialize lazily, and exceeding
-    ``max_states`` raises a resource error rather than thrashing.  The
-    result is trimmed.
+    A walk's position is a stack of open productions with their cursors
+    in a preorder walk, or None for the final position; a nonterminal
+    already on the stack cannot be opened again, while starred items may
+    open any number of children.  ``successors`` is one raw step.  A
+    stack whose raw step is exactly one ε-move is forced, and ``settle``
+    follows forced stacks to the first that is not; the automaton's
+    states are the settled stacks, where a letter is read, the walk
+    branches, or None.  Settling drops only forced ε-moves, so the
+    language is unchanged.
+
+    A forced chain always ends.  Read a stack's cursors from the bottom
+    as a sequence.  A forced push opens the one production of a
+    nonterminal not on the stack yet, so it appends a cursor.  A forced
+    advance (a starred item whose nonterminal is already open or has no
+    production) or a forced pop to an unstarred parent moves a cursor
+    forward, the pop after dropping the top one.  Each makes the
+    sequence lexicographically larger, and stacks of distinct
+    nonterminals are finitely many.  The one step that makes it smaller,
+    a pop back to a starred parent, is never forced: the parent may open
+    the popped child again, as that child is off the stack and has a
+    production, so it branches.
+
+    States materialize lazily, and more than ``max_states`` settled
+    states raise a resource error rather than thrashing.  The result is
+    trimmed.
     """
     by_head: dict[str, list[tuple[KItem, ...]]] = {}
     for lhs, rhs in h.productions:
@@ -892,7 +911,18 @@ def acyclic_nfa(h: KleeneGrammar, max_states: int = DEFAULT_MAX_STATES) -> Nfa:
             return False, pushes(stack, sym)
         return False, [(None, advanced)] + pushes(stack, sym)
 
-    return _explore(h.alphabet, (), successors, max_states, "acyclic automaton")
+    def settle(stack: tuple[Frame, ...] | None) -> tuple[Frame, ...] | None:
+        while True:
+            _, moves = successors(stack)
+            if len(moves) != 1 or moves[0][0] is not None:
+                return stack
+            stack = moves[0][1]
+
+    def settled(stack: tuple[Frame, ...] | None):
+        final, moves = successors(stack)
+        return final, [(label, settle(target)) for label, target in moves]
+
+    return _explore(h.alphabet, settle(()), settled, max_states, "acyclic automaton")
 
 
 def cfg_closure(g: Cfg, order: OrderKind, max_states: int = DEFAULT_MAX_STATES) -> Nfa:
@@ -907,7 +937,7 @@ def cfg_closure(g: Cfg, order: OrderKind, max_states: int = DEFAULT_MAX_STATES) 
     tail after the last separator.  That is what
     ``automata.closure_regular`` requires, and it closes the skeleton in
     every order, after ``nfa_reduce``: a ring grammar's skeleton of
-    3,694 states reduces to 10.
+    823 states reduces to 10.
     """
     flat = flatten(g.alphabet)
     cnf, had_empty = to_cnf(replace(g, alphabet=flat))

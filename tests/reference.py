@@ -7,7 +7,9 @@ stack of matching frames rather than one minimal machine per level, and
 the priority closure of a grammar or counter machine is built from one
 skeleton per last letter rather than from the model's one skeleton, and
 the side letters of a pump come from a fixpoint over the seam-marked pump
-grammar rather than from the grammar's components.
+grammar rather than from the grammar's components, and a Kleene grammar's
+acyclic automaton keeps one state per stack of its walk rather than
+settling forced ε-moves.
 """
 
 from __future__ import annotations
@@ -39,6 +41,9 @@ from prioclose.automata import (
 )
 import prioclose.cfg as cfg_module
 from prioclose.cfg import (
+    LIT,
+    NT,
+    STAR,
     Cfg,
     HatAlphabet,
     KleeneGrammar,
@@ -474,3 +479,44 @@ def kleene_sizes(cnf: Cfg) -> tuple[int, int, list[int], int]:
     finally:
         cfg_module._kleene = _kleene
     return len(cnf.nonterminals), cnf.alphabet.max_assigned_priority, inner, len(result.nonterminals)
+
+
+def unsettled_acyclic_nfa(h: KleeneGrammar, max_states: int = DEFAULT_MAX_STATES) -> Nfa:
+    """``cfg.acyclic_nfa`` with one state per stack, forced ε-moves kept.
+
+    Every stack of open productions with their cursors that the preorder
+    walk reaches is a state, plus None for the final state, and every
+    raw step is a move.
+    """
+    by_head: dict[str, list[tuple]] = {}
+    for lhs, rhs in h.productions:
+        by_head.setdefault(lhs, []).append(rhs)
+
+    def pushes(stack: tuple, nt: str) -> list:
+        if any(f[0] == nt for f in stack):
+            return []
+        return [(None, stack + ((nt, j, 0),)) for j in range(len(by_head.get(nt, ())))]
+
+    def successors(stack: tuple | None):
+        if stack is None:
+            return True, []
+        if not stack:
+            return False, pushes((), h.start)
+        nt, j, pos = stack[-1]
+        rhs = by_head[nt][j]
+        if pos == len(rhs):
+            if len(stack) == 1:
+                return False, [(None, None)]
+            pnt, pj, ppos = stack[-2]
+            if by_head[pnt][pj][ppos][0] == STAR:
+                return False, [(None, stack[:-1])]
+            return False, [(None, stack[:-2] + ((pnt, pj, ppos + 1),))]
+        kind, sym = rhs[pos]
+        advanced = stack[:-1] + ((nt, j, pos + 1),)
+        if kind == LIT:
+            return False, [(sym, advanced)]
+        if kind == NT:
+            return False, pushes(stack, sym)
+        return False, [(None, advanced)] + pushes(stack, sym)
+
+    return _explore(h.alphabet, (), successors, max_states, "acyclic automaton")

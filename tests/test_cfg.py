@@ -1,5 +1,8 @@
 """Grammar constructions, Kleene closure, and CFG closure pipeline tests."""
 
+import random
+from dataclasses import replace
+
 import pytest
 
 from prioclose.automata import (
@@ -9,11 +12,13 @@ from prioclose.automata import (
     nfa_equivalent_up_to,
     nfa_for_words,
     nfa_parse,
+    nfa_reduce,
     subword_transducer,
 )
 from prioclose.cfg import (
     Cfg,
     KleeneGrammar,
+    _kleene,
     acyclic_nfa,
     apply_transducer_to_cfg,
     cfg_block_closure,
@@ -30,12 +35,14 @@ from prioclose.core import (
     OrderKind,
     PriorityAlphabet,
     ResourceLimit,
+    flatten,
     leq_block,
     parse_word,
 )
 from prioclose.oracle import closure_bounded
 
-from reference import KleeneSteps, kleene_sizes, leq_block_absorbing_ref
+from reference import KleeneSteps, kleene_sizes, leq_block_absorbing_ref, unsettled_acyclic_nfa
+from test_oracle_enumerate import random_cfg
 
 w = parse_word
 
@@ -44,6 +51,7 @@ AB0 = PriorityAlphabet.from_map({"a": 0, "b": 0})
 AB01 = PriorityAlphabet.from_map({"a": 0, "b": 1})
 AB10 = PriorityAlphabet.from_map({"a": 1, "b": 0})
 ABCD0 = PriorityAlphabet.from_map({"a": 0, "b": 0, "c": 0, "d": 0})
+RING_A0B1C2D0 = PriorityAlphabet.from_map({"a": 0, "b": 1, "c": 2, "d": 0})
 D1 = PriorityAlphabet.from_map({"0a": 0, "1b": 1})
 A1 = PriorityAlphabet.from_map({"a": 1})
 HATTEST = PriorityAlphabet.from_map({"x": 0, "r": 1})
@@ -66,14 +74,19 @@ def anbn_eps() -> Cfg:
     return Cfg(AB0, ("S",), (("S", ("a", "S", "b")), ("S", ())), "S")
 
 
-def ring() -> Cfg:
+def ring(alphabet=ABCD0) -> Cfg:
     """X pumps ab on the left and c on the right; d sits in the middle."""
     return Cfg(
-        ABCD0,
+        alphabet,
         ("X",),
         (("X", ("a", "b", "X", "c")), ("X", ("d",))),
         "X",
     )
+
+
+def flat_kleene(g: Cfg) -> KleeneGrammar:
+    """The Kleene grammar that ``cfg_closure`` walks for g."""
+    return KleeneSteps(replace(g, alphabet=flatten(g.alphabet))).kleene()
 
 
 def gap_grammar() -> Cfg:
@@ -455,6 +468,105 @@ class TestAcyclicNfa:
         kg = KleeneSteps(flagship()).kleene()
         with pytest.raises(ResourceLimit):
             acyclic_nfa(kg, max_states=10)
+
+    def test_settled_sizes(self):
+        """Pinned: forced ε-moves settle inside the walk (756 and 3,694
+        states unsettled)."""
+        assert len(acyclic_nfa(flat_kleene(flagship())).states) == 144
+        assert len(acyclic_nfa(flat_kleene(ring(RING_A0B1C2D0))).states) == 823
+
+
+def assert_settled_walk_equivalent(h: KleeneGrammar) -> None:
+    settled = acyclic_nfa(h)
+    unsettled = unsettled_acyclic_nfa(h)
+    assert len(settled.states) <= len(unsettled.states)
+    assert nfa_reduce(settled) == nfa_reduce(unsettled)
+
+
+class TestSettledWalk:
+    """Settling forced ε-moves keeps every skeleton's language."""
+
+    @pytest.mark.parametrize(
+        "g",
+        [flagship(), anbn(), ring(RING_A0B1C2D0)],
+        ids=["flagship", "anbn", "ring-a0b1c2d0"],
+    )
+    def test_pipeline_grammars(self, g):
+        assert_settled_walk_equivalent(flat_kleene(g))
+
+    def test_star_over_an_empty_nonterminal(self):
+        """The pop back to S's star lands on the branch it left."""
+        h = KleeneGrammar(
+            AB0,
+            ("S", "E", "A"),
+            (("S", (("star", "E"), ("nt", "A"))), ("E", ()), ("A", (("t", "a"),))),
+            "S",
+        )
+        assert_settled_walk_equivalent(h)
+        assert nfa_enumerate(acyclic_nfa(h), 3) == [("a",)]
+
+    def test_chain_of_single_productions(self):
+        h = KleeneGrammar(
+            AB0,
+            ("S", "A", "B", "C"),
+            (
+                ("S", (("nt", "A"), ("nt", "A"))),
+                ("A", (("nt", "B"),)),
+                ("B", (("nt", "C"),)),
+                ("C", (("t", "a"),)),
+                ("C", (("t", "b"),)),
+            ),
+            "S",
+        )
+        assert_settled_walk_equivalent(h)
+        assert len(nfa_enumerate(acyclic_nfa(h), 2)) == 4
+
+    def test_nested_stars(self):
+        """C's star over the open S is a forced advance."""
+        h = KleeneGrammar(
+            AB0,
+            ("S", "A", "B", "C"),
+            (
+                ("S", (("star", "A"),)),
+                ("A", (("star", "B"), ("nt", "C"))),
+                ("B", (("t", "a"),)),
+                ("C", (("t", "b"),)),
+                ("C", (("star", "S"), ("star", "B"))),
+            ),
+            "S",
+        )
+        assert_settled_walk_equivalent(h)
+
+    @pytest.mark.parametrize(
+        "priorities",
+        [{"a": 0, "b": 1, "c": 2}, {"a": 0, "b": 1, "c": 1, "d": 2}, {"a": 0, "c": 2}],
+        ids=["abc", "abcd", "ac"],
+    )
+    def test_random_grammars(self, priorities):
+        """The unsettled walk gets five times the cap, as it has about
+        4.5 times the states; a seed is skipped when both walks stop."""
+        alphabet = flatten(PriorityAlphabet.from_map(priorities))
+        cap = 2000
+        compared = 0
+        for seed in range(60):
+            cnf, _ = to_cnf(random_cfg(random.Random(seed), alphabet))
+            if not cnf.productions:
+                continue
+            try:
+                h = _kleene(cnf, frozenset(), max_states=cap)
+            except ResourceLimit:
+                continue
+            reduced = []
+            for walk, walk_cap in ((acyclic_nfa, cap), (unsettled_acyclic_nfa, 5 * cap)):
+                try:
+                    reduced.append(nfa_reduce(walk(h, walk_cap)))
+                except ResourceLimit:
+                    reduced.append(None)
+            if reduced == [None, None]:
+                continue
+            assert reduced[0] == reduced[1], seed
+            compared += 1
+        assert compared >= 10
 
 
 class TestBlockClosure:
