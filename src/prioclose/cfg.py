@@ -171,6 +171,34 @@ def _items(rhs: tuple[str, ...], letters: set[str]) -> tuple[KItem, ...]:
     return tuple((LIT, s) if s in letters else (NT, s) for s in rhs)
 
 
+def _closed_heads(rules: list[tuple[str, tuple[str, ...]]]) -> set[str]:
+    """Least set of heads that holds every head one of whose rules has
+    all its body symbols in the set.
+
+    A counter worklist, linear in the rules' size: each rule counts the
+    body symbols not in the set yet, one per occurrence, and its head
+    joins when the count reaches zero.  A symbol that heads no rule
+    never joins, so callers leave out of a body what may never block it.
+    """
+    missing = [len(body) for _, body in rules]
+    waiting: dict[str, list[int]] = {}
+    for i, (_, body) in enumerate(rules):
+        for sym in body:
+            waiting.setdefault(sym, []).append(i)
+    queue = [lhs for lhs, body in rules if not body]
+    done: set[str] = set()
+    while queue:
+        sym = queue.pop()
+        if sym in done:
+            continue
+        done.add(sym)
+        for i in waiting.get(sym, ()):
+            missing[i] -= 1
+            if not missing[i]:
+                queue.append(rules[i][0])
+    return done
+
+
 def _prune(
     prods: list[tuple[str, tuple[KItem, ...]]], start: str
 ) -> tuple[set[str], list[tuple[str, tuple[KItem, ...]]]]:
@@ -182,16 +210,9 @@ def _prune(
     derive nothing are dropped.  The start always stays, so a grammar
     with an empty language comes back production-free.
     """
-    productive: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for lhs, rhs in prods:
-            if lhs not in productive and all(
-                kind != NT or sym in productive for kind, sym in rhs
-            ):
-                productive.add(lhs)
-                changed = True
+    productive = _closed_heads(
+        [(lhs, tuple(sym for kind, sym in rhs if kind == NT)) for lhs, rhs in prods]
+    )
     by_head: dict[str, list[tuple[KItem, ...]]] = {}
     for lhs, rhs in prods:
         if all(kind != NT or sym in productive for kind, sym in rhs):
@@ -227,6 +248,19 @@ def to_cnf(g: Cfg) -> tuple[Cfg, bool]:
     the original language contained the empty word.  The fresh start
     symbol never occurs on a right-hand side, and useless symbols are
     pruned.  An empty language comes back as a production-free grammar.
+
+    The work follows the output.  Letters are lifted out of long rules
+    and the rules binarized, the empty rules expanded away, and then a
+    walk from the fresh start collapses the unit chain of each head it
+    reaches, emitting only the rules whose nonterminals all derive a
+    word.  This keeps exactly the rules that collapsing every head's
+    chain and then pruning would keep: collapsing unit chains keeps
+    every nonterminal's language, so the nonterminals that derive a
+    word are the same before and after, and a rule of the collapsed
+    grammar is kept just when its head is reached through kept rules
+    from the start, which is what the walk follows.  The chains skip
+    unproductive symbols, which loses nothing: every symbol on the unit
+    chain of an unproductive one is unproductive too.
     """
     taken = set(g.nonterminals) | set(g.alphabet.letters)
     letters = set(g.alphabet.letters)
@@ -258,51 +292,50 @@ def to_cnf(g: Cfg) -> tuple[Cfg, bool]:
             lhs, rhs = mid, rhs[1:]
         step2.append((lhs, rhs))
 
-    # Remove empty rules, remembering whether the start was nullable.
-    nullable: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for lhs, rhs in step2:
-            if lhs not in nullable and all(s in nullable for s in rhs):
-                nullable.add(lhs)
-                changed = True
+    # Remove empty rules, remembering whether the start was nullable;
+    # a letter heads no rule, so it never counts as nullable.
+    nullable = _closed_heads(step2)
     had_empty = start in nullable
     step3: set[tuple[str, tuple[str, ...]]] = set()
     for lhs, rhs in step2:
-        options = [
-            ((sym,), ()) if sym in nullable and sym not in letters else ((sym,),)
-            for sym in rhs
-        ]
+        options = [((sym,), ()) if sym in nullable else ((sym,),) for sym in rhs]
         for picks in itertools.product(*options):
             flat = tuple(s for part in picks for s in part)
             if flat:
                 step3.add((lhs, flat))
 
-    # Collapse unit chains.
-    unit_next: dict[str, set[str]] = {}
-    solid: dict[str, set[tuple[str, ...]]] = {}
+    # Collapse the unit chains of the productive heads the start reaches.
+    productive = _closed_heads(
+        [(lhs, tuple(s for s in rhs if s not in letters)) for lhs, rhs in step3]
+    )
+    unit_next: dict[str, list[str]] = {}
+    solid: dict[str, list[tuple[str, ...]]] = {}
     for lhs, rhs in step3:
         if len(rhs) == 1 and rhs[0] not in letters:
-            unit_next.setdefault(lhs, set()).add(rhs[0])
-        else:
-            solid.setdefault(lhs, set()).add(rhs)
-    heads = {lhs for lhs, _ in step3}
-    final: set[tuple[str, tuple[str, ...]]] = set()
-    for lhs in heads:
+            if rhs[0] in productive:
+                unit_next.setdefault(lhs, []).append(rhs[0])
+        elif all(s in letters or s in productive for s in rhs):
+            solid.setdefault(lhs, []).append(rhs)
+    final: list[tuple[str, tuple[str, ...]]] = []
+    reached = {start}
+    heads = [start]
+    while heads:
+        lhs = heads.pop()
         seen = {lhs}
-        frontier = [lhs]
-        while frontier:
-            cur = frontier.pop()
+        chain = [lhs]
+        while chain:
+            cur = chain.pop()
             for rhs in solid.get(cur, ()):
-                final.add((lhs, rhs))
+                final.append((lhs, rhs))
+                for sym in rhs:
+                    if sym not in letters and sym not in reached:
+                        reached.add(sym)
+                        heads.append(sym)
             for nxt in unit_next.get(cur, ()):
                 if nxt not in seen:
                     seen.add(nxt)
-                    frontier.append(nxt)
-
-    cnf = Cfg(g.alphabet, tuple(taken - letters), tuple(final), start)
-    return _pruned(cnf), had_empty
+                    chain.append(nxt)
+    return Cfg(g.alphabet, tuple(reached), tuple(final), start), had_empty
 
 
 def cfg_enumerate(g: Cfg, bound: int) -> list[Word]:
@@ -878,51 +911,71 @@ def acyclic_nfa(h: KleeneGrammar, max_states: int = DEFAULT_MAX_STATES) -> Nfa:
     States materialize lazily, and more than ``max_states`` settled
     states raise a resource error rather than thrashing.  The result is
     trimmed.
+
+    A stack is interned as an integer, 0 for the empty one, so that a
+    push, pop or advance costs one lookup, and the node of a nonempty
+    stack keeps the bitmask of its open nonterminals, so that the test
+    for an open one is constant time.  Interning is one-to-one, so the
+    automaton is the same as with the stacks as keys.
     """
     by_head: dict[str, list[tuple[KItem, ...]]] = {}
     for lhs, rhs in h.productions:
         by_head.setdefault(lhs, []).append(rhs)
-    Frame = tuple[str, int, int]
+    bit = {nt: 1 << i for i, nt in enumerate(h.nonterminals)}
+    # per stack node: the stack below the top frame, the top frame's
+    # nonterminal, production and cursor, and the open nonterminals
+    below, tops, opened = [0], [("", 0, 0)], [0]
+    ids: dict[tuple[int, str, int, int], int] = {}
 
-    def pushes(stack: tuple[Frame, ...], nt: str) -> list[tuple[None, tuple[Frame, ...]]]:
-        if any(f[0] == nt for f in stack):
+    def node(under: int, nt: str, j: int, pos: int) -> int:
+        key = (under, nt, j, pos)
+        stack = ids.get(key)
+        if stack is None:
+            stack = ids[key] = len(below)
+            below.append(under)
+            tops.append((nt, j, pos))
+            opened.append(opened[under] | bit[nt])
+        return stack
+
+    def pushes(stack: int, nt: str) -> list[tuple[None, int]]:
+        if opened[stack] & bit[nt]:
             return []
-        return [(None, stack + ((nt, j, 0),)) for j in range(len(by_head.get(nt, ())))]
+        return [(None, node(stack, nt, j, 0)) for j in range(len(by_head.get(nt, ())))]
 
-    def successors(stack: tuple[Frame, ...] | None):
+    def successors(stack: int | None):
         if stack is None:
             return True, []
         if not stack:
-            return False, pushes((), h.start)
-        nt, j, pos = stack[-1]
+            return False, pushes(0, h.start)
+        nt, j, pos = tops[stack]
         rhs = by_head[nt][j]
+        under = below[stack]
         if pos == len(rhs):
-            if len(stack) == 1:
+            if not under:
                 return False, [(None, None)]
-            pnt, pj, ppos = stack[-2]
+            pnt, pj, ppos = tops[under]
             if by_head[pnt][pj][ppos][0] == STAR:
-                return False, [(None, stack[:-1])]
-            return False, [(None, stack[:-2] + ((pnt, pj, ppos + 1),))]
+                return False, [(None, under)]
+            return False, [(None, node(below[under], pnt, pj, ppos + 1))]
         kind, sym = rhs[pos]
-        advanced = stack[:-1] + ((nt, j, pos + 1),)
         if kind == LIT:
-            return False, [(sym, advanced)]
+            return False, [(sym, node(under, nt, j, pos + 1))]
         if kind == NT:
             return False, pushes(stack, sym)
-        return False, [(None, advanced)] + pushes(stack, sym)
+        return False, [(None, node(under, nt, j, pos + 1))] + pushes(stack, sym)
 
-    def settle(stack: tuple[Frame, ...] | None) -> tuple[Frame, ...] | None:
+    def settle(stack: int | None) -> int | None:
         while True:
             _, moves = successors(stack)
             if len(moves) != 1 or moves[0][0] is not None:
                 return stack
             stack = moves[0][1]
 
-    def settled(stack: tuple[Frame, ...] | None):
+    def settled(stack: int | None):
         final, moves = successors(stack)
         return final, [(label, settle(target)) for label, target in moves]
 
-    return _explore(h.alphabet, settle(()), settled, max_states, "acyclic automaton")
+    return _explore(h.alphabet, settle(0), settled, max_states, "acyclic automaton")
 
 
 def cfg_closure(g: Cfg, order: OrderKind, max_states: int = DEFAULT_MAX_STATES) -> Nfa:

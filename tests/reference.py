@@ -9,11 +9,13 @@ skeleton per last letter rather than from the model's one skeleton, and
 the side letters of a pump come from a fixpoint over the seam-marked pump
 grammar rather than from the grammar's components, and a Kleene grammar's
 acyclic automaton keeps one state per stack of its walk rather than
-settling forced ε-moves.
+settling forced ε-moves, and the binary normal form collapses the unit
+chain of every head before it prunes rather than of the reached ones.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import replace
 from functools import lru_cache
 from itertools import combinations, product
@@ -48,8 +50,10 @@ from prioclose.cfg import (
     HatAlphabet,
     KleeneGrammar,
     _ends_from_pump,
+    _fresh,
     _identity,
     _kleene,
+    _pruned,
     _pump_from_cnf,
     _pump_sides,
     _runs_from_pump,
@@ -520,3 +524,92 @@ def unsettled_acyclic_nfa(h: KleeneGrammar, max_states: int = DEFAULT_MAX_STATES
         return False, [(None, advanced)] + pushes(stack, sym)
 
     return _explore(h.alphabet, (), successors, max_states, "acyclic automaton")
+
+
+def reference_to_cnf(g: Cfg) -> tuple[Cfg, bool]:
+    """``cfg.to_cnf`` in the textbook order: the nullable symbols by a
+    round-robin fixpoint, every head's unit chain collapsed, and only
+    then the useless symbols pruned by ``cfg._pruned``.
+
+    Normalize to binary rules for the empty-word-free language.
+
+    Returns the normalized grammar together with a flag telling whether
+    the original language contained the empty word.  The fresh start
+    symbol never occurs on a right-hand side, and useless symbols are
+    pruned.  An empty language comes back as a production-free grammar.
+    """
+    taken = set(g.nonterminals) | set(g.alphabet.letters)
+    letters = set(g.alphabet.letters)
+    start = _fresh("S0", taken)
+    prods: list[tuple[str, tuple[str, ...]]] = [(start, (g.start,))]
+    prods.extend(g.productions)
+
+    # Lift letters out of long rules, then binarize.
+    lifted: dict[str, str] = {}
+    step1: list[tuple[str, tuple[str, ...]]] = []
+    for lhs, rhs in prods:
+        if len(rhs) >= 2:
+            new_rhs = []
+            for sym in rhs:
+                if sym in letters:
+                    if sym not in lifted:
+                        lifted[sym] = _fresh(f"T.{sym}", taken)
+                        step1.append((lifted[sym], (sym,)))
+                    new_rhs.append(lifted[sym])
+                else:
+                    new_rhs.append(sym)
+            rhs = tuple(new_rhs)
+        step1.append((lhs, rhs))
+    step2: list[tuple[str, tuple[str, ...]]] = []
+    for lhs, rhs in step1:
+        while len(rhs) > 2:
+            mid = _fresh(f"B.{lhs}", taken)
+            step2.append((lhs, (rhs[0], mid)))
+            lhs, rhs = mid, rhs[1:]
+        step2.append((lhs, rhs))
+
+    # Remove empty rules, remembering whether the start was nullable.
+    nullable: set[str] = set()
+    changed = True
+    while changed:
+        changed = False
+        for lhs, rhs in step2:
+            if lhs not in nullable and all(s in nullable for s in rhs):
+                nullable.add(lhs)
+                changed = True
+    had_empty = start in nullable
+    step3: set[tuple[str, tuple[str, ...]]] = set()
+    for lhs, rhs in step2:
+        options = [
+            ((sym,), ()) if sym in nullable and sym not in letters else ((sym,),)
+            for sym in rhs
+        ]
+        for picks in itertools.product(*options):
+            flat = tuple(s for part in picks for s in part)
+            if flat:
+                step3.add((lhs, flat))
+
+    # Collapse unit chains.
+    unit_next: dict[str, set[str]] = {}
+    solid: dict[str, set[tuple[str, ...]]] = {}
+    for lhs, rhs in step3:
+        if len(rhs) == 1 and rhs[0] not in letters:
+            unit_next.setdefault(lhs, set()).add(rhs[0])
+        else:
+            solid.setdefault(lhs, set()).add(rhs)
+    heads = {lhs for lhs, _ in step3}
+    final: set[tuple[str, tuple[str, ...]]] = set()
+    for lhs in heads:
+        seen = {lhs}
+        frontier = [lhs]
+        while frontier:
+            cur = frontier.pop()
+            for rhs in solid.get(cur, ()):
+                final.add((lhs, rhs))
+            for nxt in unit_next.get(cur, ()):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+
+    cnf = Cfg(g.alphabet, tuple(taken - letters), tuple(final), start)
+    return _pruned(cnf), had_empty

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+import prioclose.cfg as cfg_module
 from prioclose.automata import (
     Transducer,
     closure_regular,
@@ -41,7 +42,13 @@ from prioclose.core import (
 )
 from prioclose.oracle import closure_bounded
 
-from reference import KleeneSteps, kleene_sizes, leq_block_absorbing_ref, unsettled_acyclic_nfa
+from reference import (
+    KleeneSteps,
+    kleene_sizes,
+    leq_block_absorbing_ref,
+    reference_to_cnf,
+    unsettled_acyclic_nfa,
+)
 from test_oracle_enumerate import random_cfg
 
 w = parse_word
@@ -177,6 +184,114 @@ class TestNormalForm:
     def test_start_never_on_rhs(self):
         cnf, _ = to_cnf(flagship())
         assert all(cnf.start not in rhs for _, rhs in cnf.productions)
+
+
+PIPELINE_GRAMMARS = [flagship(), anbn(), ring(), ring(RING_A0B1C2D0), empty_grammar()]
+RANDOM_PRIORITIES = [
+    {"a": 0, "b": 1, "c": 2},
+    {"a": 0, "b": 1, "c": 1, "d": 2},
+    {"a": 0, "c": 2},
+]
+
+
+def assert_cnf_matches_reference(g: Cfg) -> None:
+    assert to_cnf(g) == reference_to_cnf(g)
+
+
+class TestNormalFormReference:
+    """``to_cnf`` prunes before it collapses unit chains, and gives the
+    same grammar and empty-word flag as the collapse-then-prune order."""
+
+    @pytest.mark.parametrize(
+        "g", PIPELINE_GRAMMARS, ids=["flagship", "anbn", "ring-0", "ring-a0b1c2d0", "empty"]
+    )
+    def test_pipeline_grammars(self, g):
+        assert_cnf_matches_reference(g)
+        assert_cnf_matches_reference(replace(g, alphabet=flatten(g.alphabet)))
+
+    @pytest.mark.parametrize("priorities", RANDOM_PRIORITIES, ids=["abc", "abcd", "ac"])
+    def test_random_grammars(self, priorities):
+        alphabet = PriorityAlphabet.from_map(priorities)
+        for seed in range(60):
+            g = random_cfg(random.Random(seed), alphabet)
+            assert to_cnf(g) == reference_to_cnf(g), seed
+            flat = replace(g, alphabet=flatten(alphabet))
+            assert to_cnf(flat) == reference_to_cnf(flat), seed
+
+    @pytest.mark.parametrize(
+        "grammars",
+        [
+            PIPELINE_GRAMMARS,
+            *(
+                [random_cfg(random.Random(seed), PriorityAlphabet.from_map(priorities))
+                 for seed in range(60)]
+                for priorities in RANDOM_PRIORITIES
+            ),
+        ],
+        ids=["pipeline", "abc", "abcd", "ac"],
+    )
+    def test_inputs_inside_the_kleene_rebuild(self, grammars, monkeypatch):
+        """Every grammar the rebuild normalises, captured by a wrapper
+        around ``to_cnf``; the rebuild is capped at 2,000 states."""
+        seen: list[Cfg] = []
+
+        def captured(g: Cfg) -> tuple[Cfg, bool]:
+            seen.append(g)
+            return to_cnf(g)
+
+        monkeypatch.setattr(cfg_module, "to_cnf", captured)
+        for g in grammars:
+            cnf, _ = to_cnf(replace(g, alphabet=flatten(g.alphabet)))
+            if cnf.productions:
+                try:
+                    _kleene(cnf, frozenset(), max_states=2000)
+                except ResourceLimit:
+                    pass
+        monkeypatch.undo()
+        assert len(seen) >= 50
+        for g in set(seen):
+            assert_cnf_matches_reference(g)
+
+    def test_only_the_empty_word(self):
+        g = Cfg(AB0, ("S", "E"), (("S", ("E", "E")), ("E", ())), "S")
+        assert_cnf_matches_reference(g)
+        cnf, had_empty = to_cnf(g)
+        assert had_empty and cnf.productions == () and cnf.nonterminals == (cnf.start,)
+
+    def test_unit_cycle(self):
+        g = Cfg(
+            AB0,
+            ("S", "A", "B"),
+            (("S", ("A",)), ("A", ("B",)), ("B", ("A",)), ("A", ("a",)), ("B", ("b", "B"))),
+            "S",
+        )
+        assert_cnf_matches_reference(g)
+        cnf, _ = to_cnf(g)
+        assert cfg_enumerate(cnf, 3) == [w("a"), w("b,a"), w("b,b,a")]
+
+    def test_repeated_nullable_symbol(self):
+        g = Cfg(
+            AB0,
+            ("S", "X", "A"),
+            (("S", ("X", "b")), ("X", ("A", "A")), ("A", ("a",)), ("A", ())),
+            "S",
+        )
+        assert_cnf_matches_reference(g)
+        cnf, had_empty = to_cnf(g)
+        assert not had_empty
+        assert cfg_enumerate(cnf, 3) == [w("b"), w("a,b"), w("a,a,b")]
+
+    def test_nullable_start(self):
+        g = Cfg(
+            AB0,
+            ("S", "A"),
+            (("S", ("a", "S")), ("S", ("A",)), ("A", ()), ("A", ("b",))),
+            "S",
+        )
+        assert_cnf_matches_reference(g)
+        cnf, had_empty = to_cnf(g)
+        assert had_empty
+        assert cfg_enumerate(cnf, 2) == [w("a"), w("b"), w("a,a"), w("a,b")]
 
 
 class TestEnumerate:
