@@ -19,7 +19,7 @@ and ``closure_regular`` does the rest.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
@@ -978,51 +978,75 @@ def _order_moves(order: OrderKind, alphabet: PriorityAlphabet, max_states: int):
 def _merged_product(
     nfa: Nfa, t_initial: int, t_moves: Callable[[int], TMoves], max_states: int, what: str
 ) -> tuple[list, list[int]]:
-    """Rows and finals of the NFA's image under a letter transducer, with
-    the product states that lie on one epsilon cycle merged.
+    """Rows and finals of the NFA's image under a letter table, with the
+    product states that lie on one epsilon cycle merged.
 
-    Where transducer state t drops letter a in place, a move on a of the
-    NFA is an epsilon move of the product that stays at t.  So the states
-    (t, q) for q in one strongly connected component r of the NFA's graph
-    of epsilon moves and such letters lie on one epsilon cycle, and share
+    The table emits the letter it reads or nothing, and its moves that
+    read nothing emit nothing, as ``_order_moves``' tables do.  Where
+    table state t drops letter a in place, a move on a of the NFA is an
+    epsilon move of the product that stays at t.  So the states (t, q)
+    for q in one strongly connected component r of the NFA's graph of
+    epsilon moves and such letters lie on one epsilon cycle, and share
     their epsilon closure.  The walk keys a state by (t, r), as t * n
     plus r's first member: the merged state takes its members' moves,
     less its epsilon loops, and is final if any member is.  An
     epsilon-closed subset holds all of a cycle or none of it, so every
     such subset keeps its language, and ``_minimal_dfa`` gives the DFA of
-    the unmerged product of ``_product``.  Rows are grouped by label but
-    unsorted, and nothing is trimmed: the subset construction and
-    Hopcroft's refinement send dead states to the sink.  More than
-    ``max_states`` merged states raise ResourceLimit naming ``what``.
+    the unmerged product of ``_product``.
+
+    Components depend on t only through its set of in-place letters, and
+    only those with two or more members merge anything.  Per such set
+    and component, the walk reads once, when it first reaches the
+    component, whether a member is final, the members' epsilon targets
+    mapped to their components, and per letter the union of the members'
+    targets; a state on no cycle reads its own NFA row.  Only the table's
+    own moves that read nothing go member by member, as each target maps
+    through the components of the target table state.  Rows hold lists,
+    one (letter, targets) pair per letter, and nothing is trimmed: the
+    subset construction and Hopcroft's refinement send dead states to the
+    sink.  More than ``max_states`` merged states raise ResourceLimit
+    naming ``what``.
     """
     adjacency = nfa.adjacency
     n = len(adjacency)
     n_final = bytearray(n)
     for q in nfa.finals:
         n_final[q] = 1
+    has_eps = any(eps for eps, _ in adjacency)
+    identity = list(range(n))
+    by_letter: dict[str, list] = {}
+    for q, (_, on) in enumerate(adjacency):
+        for a, ds in on:
+            by_letter.setdefault(a, []).append((q, ds))
+    # per in-place letter set: the first member of each state's component,
+    # the components of two or more members by first member, and their reads
+    by_drops: dict[frozenset, tuple[list[int], dict[int, list[int]], dict[int, tuple]]] = {}
     by_state: dict[int, tuple] = {}
-    by_drops: dict[frozenset, tuple[list[int], list[tuple[int, ...]]]] = {}
     memo: dict[int, tuple] = {}
 
     def merged(t: int) -> tuple:
-        """Transducer state t's moves, then per NFA state the first member
-        of its component at t, and per first member the component."""
+        """Transducer state t's moves and the components of its in-place set."""
         got = by_state.get(t)
         if got is None:
             moves = t_moves(t)
             in_place = frozenset(a for a, ms in moves[1].items() if (None, t) in ms)
             cycles = by_drops.get(in_place)
             if cycles is None:
-                succ = [[*eps, *(d for a, ds in on if a in in_place for d in ds)]
-                        for eps, on in adjacency]
-                first = list(range(n))
-                members = [(q,) for q in range(n)]
-                for component in _components(succ):
-                    r = component[0]
-                    members[r] = tuple(component)
-                    for q in component:
-                        first[q] = r
-                cycles = by_drops[in_place] = (first, members)
+                first, members = identity, {}
+                if in_place or has_eps:
+                    succ = [list(eps) for eps, _ in adjacency]
+                    for a in in_place:
+                        for q, ds in by_letter.get(a, ()):
+                            succ[q] += ds
+                    for component in _components(succ):
+                        if len(component) > 1:
+                            if first is identity:
+                                first = list(identity)
+                            r = component[0]
+                            members[r] = component
+                            for q in component:
+                                first[q] = r
+                cycles = by_drops[in_place] = (first, members, {})
             got = by_state[t] = (moves, *cycles)
         return got
 
@@ -1031,44 +1055,73 @@ def _merged_product(
         def targets(moves):
             return [(label, u * n, merged(u)[1]) for label, u in moves]
 
-        (eps, on, final), first, members = merged(t)
-        got = memo[t * n] = (targets(eps), {a: targets(ms) for a, ms in on.items()}, final, first, members)
+        (eps, on, final), first, members, reads = merged(t)
+        got = memo[t * n] = (targets(eps), {a: targets(ms) for a, ms in on.items()}, final,
+                             first, members, reads)
         return got
 
-    index = {t_initial * n + merged(t_initial)[1][nfa.initial]: 0}
-    order = list(index)
+    def read(group: list[int], first: list[int]) -> tuple:
+        """A component's finality, epsilon targets' components, and letter moves."""
+        eps: set[int] = set()
+        on: dict[str, set[int]] = {}
+        for q in group:
+            q_eps, q_on = adjacency[q]
+            eps.update([first[d] for d in q_eps])
+            for a, dsts in q_on:
+                if a in on:
+                    on[a].update(dsts)
+                else:
+                    on[a] = set(dsts)
+        eps.discard(group[0])
+        return any(n_final[q] for q in group), eps, tuple(on.items())
+
+    start = t_initial * n + merged(t_initial)[1][nfa.initial]
+    index = {start: 0}
+    order = [start]
     rows: list = []
     finals: list[int] = []
-
-    def number(keys: Iterable[int]) -> tuple[int, ...]:
-        out = []
-        for key in keys:
-            i = index.get(key)
-            if i is None:
-                i = index[key] = len(order)
-                order.append(key)
-            out.append(i)
-        return tuple(out)
-
     for key in order:
         r = key % n
         base = key - r
-        t_eps, t_on, t_final, first, members = memo.get(base) or table(base // n)
-        group = members[r]
-        out: dict[str | None, set[int]] = defaultdict(set)
-        for q in group:
-            for label, b, u_first in t_eps:
-                out[label].add(b + u_first[q])
-            n_eps, n_on = adjacency[q]
-            if n_eps:
-                out[None].update([base + first[d] for d in n_eps])
-            for letter, dsts in n_on:
-                for label, b, u_first in t_on.get(letter, ()):
-                    out[label].update([b + u_first[d] for d in dsts])
-        eps_keys = out.pop(None, set())
+        t_eps, t_on, t_final, first, members, reads = memo.get(base) or table(base // n)
+        group = members.get(r)
+        if group is None:
+            group = (r,)
+            n_eps, on = adjacency[r]
+            final = n_final[r]
+            eps_keys = {base + first[d] for d in n_eps}
+        else:
+            got = reads.get(r)
+            if got is None:
+                got = reads[r] = read(group, first)
+            final, eps, on = got
+            eps_keys = {base + d for d in eps}
+        if t_eps:
+            eps_keys.update([b + u_first[q] for _, b, u_first in t_eps for q in group])
+        row_on = []
+        for a, dsts in on:
+            kept: set[int] = set()
+            for label, b, u_first in t_on.get(a, ()):
+                (kept if label else eps_keys).update([b + u_first[d] for d in dsts])
+            if kept:
+                ids = []
+                for k in kept:
+                    i = index.get(k)
+                    if i is None:
+                        i = index[k] = len(order)
+                        order.append(k)
+                    ids.append(i)
+                row_on.append((a, ids))
         eps_keys.discard(key)
-        rows.append((number(eps_keys), tuple([(a, number(ks)) for a, ks in out.items()])))
-        if t_final and any(n_final[q] for q in group):
+        row_eps = []
+        for k in eps_keys:
+            i = index.get(k)
+            if i is None:
+                i = index[k] = len(order)
+                order.append(k)
+            row_eps.append(i)
+        rows.append((row_eps, row_on))
+        if t_final and final:
             finals.append(len(rows) - 1)
         if len(order) > max_states:
             raise ResourceLimit(f"{what} exceeded {max_states} states")

@@ -659,7 +659,7 @@ def _repeat_transducer(hat: HatAlphabet, r: int, s: int, side: str) -> Transduce
 
 
 def _ends_from_pump(
-    pump: tuple[Cfg, bool], hat: HatAlphabet, r: int, s: int, max_states: int
+    pump: tuple[Cfg, bool], ends: Transducer, hat: HatAlphabet, r: int, s: int, max_states: int
 ) -> Cfg:
     """Marked outer runs of the normalised pump grammar at one nonterminal.
 
@@ -667,8 +667,9 @@ def _ends_from_pump(
     replaced by a marker, the seam marker, then the right half treated
     symmetrically.  Halves whose top priority is not exactly ``r``
     respectively ``s`` (at most zero for zero) contribute nothing.
+    ``ends`` is ``_ends_transducer(hat, r, s)``.
     """
-    out = _transduce_cnf(_ends_transducer(hat, r, s), pump, max_states)
+    out = _transduce_cnf(ends, pump, max_states)
     cutoff = max(r, s, 1) - 1
     entries = tuple((a, p) for a, p in hat.base.entries if p <= cutoff)
     markers = ((hat.mid, 0), (hat.left, 0), (hat.right, 0))
@@ -676,18 +677,24 @@ def _ends_from_pump(
 
 
 def _runs_from_pump(
-    pump: tuple[Cfg, bool], hat: HatAlphabet, r: int, s: int, side: str, max_states: int
+    pump: tuple[Cfg, bool],
+    repeat: Transducer,
+    hat: HatAlphabet,
+    r: int,
+    s: int,
+    side: str,
+    max_states: int,
 ) -> Cfg:
     """Runs of one side of the normalised pump grammar at one nonterminal.
 
     For a positive priority they are the separator-free runs between two
     adjacent separators, over the letters below it; for priority zero
     the single letters on that side.  The opposite side only filters by
-    its top priority.
+    its top priority.  ``repeat`` is ``_repeat_transducer(hat, r, s, side)``.
     """
     pri = r if side == "left" else s
     cutoff = max(pri - 1, 0)
-    out = _transduce_cnf(_repeat_transducer(hat, r, s, side), pump, max_states)
+    out = _transduce_cnf(repeat, pump, max_states)
     entries = tuple((a, p) for a, p in hat.base.entries if p <= cutoff)
     return replace(out, alphabet=PriorityAlphabet(entries))
 
@@ -801,6 +808,8 @@ def _kleene(
     letters on that side of x, and zero, can give a pump end.
     ``max_states`` caps every grammar transduction inside, as in
     ``apply_transducer_to_cfg``, and the productions of the result.
+    The pump transducers depend only on the priorities and the side, so
+    one call builds each once and shares it among its nonterminals.
     """
     alpha = cnf.alphabet
     p = alpha.max_assigned_priority
@@ -819,6 +828,16 @@ def _kleene(
         elif alpha.letters_of(pri):
             prods.append((z[pri], ((LIT, alpha.letters_of(pri)[0]),)))
     hat = HatAlphabet.extend(alpha)
+    transducers: dict[tuple, Transducer] = {}
+
+    def transducer(*key) -> Transducer:
+        """The ends transducer of (r, s), or the repeat one of (r, s, side)."""
+        built = transducers.get(key)
+        if built is None:
+            build = _ends_transducer if len(key) == 2 else _repeat_transducer
+            built = transducers[key] = build(hat, *key)
+        return built
+
     counter = 0
     sides = _pump_sides(cnf)
     for x in cnf.nonterminals:
@@ -829,7 +848,8 @@ def _kleene(
         left, right = ({0, *map(alpha.priority, side)} for side in sides[x])
         for r in sorted(left):
             for s in sorted(right):
-                ends_cnf, _ = to_cnf(_ends_from_pump(pump, hat, r, s, max_states))
+                ends = transducer(r, s)
+                ends_cnf, _ = to_cnf(_ends_from_pump(pump, ends, hat, r, s, max_states))
                 if not ends_cnf.productions:
                     continue
                 counter += 1
@@ -840,8 +860,9 @@ def _kleene(
                 # because the wrapper below appends z[pri] itself.
                 side_starts: dict[str, str | None] = {}
                 for side, pri in (("left", r), ("right", s)):
+                    repeat = transducer(r, s, side)
                     run_cnf, run_empty = to_cnf(
-                        _runs_from_pump(pump, hat, r, s, side, max_states)
+                        _runs_from_pump(pump, repeat, hat, r, s, side, max_states)
                     )
                     wrapper = _fresh(f"W{counter}.{side}", taken)
                     have_any = False
@@ -894,7 +915,9 @@ def acyclic_nfa(h: KleeneGrammar, max_states: int = DEFAULT_MAX_STATES) -> Nfa:
     follows forced stacks to the first that is not; the automaton's
     states are the settled stacks, where a letter is read, the walk
     branches, or None.  Settling drops only forced ε-moves, so the
-    language is unchanged.
+    language is unchanged.  ``settle`` keeps the raw step of the stack
+    it stops at, and the walk takes it from there rather than stepping
+    that stack again.
 
     A forced chain always ends.  Read a stack's cursors from the bottom
     as a sequence.  A forced push opens the one production of a
@@ -964,15 +987,20 @@ def acyclic_nfa(h: KleeneGrammar, max_states: int = DEFAULT_MAX_STATES) -> Nfa:
             return False, pushes(stack, sym)
         return False, [(None, node(under, nt, j, pos + 1))] + pushes(stack, sym)
 
+    # the raw step of each stack settle stopped at; every state of the walk is one
+    stopped: dict[int | None, tuple] = {}
+
     def settle(stack: int | None) -> int | None:
         while True:
-            _, moves = successors(stack)
+            step = successors(stack)
+            moves = step[1]
             if len(moves) != 1 or moves[0][0] is not None:
+                stopped[stack] = step
                 return stack
             stack = moves[0][1]
 
     def settled(stack: int | None):
-        final, moves = successors(stack)
+        final, moves = stopped.pop(stack)
         return final, [(label, settle(target)) for label, target in moves]
 
     return _explore(h.alphabet, settle(0), settled, max_states, "acyclic automaton")

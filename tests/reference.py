@@ -10,12 +10,15 @@ the side letters of a pump come from a fixpoint over the seam-marked pump
 grammar rather than from the grammar's components, and a Kleene grammar's
 acyclic automaton keeps one state per stack of its walk rather than
 settling forced ε-moves, and the binary normal form collapses the unit
-chain of every head before it prunes rather than of the reached ones.
+chain of every head before it prunes rather than of the reached ones,
+and the closure product reads every member of a merged state rather
+than each component's moves once.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import replace
 from functools import lru_cache
 from itertools import combinations, product
@@ -33,6 +36,7 @@ from prioclose.automata import (
     _XMID,
     _XSTART,
     Nfa,
+    _components,
     _explore,
     _minimal_dfa,
     closure_regular,
@@ -50,12 +54,14 @@ from prioclose.cfg import (
     HatAlphabet,
     KleeneGrammar,
     _ends_from_pump,
+    _ends_transducer,
     _fresh,
     _identity,
     _kleene,
     _pruned,
     _pump_from_cnf,
     _pump_sides,
+    _repeat_transducer,
     _runs_from_pump,
     acyclic_nfa,
     apply_transducer_to_cfg,
@@ -65,6 +71,7 @@ from prioclose.core import (
     DEFAULT_MAX_STATES,
     OrderKind,
     PriorityAlphabet,
+    ResourceLimit,
     Word,
     block_decompose,
     flatten,
@@ -436,13 +443,17 @@ class KleeneSteps:
 
     def ends(self, x: str, r: int, s: int) -> Cfg:
         """The marked outer runs of x's pumps with top priorities r and s."""
-        return _ends_from_pump(to_cnf(self.pump(x)), self.hat, r, s, DEFAULT_MAX_STATES)
+        ends = _ends_transducer(self.hat, r, s)
+        return _ends_from_pump(to_cnf(self.pump(x)), ends, self.hat, r, s, DEFAULT_MAX_STATES)
 
     def runs(self, x: str, r: int, s: int) -> tuple[Cfg, Cfg]:
         """The separator-free runs that repeat left and right of x."""
         pump = to_cnf(self.pump(x))
         return tuple(
-            _runs_from_pump(pump, self.hat, r, s, side, DEFAULT_MAX_STATES)
+            _runs_from_pump(
+                pump, _repeat_transducer(self.hat, r, s, side), self.hat, r, s, side,
+                DEFAULT_MAX_STATES,
+            )
             for side in ("left", "right")
         )
 
@@ -613,3 +624,103 @@ def reference_to_cnf(g: Cfg) -> tuple[Cfg, bool]:
 
     cnf = Cfg(g.alphabet, tuple(taken - letters), tuple(final), start)
     return _pruned(cnf), had_empty
+
+
+def reference_merged_product(
+    nfa: Nfa, t_initial: int, t_moves, max_states: int, what: str
+) -> tuple[list, list[int]]:
+    """Rows and finals of the NFA's image under a letter transducer, with
+    the product states that lie on one epsilon cycle merged.
+
+    Where transducer state t drops letter a in place, a move on a of the
+    NFA is an epsilon move of the product that stays at t.  So the states
+    (t, q) for q in one strongly connected component r of the NFA's graph
+    of epsilon moves and such letters lie on one epsilon cycle, and share
+    their epsilon closure.  The walk keys a state by (t, r), as t * n
+    plus r's first member: the merged state takes its members' moves,
+    less its epsilon loops, and is final if any member is.  An
+    epsilon-closed subset holds all of a cycle or none of it, so every
+    such subset keeps its language, and ``_minimal_dfa`` gives the DFA of
+    the unmerged product of ``_product``.  Rows are grouped by label but
+    unsorted, and nothing is trimmed: the subset construction and
+    Hopcroft's refinement send dead states to the sink.  More than
+    ``max_states`` merged states raise ResourceLimit naming ``what``.
+    """
+    adjacency = nfa.adjacency
+    n = len(adjacency)
+    n_final = bytearray(n)
+    for q in nfa.finals:
+        n_final[q] = 1
+    by_state: dict[int, tuple] = {}
+    by_drops: dict[frozenset, tuple[list[int], list[tuple[int, ...]]]] = {}
+    memo: dict[int, tuple] = {}
+
+    def merged(t: int) -> tuple:
+        """Transducer state t's moves, then per NFA state the first member
+        of its component at t, and per first member the component."""
+        got = by_state.get(t)
+        if got is None:
+            moves = t_moves(t)
+            in_place = frozenset(a for a, ms in moves[1].items() if (None, t) in ms)
+            cycles = by_drops.get(in_place)
+            if cycles is None:
+                succ = [[*eps, *(d for a, ds in on if a in in_place for d in ds)]
+                        for eps, on in adjacency]
+                first = list(range(n))
+                members = [(q,) for q in range(n)]
+                for component in _components(succ):
+                    r = component[0]
+                    members[r] = tuple(component)
+                    for q in component:
+                        first[q] = r
+                cycles = by_drops[in_place] = (first, members)
+            got = by_state[t] = (moves, *cycles)
+        return got
+
+    def table(t: int) -> tuple:
+        # a move carries its target's t * n and component map: the target key is that plus first[q]
+        def targets(moves):
+            return [(label, u * n, merged(u)[1]) for label, u in moves]
+
+        (eps, on, final), first, members = merged(t)
+        got = memo[t * n] = (targets(eps), {a: targets(ms) for a, ms in on.items()}, final, first, members)
+        return got
+
+    index = {t_initial * n + merged(t_initial)[1][nfa.initial]: 0}
+    order = list(index)
+    rows: list = []
+    finals: list[int] = []
+
+    def number(keys: set[int]) -> tuple[int, ...]:
+        out = []
+        for key in keys:
+            i = index.get(key)
+            if i is None:
+                i = index[key] = len(order)
+                order.append(key)
+            out.append(i)
+        return tuple(out)
+
+    for key in order:
+        r = key % n
+        base = key - r
+        t_eps, t_on, t_final, first, members = memo.get(base) or table(base // n)
+        group = members[r]
+        out: dict[str | None, set[int]] = defaultdict(set)
+        for q in group:
+            for label, b, u_first in t_eps:
+                out[label].add(b + u_first[q])
+            n_eps, n_on = adjacency[q]
+            if n_eps:
+                out[None].update([base + first[d] for d in n_eps])
+            for letter, dsts in n_on:
+                for label, b, u_first in t_on.get(letter, ()):
+                    out[label].update([b + u_first[d] for d in dsts])
+        eps_keys = out.pop(None, set())
+        eps_keys.discard(key)
+        rows.append((number(eps_keys), tuple([(a, number(ks)) for a, ks in out.items()])))
+        if t_final and any(n_final[q] for q in group):
+            finals.append(len(rows) - 1)
+        if len(order) > max_states:
+            raise ResourceLimit(f"{what} exceeded {max_states} states")
+    return rows, finals

@@ -48,6 +48,16 @@ def soca_anbn(pa=0, pb=0) -> SimpleOca:
     )
 
 
+def five_cycle() -> SimpleOca:
+    """a increments one step round a 5-cycle, b decrements two steps on."""
+    edges = []
+    for i in range(5):
+        edges.append((f"q{i}", "a", CounterOp.INC, f"q{(i + 1) % 5}"))
+        edges.append((f"q{i}", "b", CounterOp.DEC, f"q{(i + 2) % 5}"))
+    states = tuple(f"q{i}" for i in range(5))
+    return SimpleOca(ab_alphabet(0, 1), states, tuple(edges), "q0", "q0")
+
+
 def oca_anbn(pa=0, pb=0) -> Oca:
     s = soca_anbn(pa, pb)
     return Oca(s.alphabet, s.states, s.edges, s.initial, (s.final,), AcceptMode.ZERO_COUNTER)
@@ -208,13 +218,7 @@ class TestClosureNfa:
         assert set(nfa_enumerate(closed, 7)) == expect
 
     def test_state_cap(self):
-        # a increments one step round a 5-cycle, b decrements two steps on
-        edges = []
-        for i in range(5):
-            edges.append((f"q{i}", "a", CounterOp.INC, f"q{(i + 1) % 5}"))
-            edges.append((f"q{i}", "b", CounterOp.DEC, f"q{(i + 2) % 5}"))
-        states = tuple(f"q{i}" for i in range(5))
-        cycle = SimpleOca(ab_alphabet(0, 1), states, tuple(edges), "q0", "q0")
+        cycle = five_cycle()
         assert len(soca_closure_nfa(cycle).states) > 50
         with pytest.raises(ResourceLimit, match="one-counter skeleton exceeded 50 states"):
             soca_closure_nfa(cycle, max_states=50)

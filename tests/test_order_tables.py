@@ -5,8 +5,10 @@
 it to an alphabet's letters.  These tests check it against the public
 transducers, cold and warm, on two alphabets with one profile, check
 that a sparse priority closes like its rank, that the state cap counts
-the product's merged states, and pin the minimal DFA of a product whose
-subset construction passes its size.
+the product's merged states, that the product which reads each merged
+state's component once agrees with the reference that reads every
+member, and pin the minimal DFA of a product whose subset construction
+passes its size.
 """
 
 from __future__ import annotations
@@ -30,8 +32,11 @@ from prioclose.automata import (
     subword_transducer,
 )
 from prioclose.cli import main
-from prioclose.core import OrderKind, PriorityAlphabet, ResourceLimit
+from prioclose.core import DEFAULT_MAX_STATES, OrderKind, PriorityAlphabet, ResourceLimit
+from prioclose.oca import soca_closure_nfa
+from reference import reference_merged_product
 from test_automata import CYCLE_BESIDE_1, random_nfa
+from test_oca import five_cycle
 
 # one priority profile, (0, 1), spelled with different letters
 ALPHABETS = (
@@ -199,3 +204,34 @@ def test_reduction_fallback_returns_the_trimmed_product(order, expect):
         with pytest.raises(ResourceLimit, match=f"^{order.value} closure product exceeded 4 states$"):
             closure_regular(nfa, order, 4)
     assert nfa_serialize(nfa_reduce(nfa)) == DFA
+
+
+def product_inputs() -> list:
+    """Seeded draws with epsilon moves, the cycles above, and a glued
+    counter-machine skeleton whose in-place cycles have many members."""
+    rng = random.Random(13)
+    nfas = [
+        random_nfa(alphabet, rng, n_states=rng.randint(2, 10), n_edges=rng.randint(4, 20))
+        for alphabet in ALPHABETS
+        for _ in range(20)
+    ]
+    nfas.append(nfa_parse(CYCLE_BESIDE_1, ALPHABETS[0]))
+    nfas.append(nfa_parse(CYCLE, ALPHABETS[0]))
+    nfas.append(nfa_parse(FALLBACK, PriorityAlphabet.from_map({"a": 0, "b": 0, "c": 0})))
+    nfas.append(soca_closure_nfa(five_cycle()))
+    return nfas
+
+
+@pytest.mark.parametrize("order", list(OrderKind), ids=lambda o: o.value)
+def test_product_reads_components_like_their_members(order):
+    for nfa in product_inputs():
+        initial, moves = automata._order_moves(order, nfa.alphabet, DEFAULT_MAX_STATES)
+        dfas = []
+        sizes = []
+        for build in (reference_merged_product, automata._merged_product):
+            rows, finals = build(nfa, initial, moves, DEFAULT_MAX_STATES, "product")
+            sizes.append(len(rows))
+            dfas.append(automata._minimal_dfa(nfa.alphabet, rows, 0, finals, DEFAULT_MAX_STATES))
+        # the same merged states, so --state-cap counts the same, and the same language
+        assert sizes[0] == sizes[1]
+        assert dfas[0] == dfas[1]
