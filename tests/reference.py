@@ -12,7 +12,9 @@ acyclic automaton keeps one state per stack of its walk rather than
 settling forced ε-moves, and the binary normal form collapses the unit
 chain of every head before it prunes rather than of the reached ones,
 and the closure product reads every member of a merged state rather
-than each component's moves once.
+than each component's moves once, and the oracle's bounded closure
+tests every subword of every member with ``leq`` rather than generating
+each member's down-set.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from collections import defaultdict
 from dataclasses import replace
 from functools import lru_cache
 from itertools import combinations, product
+from typing import Iterable
 
 from prioclose.automata import (
     _ACCEPTING,
@@ -73,11 +76,14 @@ from prioclose.core import (
     PriorityAlphabet,
     ResourceLimit,
     Word,
+    _word_key,
     block_decompose,
     flatten,
+    leq,
     max_priority,
 )
 from prioclose.oca import Oca, SimpleOca, _glue_nfa, _machine_parts, oca_accepts_bounded
+from prioclose.oracle import DEFAULT_CHECK_CAP, subwords_up_to
 
 
 def subword_ref(u: Word, v: Word) -> bool:
@@ -724,3 +730,32 @@ def reference_merged_product(
         if len(order) > max_states:
             raise ResourceLimit(f"{what} exceeded {max_states} states")
     return rows, finals
+
+
+def reference_closure_bounded(
+    words: Iterable[Word],
+    order: OrderKind,
+    alphabet: PriorityAlphabet,
+    bound: int,
+    check_cap: int = DEFAULT_CHECK_CAP,
+) -> list[Word]:
+    """Every word of length <= bound lying below some member of ``words``.
+
+    All three orders refine the subword order, so candidates are drawn
+    from the subwords of each member and checked one by one.
+    """
+    members = {tuple(w) for w in words}
+    out: set[Word] = set()
+    checks = 0
+    for v in sorted(members, key=_word_key):
+        for u in subwords_up_to(v, bound):
+            if u in out:
+                continue
+            checks += 1
+            if checks > check_cap:
+                raise ResourceLimit(
+                    f"closure_bounded exceeded {check_cap} order checks"
+                )
+            if leq(alphabet, order, u, v):
+                out.add(u)
+    return sorted(out, key=_word_key)

@@ -1,14 +1,17 @@
 """Brute-force bounded closure oracle and comparison report tests."""
 
+import random
+from itertools import product
+
 import pytest
 
 from prioclose.automata import closure_regular, nfa_for_words
 from prioclose.cfg import Cfg, cfg_block_closure, cfg_priority_closure
-from prioclose.core import OrderKind, PriorityAlphabet, parse_word
+from prioclose.core import OrderKind, PriorityAlphabet, ResourceLimit, parse_word
 from prioclose.oca import CounterOp, SimpleOca
 from prioclose.oracle import closure_bounded, compare_closure, subwords_up_to
 
-from reference import leq_block_absorbing_ref
+from reference import leq_block_absorbing_ref, reference_closure_bounded
 
 w = parse_word
 
@@ -72,6 +75,66 @@ class TestClosureBounded:
     def test_subwords_up_to(self):
         got = subwords_up_to(w("a,b"), 2)
         assert got == {(), ("a",), ("b",), ("a", "b")}
+
+    def test_tiny_cap_raises(self):
+        for order in ORDERS:
+            with pytest.raises(ResourceLimit, match="closure_bounded exceeded 3"):
+                closure_bounded([w("0a,1b,2a,0b,1a,2b")], order, EX, 6, check_cap=3)
+
+    def test_negative_bound_is_empty(self):
+        for order in ORDERS:
+            assert closure_bounded([w("0a,1b")], order, EX, -1) == []
+
+    def test_foreign_letter_is_rejected(self):
+        for order in ORDERS:
+            with pytest.raises(ValueError, match="not in alphabet"):
+                closure_bounded([w("0a"), w("0a,x")], order, EX, 0)
+
+    def test_unknown_order_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown order"):
+            closure_bounded([w("0a")], "subword", EX, 2)
+
+
+# Ties, distinct priorities, and priorities that carry no letter.
+EXHAUSTIVE_MAPS = (
+    {"a": 0, "b": 0, "c": 0},
+    {"a": 0, "b": 1, "c": 2},
+    {"a": 0, "b": 2, "c": 2},
+    {"a": 3, "b": 1, "c": 1},
+)
+
+
+@pytest.mark.parametrize(
+    "priorities", EXHAUSTIVE_MAPS, ids=lambda m: "".join(f"{k}{p}" for k, p in m.items())
+)
+def test_closure_matches_reference_on_every_short_word(priorities):
+    """Each generated down-set equals the leq filter's, for every word
+    of length <= 6 over three letters, every bound up to |v| + 1 and
+    every order."""
+    alphabet = PriorityAlphabet.from_map(priorities)
+    for n in range(7):
+        for v in product("abc", repeat=n):
+            for bound in range(n + 2):
+                for order in ORDERS:
+                    got = closure_bounded([v], order, alphabet, bound)
+                    assert got == reference_closure_bounded([v], order, alphabet, bound), (
+                        v, order, bound,
+                    )
+
+
+def test_closure_matches_reference_on_seeded_word_sets():
+    rng = random.Random(24)
+    for _ in range(200):
+        words = [
+            tuple(rng.choice(EX.letters) for _ in range(rng.randint(0, 9)))
+            for _ in range(rng.randint(1, 6))
+        ]
+        bound = rng.randint(0, 8)
+        for order in ORDERS:
+            got = closure_bounded(words, order, EX, bound)
+            assert got == reference_closure_bounded(words, order, EX, bound), (
+                words, order, bound,
+            )
 
 
 class TestCompareClosure:

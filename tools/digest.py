@@ -1,15 +1,21 @@
-"""SHA-256 digests of the closures a benchmark workload builds.
+"""SHA-256 digests of the closures or reports a benchmark workload makes.
 
 Usage:
-    python3 tools/digest.py --workload pipeline|regular [--seed N]
+    python3 tools/digest.py --workload pipeline|regular|verify [--seed N]
 
-Runs ``prioclose.cli.main`` in process on every item of the workload,
-with the models and argument lists of ``bench/run.py``'s
-``prepare_cli``, written to a temporary directory.  It prints one line
-per item, sorted by item id: the SHA-256 of the output file (or the
-exit code of an item that failed), then the id.  The last line is the
-SHA-256 of all item lines.  Two checkouts whose lines are equal build
-byte-identical closures.  Nothing under ``bench/`` is changed.
+For ``pipeline`` and ``regular`` it runs ``prioclose.cli.main`` in
+process on every item of the workload, with the models and argument
+lists of ``bench/run.py``'s ``prepare_cli``, written to a temporary
+directory, and digests each output file (or gives the exit code of an
+item that failed).  For ``verify`` it runs one pass of
+``bench/worker.py``'s ``setup_verify`` over ``bench/run.py``'s
+``prepare_verify`` manifest, and digests each item's verdict with its
+missing and extra words, or its enumerated words (or gives the last
+line of an item's error).  It prints one line per item, sorted by item
+id: the result, then the id.  The last line is the SHA-256 of all item
+lines.  Two checkouts whose lines are equal build byte-identical
+closures, or give identical reports.  Nothing under ``bench/`` is
+changed.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -26,11 +33,31 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import run as bench_run  # noqa: E402  (bench/run.py)
+import worker as bench_worker  # noqa: E402  (bench/worker.py)
+import prioclose  # noqa: E402
 from prioclose import cli  # noqa: E402
+
+
+def verify_digests(seed: int) -> list[str]:
+    """One "<digest> <id>" line per ``verify`` item, sorted by id."""
+    manifest, _ = bench_run.prepare_verify(seed)
+    # The worker reads the manifest back from JSON.
+    run, _ = bench_worker.setup_verify(prioclose, json.loads(json.dumps(manifest)))
+    lines = []
+    for row in sorted(run(None), key=lambda row: row["id"]):
+        if row["error"]:
+            result = "error " + row["error"].strip().splitlines()[-1]
+        else:
+            report = {key: row[key] for key in ("equal", "missing", "extra", "words") if key in row}
+            result = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+        lines.append(f"{result}  {row['id']}")
+    return lines
 
 
 def digests(workload: str, seed: int) -> list[str]:
     """One "<digest> <id>" line per item, sorted by id."""
+    if workload == "verify":
+        return verify_digests(seed)
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
         manifest, _ = bench_run.prepare_cli(workload, seed, Path(tmp))
@@ -47,9 +74,9 @@ def digests(workload: str, seed: int) -> list[str]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", choices=("pipeline", "regular"), required=True)
+    parser.add_argument("--workload", choices=("pipeline", "regular", "verify"), required=True)
     parser.add_argument("--seed", type=int, default=0,
-                        help="the corpus seed (regular) or item order (pipeline)")
+                        help="the corpus seed (regular), fault draw (verify) or item order")
     args = parser.parse_args(argv)
     lines = digests(args.workload, args.seed)
     total = hashlib.sha256("\n".join(lines).encode()).hexdigest()
