@@ -1,11 +1,13 @@
 """Context-free grammars, Kleene grammars, and their downward closures.
 
 ``cfg_closure`` builds a grammar's skeleton in stages: normalize to a
-binary normal form over the flattened alphabet, single out the letter
-runs that can repeat around a self-embedding nonterminal, rebuild them
-as starred productions of a Kleene grammar (``_kleene``), and turn
-acyclic derivations of that grammar into an NFA.  That one skeleton
-serves every order, and ``automata.closure_regular`` closes it.
+binary normal form, single out the letter runs that can repeat around a
+self-embedding nonterminal, rebuild them as starred productions of a
+Kleene grammar (``_kleene``), and turn acyclic derivations of that
+grammar into an NFA, which ``automata.closure_regular`` closes.  The
+orders that see priorities get the rebuild over the flattened
+alphabet; subword order, and block order on priority 0 alone, get it
+over priority 0, where it is one pump-side step (``_kleene_base``).
 
 The rebuild works per nonterminal x on a cycle.  The letters on either
 side of x's pumps come from one pass over the grammar's strongly
@@ -232,15 +234,6 @@ def _prune(
     ]
 
 
-def _pruned(g: Cfg) -> Cfg:
-    """Drop nonterminals that derive nothing or are unreachable."""
-    letters = set(g.alphabet.letters)
-    tagged = [(lhs, _items(rhs, letters)) for lhs, rhs in g.productions]
-    nts, prods = _prune(tagged, g.start)
-    final = [(lhs, tuple(sym for _, sym in rhs)) for lhs, rhs in prods]
-    return Cfg(g.alphabet, tuple(nts), tuple(final), g.start)
-
-
 def to_cnf(g: Cfg) -> tuple[Cfg, bool]:
     """Normalize to binary rules for the empty-word-free language.
 
@@ -405,30 +398,25 @@ def cfg_intersect_regular_empty(g: Cfg, r: Nfa) -> bool:
 
 
 def _pump_from_cnf(cnf: Cfg, x: str, hat: HatAlphabet) -> Cfg:
-    """Spine-doubled grammar for the pump pairs of ``x``, seam marked."""
+    """Spine-doubled grammar for the pump pairs of ``x``, seam marked.
+
+    ``to_cnf``'s start never occurs on a right-hand side, so no pump
+    passes through it and its rules are left out.  The rest is not
+    pruned, as the caller normalises it with ``to_cnf``, which prunes.
+    """
     taken = set(cnf.nonterminals) | set(hat.alphabet.letters)
     spine = {y: _fresh(f"P.{y}", taken) for y in cnf.nonterminals}
-    prods: list[tuple[str, tuple[str, ...]]] = [
-        (lhs, rhs) for lhs, rhs in cnf.productions
-    ]
-    for lhs, rhs in cnf.productions:
+    kept = [(lhs, rhs) for lhs, rhs in cnf.productions if lhs != cnf.start]
+    prods = list(kept)
+    for lhs, rhs in kept:
         if len(rhs) == 2:
             a, b = rhs
             prods.append((spine[lhs], (a, spine[b])))
             prods.append((spine[lhs], (spine[a], b)))
-    if x in spine:
-        prods.append((spine[x], (hat.mid,)))
-        start = spine[x]
-    else:
-        start = _fresh("P", taken)
-        prods.append((start, (hat.mid,)))
-    grammar = Cfg(
-        hat.alphabet,
-        tuple(set(cnf.nonterminals) | set(spine.values()) | {start}),
-        tuple(prods),
-        start,
-    )
-    return _pruned(grammar)
+    start = spine[x] if x in spine else _fresh("P", taken)
+    prods.append((start, (hat.mid,)))
+    nts = set(cnf.nonterminals) - {cnf.start}
+    return Cfg(hat.alphabet, tuple(nts | {spine[y] for y in nts} | {start}), tuple(prods), start)
 
 
 def apply_transducer_to_cfg(
@@ -861,12 +849,19 @@ def _kleene(
                 side_starts: dict[str, str | None] = {}
                 for side, pri in (("left", r), ("right", s)):
                     repeat = transducer(r, s, side)
-                    run_cnf, run_empty = to_cnf(
-                        _runs_from_pump(pump, repeat, hat, r, s, side, max_states)
-                    )
+                    runs = partial(_runs_from_pump, pump, repeat, hat, r, s, side, max_states)
+                    # A run keeps letters up to max(pri - 1, 0).  With none,
+                    # a priority-0 side has no run and every other run is ε,
+                    # so the run grammar needs no normal form.
+                    run_cnf: Cfg | None = None
+                    run_empty = False
+                    if _low_letters(alpha, max(pri - 1, 0)):
+                        run_cnf, run_empty = to_cnf(runs())
+                    elif pri >= 1:
+                        run_empty = bool(runs().productions)
                     wrapper = _fresh(f"W{counter}.{side}", taken)
                     have_any = False
-                    if run_cnf.productions:
+                    if run_cnf is not None and run_cnf.productions:
                         closed = _kleene(run_cnf, protected, max_states)
                         run_start, run_prods = _renamed(closed, f"{tag}.{side}")
                         prods.extend(run_prods)
@@ -1009,24 +1004,41 @@ def acyclic_nfa(h: KleeneGrammar, max_states: int = DEFAULT_MAX_STATES) -> Nfa:
 def cfg_closure(g: Cfg, order: OrderKind, max_states: int = DEFAULT_MAX_STATES) -> Nfa:
     """NFA for the downward closure of the grammar's language under the order.
 
-    The skeleton is the acyclic NFA of the grammar's Kleene closure
-    grammar over the flattened alphabet, with the empty word added back
-    when the grammar derives it.  It contains the language and lies
-    inside its block closure, and each of its nonempty words lies
-    absorbing-block-below a word of the language with the same last
-    letter over the flattened alphabet, as the right marker keeps the
-    tail after the last separator.  That is what
-    ``automata.closure_regular`` requires, and it closes the skeleton in
-    every order, after ``nfa_reduce``: a ring grammar's skeleton of
-    823 states reduces to 10.
+    The skeleton is the acyclic NFA of a Kleene grammar of the grammar,
+    with the empty word added back when the grammar derives it, and
+    ``automata.closure_regular`` closes it after ``nfa_reduce``: a ring
+    grammar's skeleton of 823 states reduces to 10.  Which Kleene
+    grammar depends on what the order can see.
+
+    Subword order, and block order when every letter has priority 0,
+    where it is subword order, only need a skeleton between the language
+    and its subword closure.  Over the alphabet relabelled to priority 0
+    the rebuild is one pump-side step (``_kleene_base``), as for the
+    subword closure of a context-free language in Bachmeier, Luttenberger
+    and Schlund (LATA 2015).
+
+    Priority order, and block order with a positive priority, get the
+    rebuild over the flattened alphabet.  Its skeleton contains the
+    language and lies inside its block closure, and each of its nonempty
+    words lies absorbing-block-below a word of the language with the
+    same last letter over the flattened alphabet, as the right marker
+    keeps the tail after the last separator.  That is what
+    ``closure_regular`` requires for those orders.  Block order on one
+    positive priority is not subword order, as it anchors a word's first
+    and last blocks.
     """
-    flat = flatten(g.alphabet)
-    cnf, had_empty = to_cnf(replace(g, alphabet=flat))
-    skeleton = nfa_for_words(flat, [])
+    if order is OrderKind.SUBWORD or (
+        order is OrderKind.BLOCK and not g.alphabet.max_assigned_priority
+    ):
+        alphabet = PriorityAlphabet(tuple((a, 0) for a in g.alphabet.letters))
+    else:
+        alphabet = flatten(g.alphabet)
+    cnf, had_empty = to_cnf(replace(g, alphabet=alphabet))
+    skeleton = nfa_for_words(alphabet, [])
     if cnf.productions:
         skeleton = acyclic_nfa(_kleene(cnf, frozenset(), max_states=max_states), max_states)
     if had_empty:
-        skeleton = nfa_union(skeleton, nfa_for_words(flat, [()]))
+        skeleton = nfa_union(skeleton, nfa_for_words(alphabet, [()]))
     return closure_regular(nfa_reduce(replace(skeleton, alphabet=g.alphabet)), order, max_states)
 
 

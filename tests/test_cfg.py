@@ -9,6 +9,7 @@ import prioclose.cfg as cfg_module
 from prioclose.automata import (
     Transducer,
     closure_regular,
+    nfa_accepts,
     nfa_enumerate,
     nfa_equivalent_up_to,
     nfa_for_words,
@@ -46,6 +47,8 @@ from reference import (
     KleeneSteps,
     kleene_sizes,
     leq_block_absorbing_ref,
+    reference_cfg_closure,
+    reference_kleene,
     reference_to_cnf,
     unsettled_acyclic_nfa,
 )
@@ -92,7 +95,7 @@ def ring(alphabet=ABCD0) -> Cfg:
 
 
 def flat_kleene(g: Cfg) -> KleeneGrammar:
-    """The Kleene grammar that ``cfg_closure`` walks for g."""
+    """The Kleene grammar that ``cfg_closure`` walks for g in priority order."""
     return KleeneSteps(replace(g, alphabet=flatten(g.alphabet))).kleene()
 
 
@@ -555,6 +558,39 @@ class TestKleeneGrammar:
             )
 
 
+class TestKleeneRuns:
+    """``_kleene`` skips normalising a run grammar whose result is known:
+    with no letter below a positive priority every run is ε, and with no
+    priority-0 letter a priority-0 side has no run.  It gives the grammar
+    of the rebuild that normalises every run (``reference_kleene``)."""
+
+    @pytest.mark.parametrize(
+        "g", PIPELINE_GRAMMARS, ids=["flagship", "anbn", "ring-0", "ring-a0b1c2d0", "empty"]
+    )
+    def test_pipeline_grammars(self, g):
+        cnf, _ = to_cnf(replace(g, alphabet=flatten(g.alphabet)))
+        if cnf.productions:
+            assert _kleene(cnf, frozenset()) == reference_kleene(cnf, frozenset())
+
+    @pytest.mark.parametrize("priorities", RANDOM_PRIORITIES, ids=["abc", "abcd", "ac"])
+    def test_random_grammars(self, priorities):
+        """Capped at 2,000 states; a seed is skipped when the reference
+        stops, as the runs it normalises in vain count against the cap."""
+        alphabet = flatten(PriorityAlphabet.from_map(priorities))
+        compared = 0
+        for seed in range(40):
+            cnf, _ = to_cnf(random_cfg(random.Random(seed), alphabet))
+            if not cnf.productions:
+                continue
+            try:
+                want = reference_kleene(cnf, frozenset(), max_states=2000)
+            except ResourceLimit:
+                continue
+            assert _kleene(cnf, frozenset(), max_states=2000) == want, seed
+            compared += 1
+        assert compared >= 10
+
+
 class TestAcyclicNfa:
     def test_two_leaves(self):
         h = KleeneGrammar(
@@ -740,6 +776,65 @@ class TestPriorityClosure:
         closed = cfg_priority_closure(flagship())
         again = closure_regular(closed, OrderKind.PRIORITY)
         assert nfa_equivalent_up_to(closed, again, 6) is None
+
+
+ALL_ZERO = PriorityAlphabet.from_map({"a": 0, "b": 0, "c": 0})
+
+
+class TestSkeletonByOrder:
+    """Subword order, and block order on priority 0 alone, rebuild the
+    grammar over its alphabet relabelled to priority 0; the other orders
+    over the flattened alphabet.  Both give the closures of the flattened
+    route in every order (``reference_cfg_closure``)."""
+
+    @pytest.mark.parametrize(
+        "g", PIPELINE_GRAMMARS, ids=["flagship", "anbn", "ring-0", "ring-a0b1c2d0", "empty"]
+    )
+    def test_pipeline_grammars(self, g):
+        orders = [OrderKind.SUBWORD]
+        if not g.alphabet.max_assigned_priority:
+            orders.append(OrderKind.BLOCK)
+        for order in orders:
+            assert cfg_closure(g, order) == reference_cfg_closure(g, order), order
+
+    @pytest.mark.parametrize(
+        "alphabet",
+        [*(PriorityAlphabet.from_map(p) for p in RANDOM_PRIORITIES), ALL_ZERO],
+        ids=["abc", "abcd", "ac", "abc-0"],
+    )
+    def test_random_grammars(self, alphabet):
+        """Capped at 2,000 states; a seed is skipped when the flattened
+        route stops."""
+        orders = [OrderKind.SUBWORD]
+        if not alphabet.max_assigned_priority:
+            orders.append(OrderKind.BLOCK)
+        compared = 0
+        for seed in range(40):
+            g = random_cfg(random.Random(seed), alphabet)
+            for order in orders:
+                try:
+                    want = reference_cfg_closure(g, order, max_states=2000)
+                except ResourceLimit:
+                    continue
+                assert cfg_closure(g, order, max_states=2000) == want, (seed, order)
+                compared += 1
+        assert compared >= 30
+
+    def test_priority_order_keeps_the_last_letter_on_priority_0(self):
+        """a is not priority-below ab, though it is a subword of it."""
+        g = Cfg(AB0, ("S",), (("S", ("a", "b")),), "S")
+        closed = cfg_priority_closure(g)
+        assert nfa_accepts(closed, ("b",)) and not nfa_accepts(closed, ("a",))
+        assert nfa_accepts(cfg_closure(g, OrderKind.SUBWORD), ("a",))
+
+    def test_block_order_on_one_positive_priority_is_not_subword_order(self):
+        """The empty word lies block-below no word with a positive letter."""
+        alphabet = PriorityAlphabet.from_map({"a": 1, "b": 1, "c": 1})
+        g = Cfg(alphabet, ("S",), (("S", ("a", "S", "c")), ("S", ("b",))), "S")
+        block = cfg_block_closure(g)
+        subword = cfg_closure(g, OrderKind.SUBWORD)
+        assert nfa_accepts(subword, ()) and not nfa_accepts(block, ())
+        assert block == reference_cfg_closure(g, OrderKind.BLOCK)
 
 
 FULL_SANDWICH = [

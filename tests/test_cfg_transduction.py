@@ -23,7 +23,6 @@ from prioclose.cfg import (
     HatAlphabet,
     _identity,
     _prune,
-    _pruned,
     _pump_from_cnf,
     _pump_sides,
     apply_transducer_to_cfg,
@@ -34,7 +33,7 @@ from prioclose.cfg import (
 )
 from prioclose.core import OrderKind, PriorityAlphabet, flatten
 
-from reference import KleeneSteps, mid_sides
+from reference import KleeneSteps, mid_sides, pruned_cfg
 from test_oracle_enumerate import random_cfg
 
 AB01 = PriorityAlphabet.from_map({"a": 0, "b": 1})
@@ -79,7 +78,7 @@ def test_identity_image_is_the_intersection(seed):
     assert cfg_enumerate(image, BOUND) == want
     if want:
         assert not cfg_intersect_regular_empty(g, r)
-    assert _pruned(image) == image
+    assert pruned_cfg(image) == image
 
 
 def test_draws_cover_the_cases():
@@ -153,7 +152,7 @@ def test_side_alphabets_match_the_products(seed):
 def test_mid_sides_on_raw_grammars(seed):
     """With a letter that may occur many times, on grammars that keep their
     empty and unit rules."""
-    g = _pruned(random_grammar(random.Random(seed)))
+    g = pruned_cfg(random_grammar(random.Random(seed)))
     assert mid_sides(g, "b") == sides_by_products(g, "b")
 
 
@@ -167,7 +166,8 @@ def test_pump_sides_match_the_spine_grammar_fixpoint(seed):
         sides = _pump_sides(cnf)
         assert set(sides) == set(cnf.nonterminals)
         for x in cnf.nonterminals:
-            assert sides[x] == mid_sides(_pump_from_cnf(cnf, x, hat), hat.mid), (cnf, x)
+            pump = pruned_cfg(_pump_from_cnf(cnf, x, hat))
+            assert sides[x] == mid_sides(pump, hat.mid), (cnf, x)
 
 
 def test_kleene_builds_pumps_only_for_recursive_nonterminals(monkeypatch):
@@ -230,4 +230,4 @@ def test_prune_drops_dead_stars_and_blocked_productions():
     assert nts == {"S", "A"}
     assert sorted(kept) == [("A", ((LIT, "a"),)), ("S", ((NT, "A"),))]
     g = Cfg(AB01, ("S", "D"), (("S", ("a", "D")), ("S", ("b",)), ("D", ("D", "a"))), "S")
-    assert _pruned(g) == Cfg(AB01, ("S",), (("S", ("b",)),), "S")
+    assert pruned_cfg(g) == Cfg(AB01, ("S",), (("S", ("b",)),), "S")
