@@ -849,19 +849,12 @@ def _kleene(
                 side_starts: dict[str, str | None] = {}
                 for side, pri in (("left", r), ("right", s)):
                     repeat = transducer(r, s, side)
-                    runs = partial(_runs_from_pump, pump, repeat, hat, r, s, side, max_states)
-                    # A run keeps letters up to max(pri - 1, 0).  With none,
-                    # a priority-0 side has no run and every other run is ε,
-                    # so the run grammar needs no normal form.
-                    run_cnf: Cfg | None = None
-                    run_empty = False
-                    if _low_letters(alpha, max(pri - 1, 0)):
-                        run_cnf, run_empty = to_cnf(runs())
-                    elif pri >= 1:
-                        run_empty = bool(runs().productions)
+                    run_cnf, run_empty = to_cnf(
+                        _runs_from_pump(pump, repeat, hat, r, s, side, max_states)
+                    )
                     wrapper = _fresh(f"W{counter}.{side}", taken)
                     have_any = False
-                    if run_cnf is not None and run_cnf.productions:
+                    if run_cnf.productions:
                         closed = _kleene(run_cnf, protected, max_states)
                         run_start, run_prods = _renamed(closed, f"{tag}.{side}")
                         prods.extend(run_prods)

@@ -14,10 +14,9 @@ chain of every head before it prunes rather than of the reached ones,
 and the closure product reads every member of a merged state rather
 than each component's moves once, and the oracle's bounded closure
 tests every subword of every member with ``leq`` rather than generating
-each member's down-set, and the Kleene rebuild prunes its pump grammars
-and normalises every run grammar rather than only those with a letter,
-and a grammar's closure rebuilds over the flattened alphabet in every
-order rather than over priority 0 for the orders that cannot see it.
+each member's down-set, and a grammar's closure rebuilds over the
+flattened alphabet in every order rather than over priority 0 for the
+orders that cannot see it.
 """
 
 from __future__ import annotations
@@ -58,20 +57,16 @@ from prioclose.cfg import (
     STAR,
     Cfg,
     HatAlphabet,
-    KItem,
     KleeneGrammar,
-    Transducer,
     _ends_from_pump,
     _ends_transducer,
     _fresh,
     _identity,
     _items,
     _kleene,
-    _kleene_base,
     _prune,
     _pump_from_cnf,
     _pump_sides,
-    _renamed,
     _repeat_transducer,
     _runs_from_pump,
     acyclic_nfa,
@@ -647,120 +642,6 @@ def reference_to_cnf(g: Cfg) -> tuple[Cfg, bool]:
 
     cnf = Cfg(g.alphabet, tuple(taken - letters), tuple(final), start)
     return pruned_cfg(cnf), had_empty
-
-
-def reference_kleene(
-    cnf: Cfg, protected: frozenset[str], max_states: int = DEFAULT_MAX_STATES
-) -> KleeneGrammar:
-    """``cfg._kleene`` with every run grammar normalised and the pump
-    grammar pruned before it is normalised.
-
-    Starred grammar whose acyclic derivations cover the language.
-
-    The result derives every word of the normalised grammar over a flat
-    alphabet (each positive priority carried by exactly one letter) and
-    nothing outside its block closure.  Repetition along derivation
-    paths is traded for starred side runs, one level of recursion per
-    priority, so acyclic derivations already reach everything needed
-    before the regular closure step.  A half of a pump with top
-    priority r >= 1 holds r's one letter, so only the priorities of the
-    letters on that side of x, and zero, can give a pump end.
-    ``max_states`` caps every grammar transduction inside, as in
-    ``apply_transducer_to_cfg``, and the productions of the result.
-    The pump transducers depend only on the priorities and the side, so
-    one call builds each once and shares it among its nonterminals.
-    """
-    alpha = cnf.alphabet
-    p = alpha.max_assigned_priority
-    if p == 0:
-        return _kleene_base(cnf, protected)
-    letters = set(alpha.letters)
-    taken = set(cnf.nonterminals) | letters
-    prods: list[tuple[str, tuple[KItem, ...]]] = [
-        (lhs, _items(rhs, letters)) for lhs, rhs in cnf.productions
-    ]
-    z: dict[int, str] = {}
-    for pri in range(p + 1):
-        z[pri] = _fresh(f"Z{pri}", taken)
-        if pri == 0:
-            prods.append((z[0], ()))
-        elif alpha.letters_of(pri):
-            prods.append((z[pri], ((LIT, alpha.letters_of(pri)[0]),)))
-    hat = HatAlphabet.extend(alpha)
-    transducers: dict[tuple, Transducer] = {}
-
-    def transducer(*key) -> Transducer:
-        """The ends transducer of (r, s), or the repeat one of (r, s, side)."""
-        built = transducers.get(key)
-        if built is None:
-            build = _ends_transducer if len(key) == 2 else _repeat_transducer
-            built = transducers[key] = build(hat, *key)
-        return built
-
-    counter = 0
-    sides = _pump_sides(cnf)
-    for x in cnf.nonterminals:
-        # only a nonterminal on a cycle has a pump other than the bare seam
-        if not any(sides[x]):
-            continue
-        pump = to_cnf(pruned_cfg(_pump_from_cnf(cnf, x, hat)))
-        left, right = ({0, *map(alpha.priority, side)} for side in sides[x])
-        for r in sorted(left):
-            for s in sorted(right):
-                ends = transducer(r, s)
-                ends_cnf, _ = to_cnf(_ends_from_pump(pump, ends, hat, r, s, max_states))
-                if not ends_cnf.productions:
-                    continue
-                counter += 1
-                tag = f"k{counter}"
-                inner_protected = protected | {hat.mid, hat.left, hat.right}
-                ends_closed = reference_kleene(ends_cnf, inner_protected, max_states)
-                # A positive-priority run leaves its closing separator out,
-                # because the wrapper below appends z[pri] itself.
-                side_starts: dict[str, str | None] = {}
-                for side, pri in (("left", r), ("right", s)):
-                    repeat = transducer(r, s, side)
-                    run_cnf, run_empty = to_cnf(
-                        _runs_from_pump(pump, repeat, hat, r, s, side, max_states)
-                    )
-                    wrapper = _fresh(f"W{counter}.{side}", taken)
-                    have_any = False
-                    if run_cnf.productions:
-                        closed = reference_kleene(run_cnf, protected, max_states)
-                        run_start, run_prods = _renamed(closed, f"{tag}.{side}")
-                        prods.extend(run_prods)
-                        if pri == 0:
-                            prods.append((wrapper, ((NT, run_start),)))
-                        else:
-                            prods.append((wrapper, ((NT, run_start), (NT, z[pri]))))
-                        have_any = True
-                    if pri >= 1 and run_empty:
-                        prods.append((wrapper, ((NT, z[pri]),)))
-                        have_any = True
-                    side_starts[side] = wrapper if have_any else None
-                ends_start, ends_prods = _renamed(ends_closed, tag)
-                for head, rhs in ends_prods:
-                    if rhs == ((LIT, hat.left),):
-                        items: tuple[KItem, ...] = ((NT, z[r]),)
-                        if side_starts["left"]:
-                            items += ((STAR, side_starts["left"]),)
-                        prods.append((head, items))
-                    elif rhs == ((LIT, hat.right),):
-                        items = ((NT, z[s]),)
-                        if side_starts["right"]:
-                            items += ((STAR, side_starts["right"]),)
-                        prods.append((head, items))
-                    elif rhs == ((LIT, hat.mid),):
-                        for lhs2, rhs2 in cnf.productions:
-                            if lhs2 == x:
-                                prods.append((head, _items(rhs2, letters)))
-                    else:
-                        prods.append((head, rhs))
-                prods.append((x, ((NT, ends_start),)))
-                if len(prods) > max_states:
-                    raise ResourceLimit(f"Kleene grammar exceeded {max_states} states")
-    kept, pruned = _prune(prods, cnf.start)
-    return KleeneGrammar(alpha, tuple(kept), tuple(pruned), cnf.start)
 
 
 def reference_cfg_closure(g: Cfg, order: OrderKind, max_states: int = DEFAULT_MAX_STATES) -> Nfa:

@@ -48,7 +48,6 @@ from reference import (
     kleene_sizes,
     leq_block_absorbing_ref,
     reference_cfg_closure,
-    reference_kleene,
     reference_to_cnf,
     unsettled_acyclic_nfa,
 )
@@ -556,39 +555,6 @@ class TestKleeneGrammar:
                 (("S", (("t", "a"), ("nt", "A"))),),
                 "S",
             )
-
-
-class TestKleeneRuns:
-    """``_kleene`` skips normalising a run grammar whose result is known:
-    with no letter below a positive priority every run is ε, and with no
-    priority-0 letter a priority-0 side has no run.  It gives the grammar
-    of the rebuild that normalises every run (``reference_kleene``)."""
-
-    @pytest.mark.parametrize(
-        "g", PIPELINE_GRAMMARS, ids=["flagship", "anbn", "ring-0", "ring-a0b1c2d0", "empty"]
-    )
-    def test_pipeline_grammars(self, g):
-        cnf, _ = to_cnf(replace(g, alphabet=flatten(g.alphabet)))
-        if cnf.productions:
-            assert _kleene(cnf, frozenset()) == reference_kleene(cnf, frozenset())
-
-    @pytest.mark.parametrize("priorities", RANDOM_PRIORITIES, ids=["abc", "abcd", "ac"])
-    def test_random_grammars(self, priorities):
-        """Capped at 2,000 states; a seed is skipped when the reference
-        stops, as the runs it normalises in vain count against the cap."""
-        alphabet = flatten(PriorityAlphabet.from_map(priorities))
-        compared = 0
-        for seed in range(40):
-            cnf, _ = to_cnf(random_cfg(random.Random(seed), alphabet))
-            if not cnf.productions:
-                continue
-            try:
-                want = reference_kleene(cnf, frozenset(), max_states=2000)
-            except ResourceLimit:
-                continue
-            assert _kleene(cnf, frozenset(), max_states=2000) == want, seed
-            compared += 1
-        assert compared >= 10
 
 
 class TestAcyclicNfa:

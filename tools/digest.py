@@ -2,15 +2,14 @@
 
 Usage:
     python3 tools/digest.py --workload pipeline|regular|verify [--seed N]
-    python3 tools/digest.py --workload pipeline --all-orders
 
 For ``pipeline`` and ``regular`` it runs ``prioclose.cli.main`` in
 process on every item of the workload, with the models and argument
 lists of ``bench/run.py``'s ``prepare_cli``, written to a temporary
 directory, and digests each output file (or gives the exit code of an
-item that failed).  With ``--all-orders`` the pipeline items are every
-pipeline model in all three orders, as the workload itself closes no
-grammar in subword order.  For ``verify`` it runs one pass of
+item that failed).  For ``pipeline`` it digests every pipeline model
+in all three orders, as the workload itself closes no grammar in
+subword order.  For ``verify`` it runs one pass of
 ``bench/worker.py``'s ``setup_verify`` over ``bench/run.py``'s
 ``prepare_verify`` manifest, and digests each item's verdict with its
 missing and extra words, or its enumerated words (or gives the last
@@ -71,7 +70,7 @@ def in_all_orders(items: list[dict], workdir: Path) -> list[dict]:
     return list(out.values())
 
 
-def digests(workload: str, seed: int, all_orders: bool = False) -> list[str]:
+def digests(workload: str, seed: int) -> list[str]:
     """One "<digest> <id>" line per item, sorted by id."""
     if workload == "verify":
         return verify_digests(seed)
@@ -79,7 +78,7 @@ def digests(workload: str, seed: int, all_orders: bool = False) -> list[str]:
     with tempfile.TemporaryDirectory() as tmp:
         manifest, _ = bench_run.prepare_cli(workload, seed, Path(tmp))
         items = manifest["items"]
-        if all_orders:
+        if workload == "pipeline":
             items = in_all_orders(items, Path(tmp))
         for item in sorted(items, key=lambda item: item["id"]):
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -97,12 +96,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", choices=("pipeline", "regular", "verify"), required=True)
     parser.add_argument("--seed", type=int, default=0,
                         help="the corpus seed (regular), fault draw (verify) or item order")
-    parser.add_argument("--all-orders", action="store_true",
-                        help="pipeline only: every model in all three orders")
     args = parser.parse_args(argv)
-    if args.all_orders and args.workload != "pipeline":
-        parser.error("--all-orders needs --workload pipeline")
-    lines = digests(args.workload, args.seed, args.all_orders)
+    lines = digests(args.workload, args.seed)
     total = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     print("\n".join(lines + [f"{total}  total"]))
     return 0
