@@ -6,8 +6,8 @@ self-embedding nonterminal, rebuild them as starred productions of a
 Kleene grammar (``_kleene``), and turn acyclic derivations of that
 grammar into an NFA, which ``automata.closure_regular`` closes.  The
 orders that see priorities get the rebuild over the flattened
-alphabet; subword order, and block order on priority 0 alone, get it
-over priority 0, where it is one pump-side step (``_kleene_base``).
+alphabet; subword order, and block order on priority 0 alone, get the
+subword closure per strongly connected component (``_kleene_base``).
 
 The rebuild works per nonterminal x on a cycle.  The letters on either
 side of x's pumps come from one pass over the grammar's strongly
@@ -687,8 +687,11 @@ def _runs_from_pump(
     return replace(out, alphabet=PriorityAlphabet(entries))
 
 
-def _pump_sides(cnf: Cfg) -> dict[str, tuple[tuple[str, ...], tuple[str, ...]]]:
-    """Per nonterminal x of a pruned binary grammar (``to_cnf``'s), the
+def _pump_sides(
+    cnf: Cfg,
+) -> tuple[dict[str, str], dict[str, tuple[tuple[str, ...], tuple[str, ...]]]]:
+    """Strongly connected components of a pruned binary grammar
+    (``to_cnf``'s), each named by one member, and per nonterminal x the
     letters left respectively right of x in its pumps x =>+ u x v.
 
     A pump's spine, from x down to the x it derives, stays in x's
@@ -711,13 +714,13 @@ def _pump_sides(cnf: Cfg) -> dict[str, tuple[tuple[str, ...], tuple[str, ...]]]:
             occurs[index[lhs]].add(rhs[0])
         else:
             succ[index[lhs]] += (index[rhs[0]], index[rhs[1]])
-    # no successor, no component: -1 reads the spare last sides, which stay empty
-    component = [-1] * len(nts)
-    sides = [(set(), set()) for _ in range(len(nts) + 1)]
-    for c, members in enumerate(_components(succ)):
+    # a nonterminal with no successor is a component that is never yielded
+    component = list(range(len(nts)))
+    sides = [(set(), set()) for _ in nts]
+    for members in _components(succ):
         seen = set().union(*(occurs[w] for m in members for w in (m, *succ[m])))
         for m in members:
-            component[m] = c
+            component[m] = members[0]
             occurs[m] = seen
     for y, targets in enumerate(succ):
         left, right = sides[component[y]]
@@ -727,47 +730,45 @@ def _pump_sides(cnf: Cfg) -> dict[str, tuple[tuple[str, ...], tuple[str, ...]]]:
             if component[a] == component[y]:
                 right |= occurs[b]
     letters = cnf.alphabet.letters
-    return {
+    return {n: nts[component[i]] for i, n in enumerate(nts)}, {
         n: tuple(tuple(a for a in letters if a in side) for side in sides[component[i]])
         for i, n in enumerate(nts)
     }
 
 
-def _kleene_base(cnf: Cfg, protected: frozenset[str]) -> KleeneGrammar:
-    """Subword-closure step for a grammar whose letters all rank zero.
+def _kleene_base(cnf: Cfg) -> KleeneGrammar:
+    """Subword closure of a pruned binary grammar, as a Kleene grammar
+    in which no nonterminal reaches itself.
 
-    Each nonterminal gains starred side pools for its repeatable
-    letters around a copied spine.  Letters in ``protected`` keep no
-    dropping alternative, so marker seams survive the closure.
+    Take a component C with pump sides Lc and Rc.  The closure of each
+    member's language is Lc*·E·Rc*, where E joins C's exit rules: {ε, a}
+    for y -> a, and the closures of A and B in turn for y -> A B with A
+    and B outside C (van Leeuwen 1978; Bachmeier, Luttenberger and
+    Schlund, LATA 2015).  Pumps place any sequence of Lc letters before
+    an exit word and of Rc letters after it, and every other rule lies
+    on a spine.  So C gets cl -> L* E R*, and E refers only to the
+    components below C.
     """
-    letters = set(cnf.alphabet.letters)
-    taken = set(cnf.nonterminals) | letters
-    cl = {x: _fresh(f"C.{x}", taken) for x in cnf.nonterminals}
-    mid = {x: _fresh(f"M.{x}", taken) for x in cnf.nonterminals}
-    lt = {x: _fresh(f"L.{x}", taken) for x in cnf.nonterminals}
-    rt = {x: _fresh(f"R.{x}", taken) for x in cnf.nonterminals}
+    component, sides = _pump_sides(cnf)
+    taken = set(cnf.nonterminals) | set(cnf.alphabet.letters)
+    names = {
+        c: [_fresh(f"{k}.{c}", taken) for k in "CELR"] for c in dict.fromkeys(component.values())
+    }
     prods: list[tuple[str, tuple[KItem, ...]]] = []
-    sides = _pump_sides(cnf)
-    for x in cnf.nonterminals:
-        gl, gr = sides[x]
-        for a in gl:
-            prods.append((lt[x], ((LIT, a),)))
-        for a in gr:
-            prods.append((rt[x], ((LIT, a),)))
-        prods.append((cl[x], ((STAR, lt[x]), (NT, mid[x]), (STAR, rt[x]))))
-        droppable = False
-        for lhs, rhs in cnf.productions:
-            if lhs != x:
-                continue
-            if len(rhs) == 2:
-                prods.append((mid[x], ((NT, cl[rhs[0]]), (NT, cl[rhs[1]]))))
-            else:
-                prods.append((mid[x], ((LIT, rhs[0]),)))
-                droppable = droppable or rhs[0] not in protected
-        if droppable:
-            prods.append((mid[x], ()))
-    kept, pruned = _prune(prods, cl[cnf.start])
-    return KleeneGrammar(cnf.alphabet, tuple(kept), tuple(pruned), cl[cnf.start])
+    for c, (cl, e, lt, rt) in names.items():
+        prods.append((cl, ((STAR, lt), (NT, e), (STAR, rt))))
+        left, right = sides[c]
+        prods += [(lt, ((LIT, a),)) for a in left] + [(rt, ((LIT, a),)) for a in right]
+    for lhs, rhs in cnf.productions:
+        c = component[lhs]
+        e = names[c][1]
+        if len(rhs) == 1:
+            prods += [(e, ((LIT, rhs[0]),)), (e, ())]
+        elif c not in (component[rhs[0]], component[rhs[1]]):
+            prods.append((e, tuple((NT, names[component[s]][0]) for s in rhs)))
+    start = names[component[cnf.start]][0]
+    kept, pruned = _prune(prods, start)
+    return KleeneGrammar(cnf.alphabet, tuple(kept), tuple(pruned), start)
 
 
 def _renamed(
@@ -781,9 +782,7 @@ def _renamed(
     return f"{prefix}.{h.start}", prods
 
 
-def _kleene(
-    cnf: Cfg, protected: frozenset[str], max_states: int = DEFAULT_MAX_STATES
-) -> KleeneGrammar:
+def _kleene(cnf: Cfg, max_states: int = DEFAULT_MAX_STATES) -> KleeneGrammar:
     """Starred grammar whose acyclic derivations cover the language.
 
     The result derives every word of the normalised grammar over a flat
@@ -798,11 +797,13 @@ def _kleene(
     ``apply_transducer_to_cfg``, and the productions of the result.
     The pump transducers depend only on the priorities and the side, so
     one call builds each once and shares it among its nonterminals.
+    The only priority-0 letters of a flat grammar are the seam markers
+    of the calls around it, each at most once in a word.  So a grammar
+    with top priority 0 has a finite language and no nonterminal on a
+    cycle, and it comes back as it is.
     """
     alpha = cnf.alphabet
     p = alpha.max_assigned_priority
-    if p == 0:
-        return _kleene_base(cnf, protected)
     letters = set(alpha.letters)
     taken = set(cnf.nonterminals) | letters
     prods: list[tuple[str, tuple[KItem, ...]]] = [
@@ -827,7 +828,7 @@ def _kleene(
         return built
 
     counter = 0
-    sides = _pump_sides(cnf)
+    _, sides = _pump_sides(cnf)
     for x in cnf.nonterminals:
         # only a nonterminal on a cycle has a pump other than the bare seam
         if not any(sides[x]):
@@ -842,8 +843,7 @@ def _kleene(
                     continue
                 counter += 1
                 tag = f"k{counter}"
-                inner_protected = protected | {hat.mid, hat.left, hat.right}
-                ends_closed = _kleene(ends_cnf, inner_protected, max_states)
+                ends_closed = _kleene(ends_cnf, max_states)
                 # A positive-priority run leaves its closing separator out,
                 # because the wrapper below appends z[pri] itself.
                 side_starts: dict[str, str | None] = {}
@@ -855,7 +855,7 @@ def _kleene(
                     wrapper = _fresh(f"W{counter}.{side}", taken)
                     have_any = False
                     if run_cnf.productions:
-                        closed = _kleene(run_cnf, protected, max_states)
+                        closed = _kleene(run_cnf, max_states)
                         run_start, run_prods = _renamed(closed, f"{tag}.{side}")
                         prods.extend(run_prods)
                         if pri == 0:
@@ -1005,10 +1005,8 @@ def cfg_closure(g: Cfg, order: OrderKind, max_states: int = DEFAULT_MAX_STATES) 
 
     Subword order, and block order when every letter has priority 0,
     where it is subword order, only need a skeleton between the language
-    and its subword closure.  Over the alphabet relabelled to priority 0
-    the rebuild is one pump-side step (``_kleene_base``), as for the
-    subword closure of a context-free language in Bachmeier, Luttenberger
-    and Schlund (LATA 2015).
+    and its subword closure.  They get the subword closure itself, built
+    per strongly connected component (``_kleene_base``).
 
     Priority order, and block order with a positive priority, get the
     rebuild over the flattened alphabet.  Its skeleton contains the
@@ -1020,16 +1018,15 @@ def cfg_closure(g: Cfg, order: OrderKind, max_states: int = DEFAULT_MAX_STATES) 
     positive priority is not subword order, as it anchors a word's first
     and last blocks.
     """
-    if order is OrderKind.SUBWORD or (
+    subword = order is OrderKind.SUBWORD or (
         order is OrderKind.BLOCK and not g.alphabet.max_assigned_priority
-    ):
-        alphabet = PriorityAlphabet(tuple((a, 0) for a in g.alphabet.letters))
-    else:
-        alphabet = flatten(g.alphabet)
+    )
+    alphabet = g.alphabet if subword else flatten(g.alphabet)
     cnf, had_empty = to_cnf(replace(g, alphabet=alphabet))
     skeleton = nfa_for_words(alphabet, [])
     if cnf.productions:
-        skeleton = acyclic_nfa(_kleene(cnf, frozenset(), max_states=max_states), max_states)
+        h = _kleene_base(cnf) if subword else _kleene(cnf, max_states)
+        skeleton = acyclic_nfa(h, max_states)
     if had_empty:
         skeleton = nfa_union(skeleton, nfa_for_words(alphabet, [()]))
     return closure_regular(nfa_reduce(replace(skeleton, alphabet=g.alphabet)), order, max_states)

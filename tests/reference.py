@@ -15,8 +15,8 @@ and the closure product reads every member of a merged state rather
 than each component's moves once, and the oracle's bounded closure
 tests every subword of every member with ``leq`` rather than generating
 each member's down-set, and a grammar's closure rebuilds over the
-flattened alphabet in every order rather than over priority 0 for the
-orders that cannot see it.
+flattened alphabet in every order rather than taking the subword
+closure per component for the orders that cannot see priorities.
 """
 
 from __future__ import annotations
@@ -369,7 +369,7 @@ def per_letter_priority_closure(
             words, _ = to_cnf(group)
             if not words.productions:
                 return nfa_for_words(flat, [])
-            return acyclic_nfa(_kleene(words, frozenset(), max_states=max_states), max_states)
+            return acyclic_nfa(_kleene(words, max_states=max_states), max_states)
 
     else:
         with_empty = oca_accepts_bounded(model, (), counter_cap=len(model.states) ** 2)
@@ -477,10 +477,10 @@ class KleeneSteps:
 
     def sides(self, x: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
         """The letters left and right of x in its pumps; none if pruned."""
-        return _pump_sides(self.cnf).get(x, ((), ()))
+        return _pump_sides(self.cnf)[1].get(x, ((), ()))
 
     def kleene(self) -> KleeneGrammar:
-        return _kleene(self.cnf, frozenset())
+        return _kleene(self.cnf)
 
 
 def kleene_sizes(cnf: Cfg) -> tuple[int, int, list[int], int]:
@@ -508,7 +508,7 @@ def kleene_sizes(cnf: Cfg) -> tuple[int, int, list[int], int]:
 
     cfg_module._kleene = counted
     try:
-        result = _kleene(cnf, frozenset())
+        result = _kleene(cnf)
     finally:
         cfg_module._kleene = _kleene
     return len(cnf.nonterminals), cnf.alphabet.max_assigned_priority, inner, len(result.nonterminals)
@@ -665,7 +665,7 @@ def reference_cfg_closure(g: Cfg, order: OrderKind, max_states: int = DEFAULT_MA
     cnf, had_empty = to_cnf(replace(g, alphabet=flat))
     skeleton = nfa_for_words(flat, [])
     if cnf.productions:
-        skeleton = acyclic_nfa(_kleene(cnf, frozenset(), max_states=max_states), max_states)
+        skeleton = acyclic_nfa(_kleene(cnf, max_states=max_states), max_states)
     if had_empty:
         skeleton = nfa_union(skeleton, nfa_for_words(flat, [()]))
     return closure_regular(nfa_reduce(replace(skeleton, alphabet=g.alphabet)), order, max_states)

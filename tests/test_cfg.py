@@ -8,6 +8,7 @@ import pytest
 import prioclose.cfg as cfg_module
 from prioclose.automata import (
     Transducer,
+    _components,
     closure_regular,
     nfa_accepts,
     nfa_enumerate,
@@ -21,6 +22,8 @@ from prioclose.cfg import (
     Cfg,
     KleeneGrammar,
     _kleene,
+    _kleene_base,
+    _pump_sides,
     acyclic_nfa,
     apply_transducer_to_cfg,
     cfg_block_closure,
@@ -246,7 +249,7 @@ class TestNormalFormReference:
             cnf, _ = to_cnf(replace(g, alphabet=flatten(g.alphabet)))
             if cnf.productions:
                 try:
-                    _kleene(cnf, frozenset(), max_states=2000)
+                    _kleene(cnf, max_states=2000)
                 except ResourceLimit:
                     pass
         monkeypatch.undo()
@@ -527,10 +530,54 @@ class TestKleeneGrammar:
             ), u
 
     def test_all_zero_is_subword_construction(self):
-        kg = KleeneSteps(anbn()).kleene()
+        kg = _kleene_base(to_cnf(anbn())[0])
         got = set(nfa_enumerate(acyclic_nfa(kg), 6))
         want = set(closure_bounded(cfg_enumerate(anbn(), 12), OrderKind.SUBWORD, AB0, 6))
         assert got == want
+
+    def test_subword_grammar_has_no_cycle(self):
+        """No nonterminal of ``_kleene_base``'s grammar reaches itself."""
+        grammars = PIPELINE_GRAMMARS + [dense(14)] + [
+            random_cfg(random.Random(seed), ALL_ZERO) for seed in range(40)
+        ]
+        for g in grammars:
+            h = _kleene_base(to_cnf(g)[0])
+            index = {n: i for i, n in enumerate(h.nonterminals)}
+            succ = [[] for _ in h.nonterminals]
+            for lhs, rhs in h.productions:
+                succ[index[lhs]] += [index[sym] for kind, sym in rhs if kind != "t"]
+            for members in _components(succ):
+                assert len(members) == 1 and members[0] not in succ[members[0]], g
+
+    def test_flattened_route_meets_no_pump_on_priority_0(self, monkeypatch):
+        """``_kleene`` keeps a grammar of top priority 0 as it is, which is
+        exact only if no nonterminal of it lies on a cycle.  On the
+        flattened route its letters are seam markers, each at most once
+        in a word; every such call of the block and priority closures of
+        the corpus and of random grammars is checked here."""
+        calls = 0
+
+        def watched(cnf, *args, **kwargs):
+            nonlocal calls
+            if not cnf.alphabet.max_assigned_priority:
+                calls += 1
+                _, sides = _pump_sides(cnf)
+                assert not any(any(side) for side in sides.values()), cnf
+            return _kleene(cnf, *args, **kwargs)
+
+        monkeypatch.setattr(cfg_module, "_kleene", watched)
+        grammars = PIPELINE_GRAMMARS + [
+            random_cfg(random.Random(seed), PriorityAlphabet.from_map(priorities))
+            for priorities in RANDOM_PRIORITIES
+            for seed in range(20)
+        ]
+        for g in grammars:
+            for order in (OrderKind.BLOCK, OrderKind.PRIORITY):
+                try:
+                    cfg_closure(g, order, max_states=2000)
+                except ResourceLimit:
+                    pass
+        assert calls >= 1000
 
     def test_single_word(self):
         g = Cfg(D1, ("S",), (("S", ("0a", "1b", "0a")),), "S")
@@ -660,8 +707,8 @@ class TestSettledWalk:
         ids=["abc", "abcd", "ac"],
     )
     def test_random_grammars(self, priorities):
-        """The unsettled walk gets five times the cap, as it has about
-        4.5 times the states; a seed is skipped when both walks stop."""
+        """Settling only removes states, so both walks get one cap, and
+        the settled walk must close wherever the unsettled one does."""
         alphabet = flatten(PriorityAlphabet.from_map(priorities))
         cap = 2000
         compared = 0
@@ -670,18 +717,14 @@ class TestSettledWalk:
             if not cnf.productions:
                 continue
             try:
-                h = _kleene(cnf, frozenset(), max_states=cap)
+                h = _kleene(cnf, max_states=cap)
             except ResourceLimit:
                 continue
-            reduced = []
-            for walk, walk_cap in ((acyclic_nfa, cap), (unsettled_acyclic_nfa, 5 * cap)):
-                try:
-                    reduced.append(nfa_reduce(walk(h, walk_cap)))
-                except ResourceLimit:
-                    reduced.append(None)
-            if reduced == [None, None]:
+            try:
+                unsettled = nfa_reduce(unsettled_acyclic_nfa(h, cap))
+            except ResourceLimit:
                 continue
-            assert reduced[0] == reduced[1], seed
+            assert nfa_reduce(acyclic_nfa(h, cap)) == unsettled, seed
             compared += 1
         assert compared >= 10
 
@@ -748,10 +791,10 @@ ALL_ZERO = PriorityAlphabet.from_map({"a": 0, "b": 0, "c": 0})
 
 
 class TestSkeletonByOrder:
-    """Subword order, and block order on priority 0 alone, rebuild the
-    grammar over its alphabet relabelled to priority 0; the other orders
-    over the flattened alphabet.  Both give the closures of the flattened
-    route in every order (``reference_cfg_closure``)."""
+    """Subword order, and block order on priority 0 alone, take the
+    subword closure per component; the other orders rebuild over the
+    flattened alphabet.  Both give the closures of the flattened route
+    in every order (``reference_cfg_closure``)."""
 
     @pytest.mark.parametrize(
         "g", PIPELINE_GRAMMARS, ids=["flagship", "anbn", "ring-0", "ring-a0b1c2d0", "empty"]
@@ -801,6 +844,32 @@ class TestSkeletonByOrder:
         subword = cfg_closure(g, OrderKind.SUBWORD)
         assert nfa_accepts(subword, ()) and not nfa_accepts(block, ())
         assert block == reference_cfg_closure(g, OrderKind.BLOCK)
+
+
+DENSE_LETTERS = PriorityAlphabet.from_map({"a0": 0, "a1": 0, "a2": 0})
+
+
+def dense(k: int) -> Cfg:
+    """N_i -> N_(i+1) a_(i mod 3) N_(i+3) | a_(i mod 3), indices mod k."""
+    prods = []
+    for i in range(k):
+        a = f"a{i % 3}"
+        prods += [(f"N{i}", (f"N{(i + 1) % k}", a, f"N{(i + 3) % k}")), (f"N{i}", (a,))]
+    return Cfg(DENSE_LETTERS, tuple(f"N{i}" for i in range(k)), tuple(prods), "N0")
+
+
+class TestDenseFamily:
+    """One non-linear component holds every nonterminal and every letter,
+    so the closure loops on every letter at one state."""
+
+    @pytest.mark.parametrize("order", [OrderKind.SUBWORD, OrderKind.BLOCK])
+    @pytest.mark.parametrize("k", [14, 18])
+    def test_closure_is_one_state(self, k, order):
+        loops = [["q", a, "q"] for a in DENSE_LETTERS.letters]
+        one_state = nfa_parse(
+            {"states": ["q"], "initial": "q", "finals": ["q"], "edges": loops}, DENSE_LETTERS
+        )
+        assert cfg_closure(dense(k), order) == one_state
 
 
 FULL_SANDWICH = [

@@ -165,7 +165,7 @@ def test_pump_sides_match_the_spine_grammar_fixpoint(seed):
     hat = HatAlphabet.extend(alphabet)
     for _ in range(10):
         cnf, _ = to_cnf(random_cfg(rng, alphabet))
-        sides = _pump_sides(cnf)
+        _, sides = _pump_sides(cnf)
         assert set(sides) == set(cnf.nonterminals)
         for x in cnf.nonterminals:
             raw = _pump_from_cnf(cnf, x, hat)

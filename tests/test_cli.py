@@ -323,6 +323,32 @@ class TestClosure:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_state_cap_subword_grammar(self, files, capsys):
+        """The subword skeleton of the flagship grammar walks 11 states."""
+        tmp_path, save = files
+        alpha = alphabet_file(save, "p12.json", P12)
+        model = save("flagship.json", FLAGSHIP_JSON)
+        code = main(
+            [
+                "closure",
+                "--type",
+                "cfg",
+                "--order",
+                "subword",
+                "--alphabet",
+                alpha,
+                "--input",
+                model,
+                "--output",
+                str(tmp_path / "closure.json"),
+                "--state-cap",
+                "10",
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: acyclic automaton exceeded 10 states\n"
+
     @pytest.mark.parametrize("order", ["priority", "block"])
     @pytest.mark.parametrize("kind", ["nfa", "oca", "cfg"])
     def test_state_cap_every_kind(self, files, capsys, kind, order):
