@@ -239,12 +239,10 @@ def nfa_enumerate(nfa: Nfa, bound: int) -> list[Word]:
     return _enumerate_walk(nfa.alphabet.letters, *_subset_walk(nfa), bound)
 
 
-# (moves, ends, finals): state s's moves are moves[ends[s - 1]:ends[s]], from 0 at s = 0
-Graph = tuple[list[tuple[str | None, int]], list[int], list[int]]
-
-
-def _walk(initial: Hashable, successors: Callable, max_states: int, what: str) -> Graph:
-    """Trimmed ``Graph`` of the states reachable from ``initial``.
+def _walk(
+    alphabet: PriorityAlphabet, initial: Hashable, successors: Callable, max_states: int, what: str
+) -> Nfa:
+    """Trimmed ``Nfa`` of the states reachable from ``initial``.
 
     States are any hashable keys.  ``successors(key)`` gives whether the
     state is final and its (label, target key) moves; it is called once
@@ -252,11 +250,13 @@ def _walk(initial: Hashable, successors: Callable, max_states: int, what: str) -
     discovered keys raise ResourceLimit naming ``what``.  States that
     cannot reach a final state are dropped, except the initial one, so
     an empty language is one state with no finals; the survivors are
-    numbered 0..n-1 in discovery order and keep their moves as given.
+    numbered 0..n-1 in discovery order, each with the sorted ``Row`` of
+    its moves.
     """
     index = {initial: 0}
     order = [initial]
-    # a Graph, flat so that exploring a large automaton makes no container per state
+    # flat, so that exploring a large automaton makes no container per state:
+    # state s's moves are moves[ends[s - 1]:ends[s]], from 0 at s = 0
     moves: list[tuple[str | None, int]] = []
     ends: list[int] = []
     finals: list[int] = []
@@ -290,30 +290,19 @@ def _walk(initial: Hashable, successors: Callable, max_states: int, what: str) -
             if not live[p]:
                 live[p] = 1
                 stack.append(p)
-    if 0 not in live:
-        return moves, ends, finals
-    # a dead initial state keeps no move, as every state is then dead
-    number = [-1] * len(order)
-    kept = [i for i in range(len(order)) if live[i] or i == 0]
-    for count, i in enumerate(kept):
-        number[i] = count
-    out, out_ends = [], []
-    for i in kept:
-        out += [(label, number[d]) for label, d in moves[starts[i] : ends[i]] if live[d]]
-        out_ends.append(len(out))
-    return out, out_ends, [number[f] for f in finals]
-
-
-def _graph_nfa(alphabet: PriorityAlphabet, graph: Graph) -> Nfa:
-    """The ``Nfa`` of a graph, one sorted ``Row`` per state."""
-    moves, ends, finals = graph
+    if 0 in live:  # some state cannot reach a final state
+        # a dead initial state keeps no move, as every state is then dead
+        number = [-1] * len(order)
+        kept = [i for i in range(len(order)) if live[i] or i == 0]
+        for count, i in enumerate(kept):
+            number[i] = count
+        out, out_ends = [], []
+        for i in kept:
+            out += [(label, number[d]) for label, d in moves[starts[i] : ends[i]] if live[d]]
+            out_ends.append(len(out))
+        moves, ends, finals = out, out_ends, [number[f] for f in finals]
     rows = tuple(_row(moves[s:e]) for s, e in zip([0, *ends], ends))
     return Nfa(alphabet, rows, 0, tuple(finals))
-
-
-def _explore(alphabet: PriorityAlphabet, initial: Hashable, successors, max_states, what) -> Nfa:
-    """The ``Nfa`` of ``_walk``'s trimmed graph."""
-    return _graph_nfa(alphabet, _walk(initial, successors, max_states, what))
 
 
 def nfa_for_words(alphabet: PriorityAlphabet, words: Sequence[Iterable[str]]) -> Nfa:
@@ -331,7 +320,7 @@ def nfa_for_words(alphabet: PriorityAlphabet, words: Sequence[Iterable[str]]) ->
     def successors(prefix: Word):
         return prefix in words, [(a, prefix + (a,)) for a in sorted(nexts.get(prefix, ()))]
 
-    return _explore(alphabet, (), successors, 1 + sum(map(len, words)), "word automaton")
+    return _walk(alphabet, (), successors, 1 + sum(map(len, words)), "word automaton")
 
 
 def nfa_union(a: Nfa, b: Nfa) -> Nfa:
@@ -349,7 +338,7 @@ def nfa_union(a: Nfa, b: Nfa) -> Nfa:
 
     # the inputs bound the size, so this cap never fires
     size = 1 + len(a.states) + len(b.states)
-    return _explore(a.alphabet, None, successors, size, "union")
+    return _walk(a.alphabet, None, successors, size, "union")
 
 
 def nfa_concat(a: Nfa, b: Nfa) -> Nfa:
@@ -367,7 +356,7 @@ def nfa_concat(a: Nfa, b: Nfa) -> Nfa:
         return side == 1 and q in finals, moves
 
     size = len(a.states) + len(b.states)
-    return _explore(a.alphabet, (0, a.initial), successors, size, "concatenation")
+    return _walk(a.alphabet, (0, a.initial), successors, size, "concatenation")
 
 
 def nfa_intersect(a: Nfa, b: Nfa, max_states: int = DEFAULT_MAX_STATES) -> Nfa:
@@ -384,7 +373,7 @@ def nfa_intersect(a: Nfa, b: Nfa, max_states: int = DEFAULT_MAX_STATES) -> Nfa:
         eps, on = b.adjacency[q]
         return [(None, d) for d in eps], {x: [(x, d) for d in ds] for x, ds in on}, q in finals
 
-    return _graph_nfa(a.alphabet, _product(a, b.initial, copy, max_states, "intersection product"))
+    return _product(a, b.initial, copy, max_states, "intersection product")
 
 
 def nfa_equivalent_up_to(a: Nfa, b: Nfa, bound: int) -> Word | None:
@@ -624,10 +613,7 @@ def _minimal_dfa(alphabet: PriorityAlphabet, rows, initial: int, finals, cap: in
         moves = [(letters[c], block_of[t]) for c, t in enumerate(row) if t >= 0]
         return bool(subsets[member[b]] & final_mask), [m for m in moves if m[1] != dead]
 
-    # none is trimmed, and each move is single and sorted by letter: no _row
-    moves, ends, dfa_finals = _walk(block_of[0], successors, len(member), "minimal DFA")
-    rows = tuple(((), tuple([(a, (t,)) for a, t in moves[s:e]])) for s, e in zip([0, *ends], ends))
-    return Nfa(alphabet, rows, 0, tuple(dfa_finals))
+    return _walk(alphabet, block_of[0], successors, len(member), "minimal DFA")
 
 
 def nfa_reduce(nfa: Nfa) -> Nfa:
@@ -733,12 +719,14 @@ def _product(
     t_moves: Callable[[int], TMoves],
     max_states: int,
     what: str,
-) -> Graph:
-    """Trimmed ``Graph`` of the NFA's image under a letter transducer.
+) -> Nfa:
+    """Trimmed NFA of the NFA's image under a letter transducer, unmerged.
 
     ``t_moves(t)`` gives the moves of transducer state t (see ``TMoves``);
     it is called once per state, so a transducer may be built on demand.
     ``_walk`` walks the product, caps it at ``max_states`` and trims it.
+    ``apply_transduction`` serves relabelling transducers with it, and it
+    is the reference that ``_merged_product`` is checked against.
     """
     adjacency = nfa.adjacency
     n = len(adjacency)
@@ -768,7 +756,7 @@ def _product(
         targets += [(None, base + q) for q in n_eps]
         return t_final and nq in n_finals, targets
 
-    return _walk(t_initial * n + nfa.initial, successors, max_states, what)
+    return _walk(nfa.alphabet, t_initial * n + nfa.initial, successors, max_states, what)
 
 
 def apply_transduction(
@@ -782,8 +770,7 @@ def apply_transduction(
     if transducer.alphabet != nfa.alphabet:
         raise ValueError("transduction requires matching alphabets")
     initial, table = _transducer_moves(transducer)
-    graph = _product(nfa, initial, table.__getitem__, max_states, "transduction product")
-    return _graph_nfa(nfa.alphabet, graph)
+    return _product(nfa, initial, table.__getitem__, max_states, "transduction product")
 
 
 # Configurations of one block-matching frame (see ``_minimal_controller``).
@@ -867,7 +854,7 @@ def _minimal_controller(profile: tuple[int, ...], max_states: int) -> tuple[int,
             count += 1
             return successors(key)
 
-        nfa = _explore(labels, initial, counted, max_states, "block controller")
+        nfa = _walk(labels, initial, counted, max_states, "block controller")
         largest = max(largest, count)
         # n states have at most 2^n - 1 nonempty subsets, so this never gives up
         dfa = _minimal_dfa(labels, nfa.adjacency, nfa.initial, nfa.finals, 1 << len(nfa.states))

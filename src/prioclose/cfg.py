@@ -3,24 +3,25 @@
 ``cfg_closure`` builds a grammar's skeleton in stages: normalize to a
 binary normal form, single out the letter runs that can repeat around a
 self-embedding nonterminal, rebuild them as starred productions of a
-Kleene grammar (``_kleene``), and turn acyclic derivations of that
-grammar into an NFA, which ``automata.closure_regular`` closes.  The
-orders that see priorities get the rebuild over the flattened
-alphabet; subword order, and block order on priority 0 alone, get the
-subword closure per strongly connected component (``_kleene_base``).
+Kleene grammar (``_kleene``), give that grammar the empty word if the
+language has it, and turn its acyclic derivations into an NFA, which
+``automata.closure_regular`` closes.  The orders that see priorities
+get the rebuild over the flattened alphabet; subword order, and block
+order on priority 0 alone, get the subword closure per strongly
+connected component (``_kleene_base``).
 
 The rebuild works per nonterminal x on a cycle.  The letters on either
 side of x's pumps come from one pass over the grammar's strongly
 connected components (``_pump_sides``); only their priorities, and
 zero, can be a pump half's top priority, so only those pairs of
 priorities are tried.  For each pair, the pump ends and the runs that
-repeat on each side are extracted from the seam-marked pump grammar
-(``_pump_from_cnf``) with letter transducers over a marker-extended
-alphabet (``HatAlphabet``).  Each transducer joins two half-pump
-gadgets at the seam: ``_outer`` keeps a half's ends, ``_pick`` one of
-its repeatable runs, and ``_check`` only checks its top priority.  The
-state cap bounds every transduction, the rebuilt grammar and the
-acyclic automaton.
+repeat on each side are the images of the seam-marked pump grammar
+(``_pump_from_cnf``) under letter transducers over a marker-extended
+alphabet (``HatAlphabet``), one per part (``_pump_part``).  Each
+transducer joins two half-pump gadgets at the seam: ``_outer`` keeps a
+half's ends, ``_pick`` one of its repeatable runs, and ``_check`` only
+checks its top priority.  The state cap bounds every transduction, the
+rebuilt grammar and the acyclic automaton.
 """
 
 from __future__ import annotations
@@ -34,14 +35,12 @@ from .automata import (
     Nfa,
     Transducer,
     _components,
-    _explore,
     _name,
     _names,
     _state_names,
+    _walk,
     closure_regular,
-    nfa_for_words,
     nfa_reduce,
-    nfa_union,
 )
 from .core import (
     DEFAULT_MAX_STATES,
@@ -646,45 +645,12 @@ def _repeat_transducer(hat: HatAlphabet, r: int, s: int, side: str) -> Transduce
     return _seamed(hat, "a", left, entry, right, keep_mid=False)
 
 
-def _ends_from_pump(
-    pump: tuple[Cfg, bool], ends: Transducer, hat: HatAlphabet, r: int, s: int, max_states: int
-) -> Cfg:
-    """Marked outer runs of the normalised pump grammar at one nonterminal.
-
-    Each word is the left pump half with its separator-bounded middle
-    replaced by a marker, the seam marker, then the right half treated
-    symmetrically.  Halves whose top priority is not exactly ``r``
-    respectively ``s`` (at most zero for zero) contribute nothing.
-    ``ends`` is ``_ends_transducer(hat, r, s)``.
-    """
-    out = _transduce_cnf(ends, pump, max_states)
-    cutoff = max(r, s, 1) - 1
-    entries = tuple((a, p) for a, p in hat.base.entries if p <= cutoff)
-    markers = ((hat.mid, 0), (hat.left, 0), (hat.right, 0))
-    return replace(out, alphabet=PriorityAlphabet(entries + markers))
-
-
-def _runs_from_pump(
-    pump: tuple[Cfg, bool],
-    repeat: Transducer,
-    hat: HatAlphabet,
-    r: int,
-    s: int,
-    side: str,
-    max_states: int,
-) -> Cfg:
-    """Runs of one side of the normalised pump grammar at one nonterminal.
-
-    For a positive priority they are the separator-free runs between two
-    adjacent separators, over the letters below it; for priority zero
-    the single letters on that side.  The opposite side only filters by
-    its top priority.  ``repeat`` is ``_repeat_transducer(hat, r, s, side)``.
-    """
-    pri = r if side == "left" else s
-    cutoff = max(pri - 1, 0)
-    out = _transduce_cnf(repeat, pump, max_states)
-    entries = tuple((a, p) for a, p in hat.base.entries if p <= cutoff)
-    return replace(out, alphabet=PriorityAlphabet(entries))
+def _pump_part(
+    pump: tuple[Cfg, bool], t: Transducer, letters: PriorityAlphabet, max_states: int
+) -> tuple[Cfg, bool]:
+    """``to_cnf`` of the normalised pump grammar's image under the pump
+    transducer ``t``, over ``letters``, the letters that part may hold."""
+    return to_cnf(replace(_transduce_cnf(t, pump, max_states), alphabet=letters))
 
 
 def _pump_sides(
@@ -772,14 +738,16 @@ def _kleene_base(cnf: Cfg) -> KleeneGrammar:
 
 
 def _renamed(
-    h: KleeneGrammar, prefix: str
+    h: KleeneGrammar, prefix: str, taken: set[str]
 ) -> tuple[str, list[tuple[str, tuple[KItem, ...]]]]:
-    """Start and productions of h with each nonterminal N renamed ``prefix.N``."""
-    prods = []
-    for lhs, rhs in h.productions:
-        items = tuple((kind, sym if kind == LIT else f"{prefix}.{sym}") for kind, sym in rhs)
-        prods.append((f"{prefix}.{lhs}", items))
-    return f"{prefix}.{h.start}", prods
+    """Start and productions of h with each nonterminal N renamed
+    ``prefix.N``, made fresh against ``taken``; the new names join it."""
+    names = {n: _fresh(f"{prefix}.{n}", taken) for n in h.nonterminals}
+    prods = [
+        (names[lhs], tuple((kind, sym if kind == LIT else names[sym]) for kind, sym in rhs))
+        for lhs, rhs in h.productions
+    ]
+    return names[h.start], prods
 
 
 def _kleene(cnf: Cfg, max_states: int = DEFAULT_MAX_STATES) -> KleeneGrammar:
@@ -797,6 +765,15 @@ def _kleene(cnf: Cfg, max_states: int = DEFAULT_MAX_STATES) -> KleeneGrammar:
     ``apply_transducer_to_cfg``, and the productions of the result.
     The pump transducers depend only on the priorities and the side, so
     one call builds each once and shares it among its nonterminals.
+    Each part of a pump pair is one image under them (``_pump_part``):
+    the ends over the markers and the letters below both separators, a
+    side's runs over the letters below its separator, or of priority 0
+    on a side of top priority 0.  The left marker becomes z[r] W*, with
+    W the wrapper of the left runs, and the right one z[s] W* likewise;
+    a side with no run leaves W without a production, and ``_prune``
+    drops the starred item.  Each closed part is copied under names made
+    fresh against every name taken so far (``_renamed``), so no copy
+    shares a nonterminal with the input or another copy.
     The only priority-0 letters of a flat grammar are the seam markers
     of the calls around it, each at most once in a word.  So a grammar
     with top priority 0 has a finite language and no nonterminal on a
@@ -827,6 +804,12 @@ def _kleene(cnf: Cfg, max_states: int = DEFAULT_MAX_STATES) -> KleeneGrammar:
             built = transducers[key] = build(hat, *key)
         return built
 
+    def low(cutoff: int, *extra: tuple[str, int]) -> PriorityAlphabet:
+        """The letters up to ``cutoff``, then ``extra``."""
+        return PriorityAlphabet(tuple((a, q) for a, q in alpha.entries if q <= cutoff) + extra)
+
+    markers = ((hat.mid, 0), (hat.left, 0), (hat.right, 0))
+
     counter = 0
     _, sides = _pump_sides(cnf)
     for x in cnf.nonterminals:
@@ -834,11 +817,12 @@ def _kleene(cnf: Cfg, max_states: int = DEFAULT_MAX_STATES) -> KleeneGrammar:
         if not any(sides[x]):
             continue
         pump = to_cnf(_pump_from_cnf(cnf, x, hat))
+        seam = [_items(body, letters) for lhs, body in cnf.productions if lhs == x]
         left, right = ({0, *map(alpha.priority, side)} for side in sides[x])
         for r in sorted(left):
             for s in sorted(right):
-                ends = transducer(r, s)
-                ends_cnf, _ = to_cnf(_ends_from_pump(pump, ends, hat, r, s, max_states))
+                ends = low(max(r, s, 1) - 1, *markers)
+                ends_cnf, _ = _pump_part(pump, transducer(r, s), ends, max_states)
                 if not ends_cnf.productions:
                     continue
                 counter += 1
@@ -846,45 +830,31 @@ def _kleene(cnf: Cfg, max_states: int = DEFAULT_MAX_STATES) -> KleeneGrammar:
                 ends_closed = _kleene(ends_cnf, max_states)
                 # A positive-priority run leaves its closing separator out,
                 # because the wrapper below appends z[pri] itself.
-                side_starts: dict[str, str | None] = {}
+                wrappers = {}
                 for side, pri in (("left", r), ("right", s)):
-                    repeat = transducer(r, s, side)
-                    run_cnf, run_empty = to_cnf(
-                        _runs_from_pump(pump, repeat, hat, r, s, side, max_states)
+                    run_cnf, run_empty = _pump_part(
+                        pump, transducer(r, s, side), low(max(pri - 1, 0)), max_states
                     )
-                    wrapper = _fresh(f"W{counter}.{side}", taken)
-                    have_any = False
+                    wrapper = wrappers[side] = _fresh(f"W{counter}.{side}", taken)
                     if run_cnf.productions:
                         closed = _kleene(run_cnf, max_states)
-                        run_start, run_prods = _renamed(closed, f"{tag}.{side}")
-                        prods.extend(run_prods)
-                        if pri == 0:
-                            prods.append((wrapper, ((NT, run_start),)))
-                        else:
-                            prods.append((wrapper, ((NT, run_start), (NT, z[pri]))))
-                        have_any = True
+                        run_start, run_prods = _renamed(closed, f"{tag}.{side}", taken)
+                        prods += run_prods
+                        tail = ((NT, z[pri]),) if pri else ()
+                        prods.append((wrapper, ((NT, run_start),) + tail))
                     if pri >= 1 and run_empty:
                         prods.append((wrapper, ((NT, z[pri]),)))
-                        have_any = True
-                    side_starts[side] = wrapper if have_any else None
-                ends_start, ends_prods = _renamed(ends_closed, tag)
+                # the markers' runs become z[r] W*, and the seam x's own rules
+                splice = {
+                    ((LIT, hat.left),): ((NT, z[r]), (STAR, wrappers["left"])),
+                    ((LIT, hat.right),): ((NT, z[s]), (STAR, wrappers["right"])),
+                }
+                ends_start, ends_prods = _renamed(ends_closed, tag, taken)
                 for head, rhs in ends_prods:
-                    if rhs == ((LIT, hat.left),):
-                        items: tuple[KItem, ...] = ((NT, z[r]),)
-                        if side_starts["left"]:
-                            items += ((STAR, side_starts["left"]),)
-                        prods.append((head, items))
-                    elif rhs == ((LIT, hat.right),):
-                        items = ((NT, z[s]),)
-                        if side_starts["right"]:
-                            items += ((STAR, side_starts["right"]),)
-                        prods.append((head, items))
-                    elif rhs == ((LIT, hat.mid),):
-                        for lhs2, rhs2 in cnf.productions:
-                            if lhs2 == x:
-                                prods.append((head, _items(rhs2, letters)))
+                    if rhs == ((LIT, hat.mid),):
+                        prods += [(head, body) for body in seam]
                     else:
-                        prods.append((head, rhs))
+                        prods.append((head, splice.get(rhs, rhs)))
                 prods.append((x, ((NT, ends_start),)))
                 if len(prods) > max_states:
                     raise ResourceLimit(f"Kleene grammar exceeded {max_states} states")
@@ -991,17 +961,22 @@ def acyclic_nfa(h: KleeneGrammar, max_states: int = DEFAULT_MAX_STATES) -> Nfa:
         final, moves = stopped.pop(stack)
         return final, [(label, settle(target)) for label, target in moves]
 
-    return _explore(h.alphabet, settle(0), settled, max_states, "acyclic automaton")
+    return _walk(h.alphabet, settle(0), settled, max_states, "acyclic automaton")
 
 
 def cfg_closure(g: Cfg, order: OrderKind, max_states: int = DEFAULT_MAX_STATES) -> Nfa:
     """NFA for the downward closure of the grammar's language under the order.
 
     The skeleton is the acyclic NFA of a Kleene grammar of the grammar,
-    with the empty word added back when the grammar derives it, and
-    ``automata.closure_regular`` closes it after ``nfa_reduce``: a ring
-    grammar's skeleton of 823 states reduces to 10.  Which Kleene
-    grammar depends on what the order can see.
+    and ``automata.closure_regular`` closes it after ``nfa_reduce``: a
+    ring grammar's skeleton of 823 states reduces to 10.  Which Kleene
+    grammar depends on what the order can see.  When the grammar derives
+    the empty word, the Kleene grammar gets the rule start -> ε.  That
+    adds the empty word alone: ``to_cnf``'s start is on no right-hand
+    side, ``_kleene`` keeps it, and ``_kleene_base``'s start is the
+    start component's rule, to which no rule refers.  An empty language
+    gives a production-free normal form, hence a production-free Kleene
+    grammar, whose automaton is one state with no final.
 
     Subword order, and block order when every letter has priority 0,
     where it is subword order, only need a skeleton between the language
@@ -1023,12 +998,10 @@ def cfg_closure(g: Cfg, order: OrderKind, max_states: int = DEFAULT_MAX_STATES) 
     )
     alphabet = g.alphabet if subword else flatten(g.alphabet)
     cnf, had_empty = to_cnf(replace(g, alphabet=alphabet))
-    skeleton = nfa_for_words(alphabet, [])
-    if cnf.productions:
-        h = _kleene_base(cnf) if subword else _kleene(cnf, max_states)
-        skeleton = acyclic_nfa(h, max_states)
+    h = _kleene_base(cnf) if subword else _kleene(cnf, max_states)
     if had_empty:
-        skeleton = nfa_union(skeleton, nfa_for_words(alphabet, [()]))
+        h = replace(h, productions=h.productions + ((h.start, ()),))
+    skeleton = acyclic_nfa(h, max_states)
     return closure_regular(nfa_reduce(replace(skeleton, alphabet=g.alphabet)), order, max_states)
 
 

@@ -18,11 +18,11 @@ from .automata import (
     _check_ends,
     _dot,
     _enumerate_walk,
-    _explore,
     _letters_to_final,
     _name,
     _names,
     _parse_edge,
+    _walk,
     closure_regular,
 )
 from .core import DEFAULT_MAX_STATES, OrderKind, PriorityAlphabet, Word
@@ -301,7 +301,7 @@ def _soca_moves(soca: SimpleOca):
 def soca_closure_nfa(soca: SimpleOca, max_states: int = DEFAULT_MAX_STATES) -> Nfa:
     """Trimmed NFA of ``_soca_moves``; more than ``max_states`` states
     raise ResourceLimit."""
-    return _explore(soca.alphabet, *_soca_moves(soca), max_states, "one-counter skeleton")
+    return _walk(soca.alphabet, *_soca_moves(soca), max_states, "one-counter skeleton")
 
 
 def _trim_soca(soca: SimpleOca) -> SimpleOca | None:
@@ -387,9 +387,7 @@ def _glue_nfa(oca: Oca | SimpleOca, max_states: int = DEFAULT_MAX_STATES) -> Nfa
             moves.append((None, exit_key))
         return False, moves
 
-    return _explore(
-        alphabet, ("z", initial), successors, max_states, "glued one-counter skeleton"
-    )
+    return _walk(alphabet, ("z", initial), successors, max_states, "glued one-counter skeleton")
 
 
 def oca_closure(

@@ -42,8 +42,8 @@ from prioclose.automata import (
     _XSTART,
     Nfa,
     _components,
-    _explore,
     _minimal_dfa,
+    _walk,
     closure_regular,
     nfa_for_words,
     nfa_intersect,
@@ -58,7 +58,6 @@ from prioclose.cfg import (
     Cfg,
     HatAlphabet,
     KleeneGrammar,
-    _ends_from_pump,
     _ends_transducer,
     _fresh,
     _identity,
@@ -68,7 +67,7 @@ from prioclose.cfg import (
     _pump_from_cnf,
     _pump_sides,
     _repeat_transducer,
-    _runs_from_pump,
+    _transduce_cnf,
     acyclic_nfa,
     apply_transducer_to_cfg,
     to_cnf,
@@ -300,7 +299,7 @@ def minimal_stack_controller(profile: tuple[int, ...]) -> tuple:
             out += [(("+" if emitted else "-") + c, u) for emitted, u in pairs]
         return final, out
 
-    stack = _explore(labels, initial, successors, 10**7, "stack controller")
+    stack = _walk(labels, initial, successors, 10**7, "stack controller")
     cap = 1 << len(stack.states)
     dfa = _minimal_dfa(labels, stack.adjacency, stack.initial, stack.finals, cap)
     rows = []
@@ -459,20 +458,28 @@ class KleeneSteps:
         seam stands for the zero-step pump."""
         return _pump_from_cnf(self.cnf, x, self.hat)
 
+    def image(self, x: str, t, cutoff: int, markers: bool = False) -> Cfg:
+        """x's pump grammar under the pump transducer t, over the letters
+        up to ``cutoff`` and, if asked, the three markers."""
+        base = self.hat.base
+        entries = tuple((a, p) for a, p in base.entries if p <= cutoff)
+        if markers:
+            entries += tuple((m, 0) for m in (self.hat.mid, self.hat.left, self.hat.right))
+        image = _transduce_cnf(t, to_cnf(self.pump(x)), DEFAULT_MAX_STATES)
+        return replace(image, alphabet=PriorityAlphabet(entries))
+
     def ends(self, x: str, r: int, s: int) -> Cfg:
-        """The marked outer runs of x's pumps with top priorities r and s."""
-        ends = _ends_transducer(self.hat, r, s)
-        return _ends_from_pump(to_cnf(self.pump(x)), ends, self.hat, r, s, DEFAULT_MAX_STATES)
+        """The marked outer runs of x's pumps with top priorities r and s:
+        each half's run from its first separator to its last is replaced
+        by a marker, so what is left lies below both separators."""
+        return self.image(x, _ends_transducer(self.hat, r, s), max(r, s, 1) - 1, markers=True)
 
     def runs(self, x: str, r: int, s: int) -> tuple[Cfg, Cfg]:
-        """The separator-free runs that repeat left and right of x."""
-        pump = to_cnf(self.pump(x))
+        """The separator-free runs that repeat left and right of x: below
+        the side's separator, or single letters of priority 0."""
         return tuple(
-            _runs_from_pump(
-                pump, _repeat_transducer(self.hat, r, s, side), self.hat, r, s, side,
-                DEFAULT_MAX_STATES,
-            )
-            for side in ("left", "right")
+            self.image(x, _repeat_transducer(self.hat, r, s, side), max(pri - 1, 0))
+            for side, pri in (("left", r), ("right", s))
         )
 
     def sides(self, x: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -552,7 +559,7 @@ def unsettled_acyclic_nfa(h: KleeneGrammar, max_states: int = DEFAULT_MAX_STATES
             return False, pushes(stack, sym)
         return False, [(None, advanced)] + pushes(stack, sym)
 
-    return _explore(h.alphabet, (), successors, max_states, "acyclic automaton")
+    return _walk(h.alphabet, (), successors, max_states, "acyclic automaton")
 
 
 def reference_to_cnf(g: Cfg) -> tuple[Cfg, bool]:

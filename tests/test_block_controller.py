@@ -18,7 +18,6 @@ import pytest
 
 from prioclose import automata
 from prioclose.automata import (
-    _graph_nfa,
     _minimal_controller,
     _product,
     closure_regular,
@@ -70,9 +69,9 @@ def test_block_closure_matches_stack_controller(priorities, seed):
     if {"a", "b"} <= set(priorities):
         nfas.append(nfa_parse(CYCLE_BESIDE_1, alphabet))
     for nfa in nfas:
-        via_stack = _graph_nfa(alphabet, _product(
+        via_stack = _product(
             nfa_reduce(nfa), *stack_controller(alphabet), CAP, "stack controller product"
-        ))
+        )
         assert closure_regular(nfa, OrderKind.BLOCK) == nfa_reduce(via_stack)
 
 

@@ -111,6 +111,17 @@ def empty_grammar(alphabet=AB0) -> Cfg:
     return Cfg(alphabet, ("S",), (("S", ("S",)),), "S")
 
 
+def eps_only() -> Cfg:
+    """The empty word alone, over positive priorities."""
+    return Cfg(P12, ("S",), (("S", ()),), "S")
+
+
+def nullable_start() -> Cfg:
+    """S -> A 2 S | ε and A -> 1 A | ε: the start derives ε and pumps."""
+    prods = (("S", ("A", "2", "S")), ("S", ()), ("A", ("1", "A")), ("A", ()))
+    return Cfg(P12, ("A", "S"), prods, "S")
+
+
 def pattern_nfa(alphabet, infix):
     """Sigma* infix Sigma* as a chain with loops on every state."""
     states = [f"n{i}" for i in range(len(infix) + 1)]
@@ -797,13 +808,14 @@ class TestSkeletonByOrder:
     in every order (``reference_cfg_closure``)."""
 
     @pytest.mark.parametrize(
-        "g", PIPELINE_GRAMMARS, ids=["flagship", "anbn", "ring-0", "ring-a0b1c2d0", "empty"]
+        "g",
+        PIPELINE_GRAMMARS + [eps_only(), nullable_start()],
+        ids=["flagship", "anbn", "ring-0", "ring-a0b1c2d0", "empty", "eps-only", "nullable-start"],
     )
     def test_pipeline_grammars(self, g):
-        orders = [OrderKind.SUBWORD]
-        if not g.alphabet.max_assigned_priority:
-            orders.append(OrderKind.BLOCK)
-        for order in orders:
+        """In every order, so the empty word takes both routes; the
+        reference adds it to the skeleton by a union."""
+        for order in OrderKind:
             assert cfg_closure(g, order) == reference_cfg_closure(g, order), order
 
     @pytest.mark.parametrize(
@@ -844,6 +856,60 @@ class TestSkeletonByOrder:
         subword = cfg_closure(g, OrderKind.SUBWORD)
         assert nfa_accepts(subword, ()) and not nfa_accepts(block, ())
         assert block == reference_cfg_closure(g, OrderKind.BLOCK)
+
+
+def renamed(g: Cfg, names: dict[str, str]) -> Cfg:
+    """g with each nonterminal N in ``names`` renamed names[N]."""
+    def name(sym: str) -> str:
+        return names.get(sym, sym)
+
+    prods = tuple((name(lhs), tuple(map(name, rhs))) for lhs, rhs in g.productions)
+    return Cfg(g.alphabet, tuple(map(name, g.nonterminals)), prods, name(g.start))
+
+
+def generated_names(g: Cfg) -> Cfg:
+    """g with its nonterminals renamed, in sorted order, to names of the
+    renamed copies that the rebuild of the flattened grammar makes.
+
+    The names are read off the rebuild of g under neutral names n00,
+    n01, ..., leaving out those that contain a neutral name.  The
+    mapping keeps the nonterminals' sorted order, so the rebuild of the
+    result visits them as it did, and would give its copies the same
+    names again."""
+    neutral = {n: f"n{i:02d}" for i, n in enumerate(g.nonterminals)}
+    g0 = renamed(g, neutral)
+    cnf, _ = to_cnf(replace(g0, alphabet=flatten(g.alphabet)))
+    copies = sorted(
+        n for n in _kleene(cnf).nonterminals
+        if n.startswith("k") and not set(n.split(".")) & set(neutral.values())
+    )
+    return renamed(g0, dict(zip(sorted(neutral.values()), copies)))
+
+
+class TestGeneratedNames:
+    """A nonterminal of the input may carry a name that the rebuild
+    gives one of its renamed copies; the copy then takes another name."""
+
+    @pytest.mark.parametrize(
+        "g",
+        PIPELINE_GRAMMARS[:4] + [gap_grammar(), nullable_start()],
+        ids=["flagship", "anbn", "ring-0", "ring-a0b1c2d0", "gap", "nullable-start"],
+    )
+    def test_closures_keep_their_names_apart(self, g):
+        clashing = generated_names(g)
+        rebuilt = flat_kleene(clashing).nonterminals
+        assert any(f"{n}.2" in rebuilt for n in clashing.nonterminals)
+        for order in OrderKind:
+            assert cfg_closure(clashing, order) == cfg_closure(g, order), order
+
+    def test_copy_names_are_fresh(self):
+        """X -> 1 X 1 | N 0 and N -> 2 | 0 N, with N named as the ends
+        copy of the fifth pump pair names its lifted left marker."""
+        n = "k5.T.#L"
+        prods = (("X", ("1", "X", "1")), ("X", (n, "0")), (n, ("2",)), (n, ("0", n)))
+        g = Cfg(PriorityAlphabet.from_map({"0": 0, "1": 1, "2": 2}), ("X", n), prods, "X")
+        assert f"{n}.2" in flat_kleene(g).nonterminals
+        assert cfg_priority_closure(g) == cfg_priority_closure(renamed(g, {n: "Y"}))
 
 
 DENSE_LETTERS = PriorityAlphabet.from_map({"a0": 0, "a1": 0, "a2": 0})

@@ -1,7 +1,7 @@
-"""SHA-256 digests of the closures or reports a benchmark workload makes.
+"""SHA-256 digests of the closures or reports a workload makes.
 
 Usage:
-    python3 tools/digest.py --workload pipeline|regular|verify [--seed N]
+    python3 tools/digest.py --workload pipeline|regular|verify|grammars [--seed N]
 
 For ``pipeline`` and ``regular`` it runs ``prioclose.cli.main`` in
 process on every item of the workload, with the models and argument
@@ -13,10 +13,14 @@ subword order.  For ``verify`` it runs one pass of
 ``bench/worker.py``'s ``setup_verify`` over ``bench/run.py``'s
 ``prepare_verify`` manifest, and digests each item's verdict with its
 missing and extra words, or its enumerated words (or gives the last
-line of an item's error).  It prints one line per item, sorted by item
+line of an item's error).  For ``grammars`` it draws seeded random
+grammars (``random_grammar``), closes each in all three orders at
+``GRAMMAR_CAP`` states in process, and digests each closure's JSON form
+(or gives the message of the cap that stopped it); no benchmark
+workload times these.  It prints one line per item, sorted by item
 id: the result, then the id.  The last line is the SHA-256 of all item
 lines.  Two checkouts whose lines are equal build byte-identical
-closures, or give identical reports.  Nothing under ``bench/`` is
+closures, or give identical reports or cap messages.  Nothing under ``bench/`` is
 changed.
 """
 
@@ -27,6 +31,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -56,6 +61,48 @@ def verify_digests(seed: int) -> list[str]:
     return lines
 
 
+# (nonterminals, top priority, grammars) per cell of ``grammars``
+GRAMMAR_CELLS = ((3, 1, 6), (3, 2, 6), (5, 1, 3), (5, 2, 3))
+GRAMMAR_CAP = 5000
+
+
+def random_grammar(rng: random.Random, n: int, d: int) -> prioclose.Cfg:
+    """Nonterminals X0..X(n-1), start X0, over a0..ad with a_p of
+    priority p.  Each nonterminal has one single-letter rule and two
+    rules of 2 or 3 symbols, each symbol a letter or a nonterminal with
+    probability 1/2."""
+    letters = [f"a{p}" for p in range(d + 1)]
+    nts = [f"X{i}" for i in range(n)]
+    prods = []
+    for x in nts:
+        prods.append((x, (rng.choice(letters),)))
+        for _ in range(2):
+            size = rng.choice((2, 3))
+            body = [rng.choice(letters if rng.random() < 0.5 else nts) for _ in range(size)]
+            prods.append((x, tuple(body)))
+    alphabet = prioclose.PriorityAlphabet.from_map({a: p for p, a in enumerate(letters)})
+    return prioclose.Cfg(alphabet, tuple(nts), tuple(prods), nts[0])
+
+
+def grammar_digests(seed: int) -> list[str]:
+    """One "<digest> <id>" line per grammar and order, sorted by id."""
+    rng = random.Random(seed)
+    lines = []
+    for n, d, count in GRAMMAR_CELLS:
+        for i in range(count):
+            g = random_grammar(rng, n, d)
+            for order in prioclose.OrderKind:
+                try:
+                    closed = prioclose.cfg_closure(g, order, GRAMMAR_CAP)
+                except prioclose.ResourceLimit as exc:
+                    result = f"stopped {exc}"
+                else:
+                    data = json.dumps(prioclose.nfa_serialize(closed), sort_keys=True)
+                    result = hashlib.sha256(data.encode()).hexdigest()
+                lines.append(f"{result}  n{n}-d{d}-{i}:{order.value}")
+    return sorted(lines, key=lambda line: line.rsplit("  ", 1)[1])
+
+
 def in_all_orders(items: list[dict], workdir: Path) -> list[dict]:
     """The items' models in every order, with the items' argument lists."""
     out = {}
@@ -74,6 +121,8 @@ def digests(workload: str, seed: int) -> list[str]:
     """One "<digest> <id>" line per item, sorted by id."""
     if workload == "verify":
         return verify_digests(seed)
+    if workload == "grammars":
+        return grammar_digests(seed)
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
         manifest, _ = bench_run.prepare_cli(workload, seed, Path(tmp))
@@ -93,9 +142,10 @@ def digests(workload: str, seed: int) -> list[str]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", choices=("pipeline", "regular", "verify"), required=True)
+    parser.add_argument("--workload", choices=("pipeline", "regular", "verify", "grammars"), required=True)
     parser.add_argument("--seed", type=int, default=0,
-                        help="the corpus seed (regular), fault draw (verify) or item order")
+                        help="the corpus seed (regular), fault draw (verify), grammar draw "
+                        "(grammars) or item order")
     args = parser.parse_args(argv)
     lines = digests(args.workload, args.seed)
     total = hashlib.sha256("\n".join(lines).encode()).hexdigest()
