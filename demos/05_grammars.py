@@ -2,8 +2,10 @@
 
 The grammar pipeline normalizes the grammar, replaces every pumpable
 nonterminal by starred approximations of its pump derivations, and
-unfolds the now-acyclic grammar into an automaton.  The showpiece is
-the palindromic 1^n 2 1^n, whose block closure is exactly 1* 2 1*.
+unfolds the now-acyclic grammar into an automaton; with every priority
+at zero it instead joins one automaton per strongly connected
+component.  The showpiece is the palindromic 1^n 2 1^n, whose block
+closure is exactly 1* 2 1*.
 """
 
 from prioclose import (

@@ -1,14 +1,14 @@
 """Context-free grammars, Kleene grammars, and their downward closures.
 
-``cfg_closure`` builds a grammar's skeleton in stages: normalize to a
-binary normal form, single out the letter runs that can repeat around a
+``cfg_closure`` normalizes a grammar to a binary normal form and
+builds its skeleton, which ``automata.closure_regular`` closes.
+Subword order, and block order on priority 0 alone, get the subword
+closure as one automaton per strongly connected component
+(``_subword_nfa``).  The orders that see priorities single out, over
+the flattened alphabet, the letter runs that can repeat around a
 self-embedding nonterminal, rebuild them as starred productions of a
 Kleene grammar (``_kleene``), give that grammar the empty word if the
-language has it, and turn its acyclic derivations into an NFA, which
-``automata.closure_regular`` closes.  The orders that see priorities
-get the rebuild over the flattened alphabet; subword order, and block
-order on priority 0 alone, get the subword closure per strongly
-connected component (``_kleene_base``).
+language has it, and turn its acyclic derivations into an NFA.
 
 The rebuild works per nonterminal x on a cycle.  The letters on either
 side of x's pumps come from one pass over the grammar's strongly
@@ -21,7 +21,7 @@ alphabet (``HatAlphabet``), one per part (``_pump_part``).  Each
 transducer joins two half-pump gadgets at the seam: ``_outer`` keeps a
 half's ends, ``_pick`` one of its repeatable runs, and ``_check`` only
 checks its top priority.  The state cap bounds every transduction, the
-rebuilt grammar and the acyclic automaton.
+rebuilt grammar, the acyclic automaton and each component automaton.
 """
 
 from __future__ import annotations
@@ -29,17 +29,19 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .automata import (
     Nfa,
     Transducer,
     _components,
+    _moves,
     _name,
     _names,
     _state_names,
     _walk,
     closure_regular,
+    nfa_for_words,
     nfa_reduce,
 )
 from .core import (
@@ -107,7 +109,7 @@ class KleeneGrammar:
     """Grammar whose right-hand sides may carry starred nonterminals.
 
     Normal form: a right-hand side is either a single letter item or a
-    sequence of at most three nonterminal items, each optionally starred.
+    sequence of at most two nonterminal items, each optionally starred.
     """
 
     alphabet: PriorityAlphabet
@@ -130,7 +132,7 @@ class KleeneGrammar:
                 if rhs[0][1] not in letters:
                     raise ValueError(f"letter {rhs[0][1]!r} not in alphabet")
             else:
-                if len(rhs) > 3 or any(kind not in (NT, STAR) for kind in kinds):
+                if len(rhs) > 2 or any(kind not in (NT, STAR) for kind in kinds):
                     raise ValueError(f"right-hand side {rhs!r} not in normal form")
                 for _, sym in rhs:
                     if sym not in known:
@@ -145,7 +147,8 @@ class HatAlphabet:
 
     ``mid`` marks the seam of a pump pair, ``left`` and ``right`` stand
     for the replaced runs on either side.  Marker tokens are chosen
-    fresh against the base so nested extensions never collide.
+    fresh against the base and the names in ``taken``, so nested
+    extensions never collide, nor do markers and nonterminals.
     """
 
     base: PriorityAlphabet
@@ -155,8 +158,8 @@ class HatAlphabet:
     right: str
 
     @classmethod
-    def extend(cls, base: PriorityAlphabet) -> "HatAlphabet":
-        present = set(base.letters)
+    def extend(cls, base: PriorityAlphabet, taken: Iterable[str] = ()) -> "HatAlphabet":
+        present = set(base.letters).union(taken)
         k = 0
         while True:
             suffix = "" if k == 0 else str(k)
@@ -669,7 +672,8 @@ def _pump_sides(
     with any of its letters, B some u' x v'.  Both are empty exactly when
     x lies on no cycle, as every nonterminal derives a nonempty word.
     ``automata._components`` yields each component after those it
-    reaches, so the same pass collects the letters ``occurs`` in words.
+    reaches, so the same pass collects the letters ``occurs`` in words
+    and returns the components bottom-up, successor-free ones first.
     """
     nts = cnf.nonterminals
     index = {n: i for i, n in enumerate(nts)}
@@ -682,12 +686,14 @@ def _pump_sides(
             succ[index[lhs]] += (index[rhs[0]], index[rhs[1]])
     # a nonterminal with no successor is a component that is never yielded
     component = list(range(len(nts)))
+    bottom_up = [i for i, s in enumerate(succ) if not s]
     sides = [(set(), set()) for _ in nts]
     for members in _components(succ):
         seen = set().union(*(occurs[w] for m in members for w in (m, *succ[m])))
         for m in members:
             component[m] = members[0]
             occurs[m] = seen
+        bottom_up += members
     for y, targets in enumerate(succ):
         left, right = sides[component[y]]
         for a, b in zip(targets[::2], targets[1::2]):
@@ -696,15 +702,15 @@ def _pump_sides(
             if component[a] == component[y]:
                 right |= occurs[b]
     letters = cnf.alphabet.letters
-    return {n: nts[component[i]] for i, n in enumerate(nts)}, {
+    return {nts[i]: nts[component[i]] for i in bottom_up}, {
         n: tuple(tuple(a for a in letters if a in side) for side in sides[component[i]])
         for i, n in enumerate(nts)
     }
 
 
-def _kleene_base(cnf: Cfg) -> KleeneGrammar:
-    """Subword closure of a pruned binary grammar, as a Kleene grammar
-    in which no nonterminal reaches itself.
+def _subword_nfa(cnf: Cfg, max_states: int = DEFAULT_MAX_STATES) -> Nfa:
+    """Subword closure, with the empty word, of a pruned binary grammar's
+    language, as one reduced automaton per strongly connected component.
 
     Take a component C with pump sides Lc and Rc.  The closure of each
     member's language is Lc*·E·Rc*, where E joins C's exit rules: {ε, a}
@@ -712,29 +718,47 @@ def _kleene_base(cnf: Cfg) -> KleeneGrammar:
     and B outside C (van Leeuwen 1978; Bachmeier, Luttenberger and
     Schlund, LATA 2015).  Pumps place any sequence of Lc letters before
     an exit word and of Rc letters after it, and every other rule lies
-    on a spine.  So C gets cl -> L* E R*, and E refers only to the
-    components below C.
+    on a spine.  ``_pump_sides`` gives the components bottom-up.  C's
+    walk loops on Lc at "L" and on Rc at the final "R"; "L" reaches "R"
+    by ε, by each exit letter, and through each exit A B: by ε into A's
+    reduced automaton, from its finals by ε into B's, and from B's by ε
+    to "R".  Only the components that the start reaches through exits
+    are built, each once, and more than ``max_states`` states in one
+    walk raise ResourceLimit.
     """
     component, sides = _pump_sides(cnf)
-    taken = set(cnf.nonterminals) | set(cnf.alphabet.letters)
-    names = {
-        c: [_fresh(f"{k}.{c}", taken) for k in "CELR"] for c in dict.fromkeys(component.values())
-    }
-    prods: list[tuple[str, tuple[KItem, ...]]] = []
-    for c, (cl, e, lt, rt) in names.items():
-        prods.append((cl, ((STAR, lt), (NT, e), (STAR, rt))))
-        left, right = sides[c]
-        prods += [(lt, ((LIT, a),)) for a in left] + [(rt, ((LIT, a),)) for a in right]
+    # per component: its exits' letters, or the components of their two halves
+    exits: dict[str, dict[tuple[str, ...], None]] = {c: {} for c in component.values()}
     for lhs, rhs in cnf.productions:
         c = component[lhs]
-        e = names[c][1]
-        if len(rhs) == 1:
-            prods += [(e, ((LIT, rhs[0]),)), (e, ())]
-        elif c not in (component[rhs[0]], component[rhs[1]]):
-            prods.append((e, tuple((NT, names[component[s]][0]) for s in rhs)))
-    start = names[component[cnf.start]][0]
-    kept, pruned = _prune(prods, start)
-    return KleeneGrammar(cnf.alphabet, tuple(kept), tuple(pruned), start)
+        if len(rhs) == 1 or c not in (component[rhs[0]], component[rhs[1]]):
+            exits[c][tuple(component.get(s, s) for s in rhs)] = None
+    needed = {component[cnf.start]}
+    for c in reversed(exits):
+        if c in needed:
+            needed.update(s for e in exits[c] if len(e) == 2 for s in e)
+    built: dict[str, tuple[Nfa, set[int]]] = {}  # an automaton and its finals
+    for c in filter(needed.__contains__, exits):
+        left, right = sides[c]
+        pairs = [(built[a], built[b]) for a, b in (e for e in exits[c] if len(e) == 2)]
+        entries = [(None, (i, 0, a.initial)) for i, ((a, _), _) in enumerate(pairs)]
+        entries += [(None, "R")] + [(e[0], "R") for e in exits[c] if len(e) == 1]
+
+        def successors(key):
+            if key == "L":
+                return False, [(a, "L") for a in left] + entries
+            if key == "R":
+                return True, [(a, "R") for a in right]
+            i, half, q = key
+            nfa, finals = pairs[i][half]
+            moves = [(label, (i, half, dst)) for label, dst in _moves(nfa.adjacency[q])]
+            if q in finals:
+                moves.append((None, "R" if half else (i, 1, pairs[i][1][0].initial)))
+            return False, moves
+
+        nfa = nfa_reduce(_walk(cnf.alphabet, "L", successors, max_states, "component automaton"))
+        built[c] = nfa, set(nfa.finals)
+    return built[component[cnf.start]][0]
 
 
 def _renamed(
@@ -793,7 +817,7 @@ def _kleene(cnf: Cfg, max_states: int = DEFAULT_MAX_STATES) -> KleeneGrammar:
             prods.append((z[0], ()))
         elif alpha.letters_of(pri):
             prods.append((z[pri], ((LIT, alpha.letters_of(pri)[0]),)))
-    hat = HatAlphabet.extend(alpha)
+    hat = HatAlphabet.extend(alpha, taken)
     transducers: dict[tuple, Transducer] = {}
 
     def transducer(*key) -> Transducer:
@@ -967,42 +991,40 @@ def acyclic_nfa(h: KleeneGrammar, max_states: int = DEFAULT_MAX_STATES) -> Nfa:
 def cfg_closure(g: Cfg, order: OrderKind, max_states: int = DEFAULT_MAX_STATES) -> Nfa:
     """NFA for the downward closure of the grammar's language under the order.
 
-    The skeleton is the acyclic NFA of a Kleene grammar of the grammar,
-    and ``automata.closure_regular`` closes it after ``nfa_reduce``: a
-    ring grammar's skeleton of 823 states reduces to 10.  Which Kleene
-    grammar depends on what the order can see.  When the grammar derives
-    the empty word, the Kleene grammar gets the rule start -> ε.  That
-    adds the empty word alone: ``to_cnf``'s start is on no right-hand
-    side, ``_kleene`` keeps it, and ``_kleene_base``'s start is the
-    start component's rule, to which no rule refers.  An empty language
-    gives a production-free normal form, hence a production-free Kleene
-    grammar, whose automaton is one state with no final.
-
-    Subword order, and block order when every letter has priority 0,
-    where it is subword order, only need a skeleton between the language
-    and its subword closure.  They get the subword closure itself, built
-    per strongly connected component (``_kleene_base``).
+    ``automata.closure_regular`` closes a reduced skeleton, which depends
+    on what the order can see.  Subword order, and block order when every
+    letter has priority 0, where it is subword order, only need a
+    skeleton between the language and its subword closure.  They get the
+    subword closure itself (``_subword_nfa``), or for a production-free
+    normal form one state, final just when the language is {ε}.
 
     Priority order, and block order with a positive priority, get the
-    rebuild over the flattened alphabet.  Its skeleton contains the
-    language and lies inside its block closure, and each of its nonempty
-    words lies absorbing-block-below a word of the language with the
-    same last letter over the flattened alphabet, as the right marker
-    keeps the tail after the last separator.  That is what
-    ``closure_regular`` requires for those orders.  Block order on one
-    positive priority is not subword order, as it anchors a word's first
-    and last blocks.
+    acyclic NFA of the rebuild over the flattened alphabet (``_kleene``):
+    a ring grammar's skeleton of 823 states reduces to 10.  When the
+    grammar derives the empty word, the Kleene grammar gets the rule
+    start -> ε, which adds the empty word alone, as ``to_cnf``'s start is
+    on no right-hand side and ``_kleene`` keeps it.  An empty language
+    gives a production-free Kleene grammar, whose automaton is one state
+    with no final.  This is a skeleton as ``closure_regular`` defines
+    one for those orders, as the right marker keeps the tail after the
+    last separator.  Block order on one positive priority is not subword
+    order, as it anchors a word's first and last blocks.
     """
     subword = order is OrderKind.SUBWORD or (
         order is OrderKind.BLOCK and not g.alphabet.max_assigned_priority
     )
     alphabet = g.alphabet if subword else flatten(g.alphabet)
     cnf, had_empty = to_cnf(replace(g, alphabet=alphabet))
-    h = _kleene_base(cnf) if subword else _kleene(cnf, max_states)
-    if had_empty:
-        h = replace(h, productions=h.productions + ((h.start, ()),))
-    skeleton = acyclic_nfa(h, max_states)
-    return closure_regular(nfa_reduce(replace(skeleton, alphabet=g.alphabet)), order, max_states)
+    if subword and cnf.productions:
+        skeleton = _subword_nfa(cnf, max_states)
+    elif subword:
+        skeleton = nfa_for_words(alphabet, [()] if had_empty else [])
+    else:
+        h = _kleene(cnf, max_states)
+        if had_empty:
+            h = replace(h, productions=h.productions + ((h.start, ()),))
+        skeleton = nfa_reduce(acyclic_nfa(h, max_states))
+    return closure_regular(replace(skeleton, alphabet=g.alphabet), order, max_states)
 
 
 cfg_block_closure = partial(cfg_closure, order=OrderKind.BLOCK)

@@ -304,41 +304,14 @@ def soca_closure_nfa(soca: SimpleOca, max_states: int = DEFAULT_MAX_STATES) -> N
     return _walk(soca.alphabet, *_soca_moves(soca), max_states, "one-counter skeleton")
 
 
-def _trim_soca(soca: SimpleOca) -> SimpleOca | None:
-    """Restrict to states on some initial-to-final path, or None."""
-    fwd: dict[str, set[str]] = {}
-    bwd: dict[str, set[str]] = {}
-    for src, _, _, dst in soca.edges:
-        fwd.setdefault(src, set()).add(dst)
-        bwd.setdefault(dst, set()).add(src)
-
-    def reach(adj, start):
-        seen = {start}
-        stack = [start]
-        while stack:
-            q = stack.pop()
-            for nxt in adj.get(q, ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return seen
-
-    keep = reach(fwd, soca.initial) & reach(bwd, soca.final)
-    if soca.initial not in keep or soca.final not in keep:
-        return None
-    edges = tuple(
-        e for e in soca.edges if e[0] in keep and e[3] in keep
-    )
-    return SimpleOca(soca.alphabet, tuple(keep), edges, soca.initial, soca.final)
-
-
 def _glue_nfa(oca: Oca | SimpleOca, max_states: int = DEFAULT_MAX_STATES) -> Nfa:
     """Skeleton of zero tests with closure-approximating pieces glued in.
 
-    Pieces are the three-mode NFAs of the trimmed zero-test-free
-    fragments between zero configurations; anyCounter acceptance routes
-    drained variants (a spontaneous discarding decrement at the final
-    state) into one fresh global final.
+    Pieces are the three-mode NFAs of the zero-test-free fragments
+    between zero configurations, each trimmed to the states on a path
+    from its source to its sink; anyCounter acceptance routes drained
+    variants (a spontaneous discarding decrement at the final state)
+    into one fresh global final.
 
     The key ("z", q) is state q at a zero configuration, (i, k) is key k
     of piece i's ``_soca_moves``, and None is the global final.  One walk
@@ -357,22 +330,27 @@ def _glue_nfa(oca: Oca | SimpleOca, max_states: int = DEFAULT_MAX_STATES) -> Nfa
     for src, label, _, dst in zero_edges:
         zero_moves[src].append((label, ("z", dst)))
     pieces: list[tuple[Callable, Hashable]] = []  # successors, exit
+    # reach from each source and to each sink; a drained loop f -> f changes neither
+    back = [(src, label, dst) for src, label, _, dst in zero_free]
+    ahead = [(dst, label, src) for src, label, dst in back]
+    fwd = {p: _letters_to_final(ahead, [p]).keys() for p in sources}
+    bwd = {q: _letters_to_final(back, [q]).keys() for q in sinks | set(finals)}
 
-    def glue(entry: str, soca: SimpleOca, exit_key: Hashable) -> None:
-        trimmed = _trim_soca(soca)
-        if trimmed is not None:
-            start, moves = _soca_moves(trimmed)
-            zero_moves[entry].append((None, (len(pieces), start)))
+    def glue(p: str, q: str, extra: tuple[OcaEdge, ...], exit_key: Hashable) -> None:
+        keep = fwd[p] & bwd[q]
+        if q in keep:
+            kept = tuple(e for e in zero_free if e[0] in keep and e[3] in keep) + extra
+            start, moves = _soca_moves(SimpleOca(alphabet, tuple(keep), kept, p, q))
+            zero_moves[p].append((None, (len(pieces), start)))
             pieces.append((moves, exit_key))
 
     for p in sorted(sources):
         for q in sorted(sinks):
-            glue(p, SimpleOca(alphabet, states, zero_free, p, q), ("z", q))
+            glue(p, q, (), ("z", q))
     if mode is AcceptMode.ANY_COUNTER:
         for p in sorted(sources):
             for f in finals:
-                drained = zero_free + ((f, None, CounterOp.DEC, f),)
-                glue(p, SimpleOca(alphabet, states, drained, p, f), None)
+                glue(p, f, ((f, None, CounterOp.DEC, f),), None)
 
     def successors(key):
         if key is None:

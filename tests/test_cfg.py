@@ -8,10 +8,10 @@ import pytest
 import prioclose.cfg as cfg_module
 from prioclose.automata import (
     Transducer,
-    _components,
     closure_regular,
     nfa_accepts,
     nfa_enumerate,
+    nfa_equivalent,
     nfa_equivalent_up_to,
     nfa_for_words,
     nfa_parse,
@@ -22,8 +22,8 @@ from prioclose.cfg import (
     Cfg,
     KleeneGrammar,
     _kleene,
-    _kleene_base,
     _pump_sides,
+    _subword_nfa,
     acyclic_nfa,
     apply_transducer_to_cfg,
     cfg_block_closure,
@@ -65,6 +65,7 @@ AB10 = PriorityAlphabet.from_map({"a": 1, "b": 0})
 ABCD0 = PriorityAlphabet.from_map({"a": 0, "b": 0, "c": 0, "d": 0})
 RING_A0B1C2D0 = PriorityAlphabet.from_map({"a": 0, "b": 1, "c": 2, "d": 0})
 D1 = PriorityAlphabet.from_map({"0a": 0, "1b": 1})
+A0 = PriorityAlphabet.from_map({"a": 0})
 A1 = PriorityAlphabet.from_map({"a": 1})
 HATTEST = PriorityAlphabet.from_map({"x": 0, "r": 1})
 
@@ -541,24 +542,18 @@ class TestKleeneGrammar:
             ), u
 
     def test_all_zero_is_subword_construction(self):
-        kg = _kleene_base(to_cnf(anbn())[0])
-        got = set(nfa_enumerate(acyclic_nfa(kg), 6))
+        got = set(nfa_enumerate(_subword_nfa(to_cnf(anbn())[0]), 6))
         want = set(closure_bounded(cfg_enumerate(anbn(), 12), OrderKind.SUBWORD, AB0, 6))
         assert got == want
 
-    def test_subword_grammar_has_no_cycle(self):
-        """No nonterminal of ``_kleene_base``'s grammar reaches itself."""
+    def test_subword_automaton_is_its_own_closure(self):
+        """``_subword_nfa`` builds a subword-closed language."""
         grammars = PIPELINE_GRAMMARS + [dense(14)] + [
             random_cfg(random.Random(seed), ALL_ZERO) for seed in range(40)
         ]
         for g in grammars:
-            h = _kleene_base(to_cnf(g)[0])
-            index = {n: i for i, n in enumerate(h.nonterminals)}
-            succ = [[] for _ in h.nonterminals]
-            for lhs, rhs in h.productions:
-                succ[index[lhs]] += [index[sym] for kind, sym in rhs if kind != "t"]
-            for members in _components(succ):
-                assert len(members) == 1 and members[0] not in succ[members[0]], g
+            nfa = _subword_nfa(to_cnf(g)[0])
+            assert nfa_equivalent(nfa, closure_regular(nfa, OrderKind.SUBWORD)), g
 
     def test_flattened_route_meets_no_pump_on_priority_0(self, monkeypatch):
         """``_kleene`` keeps a grammar of top priority 0 as it is, which is
@@ -603,7 +598,7 @@ class TestKleeneGrammar:
             KleeneGrammar(
                 AB0,
                 ("S", "A"),
-                (("S", (("nt", "A"), ("nt", "A"), ("nt", "A"), ("nt", "A"))),),
+                (("S", (("nt", "A"), ("nt", "A"), ("nt", "A"))),),
                 "S",
             )
         with pytest.raises(ValueError):
@@ -911,6 +906,14 @@ class TestGeneratedNames:
         assert f"{n}.2" in flat_kleene(g).nonterminals
         assert cfg_priority_closure(g) == cfg_priority_closure(renamed(g, {n: "Y"}))
 
+    @pytest.mark.parametrize("n", ["#", "#L", "#R"])
+    @pytest.mark.parametrize("order", list(OrderKind), ids=lambda order: order.value)
+    def test_seam_markers_avoid_nonterminals(self, n, order):
+        """X -> 1 X 1 | N 0 and N -> 2 | 0 N, with N named as a seam marker."""
+        prods = (("X", ("1", "X", "1")), ("X", (n, "0")), (n, ("2",)), (n, ("0", n)))
+        g = Cfg(PriorityAlphabet.from_map({"0": 0, "1": 1, "2": 2}), ("X", n), prods, "X")
+        assert cfg_closure(g, order) == cfg_closure(renamed(g, {n: "Y"}), order)
+
 
 DENSE_LETTERS = PriorityAlphabet.from_map({"a0": 0, "a1": 0, "a2": 0})
 
@@ -936,6 +939,25 @@ class TestDenseFamily:
             {"states": ["q"], "initial": "q", "finals": ["q"], "edges": loops}, DENSE_LETTERS
         )
         assert cfg_closure(dense(k), order) == one_state
+
+
+def shared(k: int) -> Cfg:
+    """X_i -> X_(i+1) X_(i+1) for i < k, and X_k -> X_k a | a."""
+    prods = [(f"X{i}", (f"X{i + 1}", f"X{i + 1}")) for i in range(k)]
+    prods += [(f"X{k}", (f"X{k}", "a")), (f"X{k}", ("a",))]
+    return Cfg(A0, tuple(f"X{i}" for i in range(k + 1)), tuple(prods), "X0")
+
+
+class TestSharedFamily:
+    """Each X_(i+1) is one component that X_i uses twice; its automaton
+    is built once, so k = 40 closes to a loop on a under 100 states."""
+
+    @pytest.mark.parametrize("order", [OrderKind.SUBWORD, OrderKind.BLOCK])
+    def test_closure_is_one_state(self, order):
+        one_state = nfa_parse(
+            {"states": ["q"], "initial": "q", "finals": ["q"], "edges": [["q", "a", "q"]]}, A0
+        )
+        assert cfg_closure(shared(40), order, max_states=100) == one_state
 
 
 FULL_SANDWICH = [

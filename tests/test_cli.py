@@ -324,7 +324,7 @@ class TestClosure:
         assert "error:" in capsys.readouterr().err
 
     def test_state_cap_subword_grammar(self, files, capsys):
-        """The subword skeleton of the flagship grammar walks 11 states."""
+        """The largest component automaton of the flagship grammar walks 6 states."""
         tmp_path, save = files
         alpha = alphabet_file(save, "p12.json", P12)
         model = save("flagship.json", FLAGSHIP_JSON)
@@ -342,12 +342,12 @@ class TestClosure:
                 "--output",
                 str(tmp_path / "closure.json"),
                 "--state-cap",
-                "10",
+                "5",
             ]
         )
         err = capsys.readouterr().err
         assert code == 2
-        assert err == "error: acyclic automaton exceeded 10 states\n"
+        assert err == "error: component automaton exceeded 5 states\n"
 
     @pytest.mark.parametrize("order", ["priority", "block"])
     @pytest.mark.parametrize("kind", ["nfa", "oca", "cfg"])

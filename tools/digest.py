@@ -16,9 +16,10 @@ missing and extra words, or its enumerated words (or gives the last
 line of an item's error).  For ``grammars`` it draws seeded random
 grammars (``random_grammar``), closes each in all three orders at
 ``GRAMMAR_CAP`` states in process, and digests each closure's JSON form
-(or gives the message of the cap that stopped it); no benchmark
-workload times these.  It prints one line per item, sorted by item
-id: the result, then the id.  The last line is the SHA-256 of all item
+(or gives the message of the cap that stopped it); it does the same for
+the shared family (``shared_grammar``) at the sizes and orders of
+``SHARED_ITEMS``.  No benchmark workload times these.  It prints one
+line per item, sorted by item id: the result, then the id.  The last line is the SHA-256 of all item
 lines.  Two checkouts whose lines are equal build byte-identical
 closures, or give identical reports or cap messages.  Nothing under ``bench/`` is
 changed.
@@ -84,6 +85,30 @@ def random_grammar(rng: random.Random, n: int, d: int) -> prioclose.Cfg:
     return prioclose.Cfg(alphabet, tuple(nts), tuple(prods), nts[0])
 
 
+# (k, orders) of the shared family; priority order at k = 8 and 10 takes
+# seconds on the Kleene route, so only k = 6 digests it.
+SHARED_ITEMS = ((6, ("subword", "block", "priority")), (8, ("subword", "block")), (10, ("subword", "block")))
+
+
+def shared_grammar(k: int) -> prioclose.Cfg:
+    """X_i -> X_(i+1) X_(i+1) for i < k, and X_k -> X_k a | a, over {a:0}:
+    each X_(i+1) is a component that X_i uses twice."""
+    prods = [(f"X{i}", (f"X{i + 1}", f"X{i + 1}")) for i in range(k)]
+    prods += [(f"X{k}", (f"X{k}", "a")), (f"X{k}", ("a",))]
+    alphabet = prioclose.PriorityAlphabet.from_map({"a": 0})
+    return prioclose.Cfg(alphabet, tuple(f"X{i}" for i in range(k + 1)), tuple(prods), "X0")
+
+
+def closure_digest(g: prioclose.Cfg, order: prioclose.OrderKind) -> str:
+    """The digest of the closure's JSON form, or the cap that stopped it."""
+    try:
+        closed = prioclose.cfg_closure(g, order, GRAMMAR_CAP)
+    except prioclose.ResourceLimit as exc:
+        return f"stopped {exc}"
+    data = json.dumps(prioclose.nfa_serialize(closed), sort_keys=True)
+    return hashlib.sha256(data.encode()).hexdigest()
+
+
 def grammar_digests(seed: int) -> list[str]:
     """One "<digest> <id>" line per grammar and order, sorted by id."""
     rng = random.Random(seed)
@@ -92,14 +117,11 @@ def grammar_digests(seed: int) -> list[str]:
         for i in range(count):
             g = random_grammar(rng, n, d)
             for order in prioclose.OrderKind:
-                try:
-                    closed = prioclose.cfg_closure(g, order, GRAMMAR_CAP)
-                except prioclose.ResourceLimit as exc:
-                    result = f"stopped {exc}"
-                else:
-                    data = json.dumps(prioclose.nfa_serialize(closed), sort_keys=True)
-                    result = hashlib.sha256(data.encode()).hexdigest()
-                lines.append(f"{result}  n{n}-d{d}-{i}:{order.value}")
+                lines.append(f"{closure_digest(g, order)}  n{n}-d{d}-{i}:{order.value}")
+    for k, orders in SHARED_ITEMS:
+        for order in orders:
+            result = closure_digest(shared_grammar(k), prioclose.OrderKind(order))
+            lines.append(f"{result}  shared-{k}:{order}")
     return sorted(lines, key=lambda line: line.rsplit("  ", 1)[1])
 
 
