@@ -7,8 +7,10 @@ closure as one automaton per strongly connected component
 (``_subword_nfa``).  The orders that see priorities single out, over
 the flattened alphabet, the letter runs that can repeat around a
 self-embedding nonterminal, rebuild them as starred productions of a
-Kleene grammar (``_kleene``), give that grammar the empty word if the
-language has it, and turn its acyclic derivations into an NFA.
+Kleene grammar (``_kleene``), whose right-hand sides mix letters,
+nonterminals and starred nonterminals, with each separator letter
+written in place, give that grammar the empty word if the language has
+it, and turn its acyclic derivations into an NFA.
 
 The rebuild works per nonterminal x on a cycle.  The letters on either
 side of x's pumps come from one pass over the grammar's strongly
@@ -108,8 +110,9 @@ class Cfg:
 class KleeneGrammar:
     """Grammar whose right-hand sides may carry starred nonterminals.
 
-    Normal form: a right-hand side is either a single letter item or a
-    sequence of at most two nonterminal items, each optionally starred.
+    A right-hand side is any sequence of letter, nonterminal and starred
+    nonterminal items; a letter must be in the alphabet and a
+    nonterminal declared.
     """
 
     alphabet: PriorityAlphabet
@@ -127,16 +130,14 @@ class KleeneGrammar:
         for lhs, rhs in prods:
             if lhs not in known:
                 raise ValueError(f"production head {lhs!r} not declared")
-            kinds = [kind for kind, _ in rhs]
-            if kinds == [LIT]:
-                if rhs[0][1] not in letters:
-                    raise ValueError(f"letter {rhs[0][1]!r} not in alphabet")
-            else:
-                if len(rhs) > 2 or any(kind not in (NT, STAR) for kind in kinds):
-                    raise ValueError(f"right-hand side {rhs!r} not in normal form")
-                for _, sym in rhs:
-                    if sym not in known:
-                        raise ValueError(f"item symbol {sym!r} not declared")
+            for kind, sym in rhs:
+                if kind == LIT:
+                    if sym not in letters:
+                        raise ValueError(f"letter {sym!r} not in alphabet")
+                elif kind not in (NT, STAR):
+                    raise ValueError(f"item kind {kind!r} unknown")
+                elif sym not in known:
+                    raise ValueError(f"item symbol {sym!r} not declared")
         object.__setattr__(self, "nonterminals", nts)
         object.__setattr__(self, "productions", prods)
 
@@ -792,31 +793,27 @@ def _kleene(cnf: Cfg, max_states: int = DEFAULT_MAX_STATES) -> KleeneGrammar:
     Each part of a pump pair is one image under them (``_pump_part``):
     the ends over the markers and the letters below both separators, a
     side's runs over the letters below its separator, or of priority 0
-    on a side of top priority 0.  The left marker becomes z[r] W*, with
-    W the wrapper of the left runs, and the right one z[s] W* likewise;
-    a side with no run leaves W without a production, and ``_prune``
-    drops the starred item.  Each closed part is copied under names made
-    fresh against every name taken so far (``_renamed``), so no copy
-    shares a nonterminal with the input or another copy.
+    on a side of top priority 0.  The left marker becomes r's separator,
+    then W*, with W the wrapper of the left runs, W -> run sep, and
+    W -> sep if a run may be empty; the right one becomes s's separator,
+    then its W*, likewise.  At priority 0 a marker becomes W* alone,
+    with W -> run.  Separators are written in place, so no nonterminal
+    stands for one or for the empty word.  A side with no run leaves W
+    without a production, and ``_prune`` drops the starred item.  Each
+    closed part is copied under names made fresh against every name
+    taken so far (``_renamed``), so no copy shares a nonterminal with
+    the input or another copy.
     The only priority-0 letters of a flat grammar are the seam markers
     of the calls around it, each at most once in a word.  So a grammar
     with top priority 0 has a finite language and no nonterminal on a
     cycle, and it comes back as it is.
     """
     alpha = cnf.alphabet
-    p = alpha.max_assigned_priority
     letters = set(alpha.letters)
     taken = set(cnf.nonterminals) | letters
     prods: list[tuple[str, tuple[KItem, ...]]] = [
         (lhs, _items(rhs, letters)) for lhs, rhs in cnf.productions
     ]
-    z: dict[int, str] = {}
-    for pri in range(p + 1):
-        z[pri] = _fresh(f"Z{pri}", taken)
-        if pri == 0:
-            prods.append((z[0], ()))
-        elif alpha.letters_of(pri):
-            prods.append((z[pri], ((LIT, alpha.letters_of(pri)[0]),)))
     hat = HatAlphabet.extend(alpha, taken)
     transducers: dict[tuple, Transducer] = {}
 
@@ -827,6 +824,10 @@ def _kleene(cnf: Cfg, max_states: int = DEFAULT_MAX_STATES) -> KleeneGrammar:
             build = _ends_transducer if len(key) == 2 else _repeat_transducer
             built = transducers[key] = build(hat, *key)
         return built
+
+    def sep(pri: int) -> tuple[KItem, ...]:
+        """The separator of ``pri``, its one letter, or none for zero."""
+        return ((LIT, alpha.letters_of(pri)[0]),) if pri else ()
 
     def low(cutoff: int, *extra: tuple[str, int]) -> PriorityAlphabet:
         """The letters up to ``cutoff``, then ``extra``."""
@@ -853,7 +854,7 @@ def _kleene(cnf: Cfg, max_states: int = DEFAULT_MAX_STATES) -> KleeneGrammar:
                 tag = f"k{counter}"
                 ends_closed = _kleene(ends_cnf, max_states)
                 # A positive-priority run leaves its closing separator out,
-                # because the wrapper below appends z[pri] itself.
+                # because the wrapper below appends it itself.
                 wrappers = {}
                 for side, pri in (("left", r), ("right", s)):
                     run_cnf, run_empty = _pump_part(
@@ -864,14 +865,13 @@ def _kleene(cnf: Cfg, max_states: int = DEFAULT_MAX_STATES) -> KleeneGrammar:
                         closed = _kleene(run_cnf, max_states)
                         run_start, run_prods = _renamed(closed, f"{tag}.{side}", taken)
                         prods += run_prods
-                        tail = ((NT, z[pri]),) if pri else ()
-                        prods.append((wrapper, ((NT, run_start),) + tail))
+                        prods.append((wrapper, ((NT, run_start),) + sep(pri)))
                     if pri >= 1 and run_empty:
-                        prods.append((wrapper, ((NT, z[pri]),)))
-                # the markers' runs become z[r] W*, and the seam x's own rules
+                        prods.append((wrapper, sep(pri)))
+                # a marker becomes its separator then W*, and the seam x's own rules
                 splice = {
-                    ((LIT, hat.left),): ((NT, z[r]), (STAR, wrappers["left"])),
-                    ((LIT, hat.right),): ((NT, z[s]), (STAR, wrappers["right"])),
+                    ((LIT, hat.left),): sep(r) + ((STAR, wrappers["left"]),),
+                    ((LIT, hat.right),): sep(s) + ((STAR, wrappers["right"]),),
                 }
                 ends_start, ends_prods = _renamed(ends_closed, tag, taken)
                 for head, rhs in ends_prods:

@@ -47,7 +47,10 @@ def _normalize_edges(edges, states, letters, allow_zero):
     known = set(states)
     out = []
     for src, label, op, dst in edges:
-        op = CounterOp(op)
+        try:
+            op = CounterOp(op)
+        except ValueError as exc:
+            raise ValueError(f"unknown counter op {op!r}") from exc
         if src not in known or dst not in known:
             raise ValueError(f"edge ({src!r}, {label!r}, {op.value}, {dst!r}) uses unknown state")
         if label is not None and label not in letters:
@@ -400,32 +403,20 @@ def oca_serialize(oca: Oca) -> dict:
     }
 
 
-def _counter_edges(raw_edges) -> tuple[OcaEdge, ...]:
-    """Edges checked by ``_parse_edge``, each counter operation read as a CounterOp."""
-    edges = []
-    for src, label, op, dst in raw_edges:
-        try:
-            op = CounterOp(op)
-        except ValueError as exc:
-            raise ValueError(f"unknown counter op {op!r}") from exc
-        edges.append((src, label, op, dst))
-    return tuple(edges)
-
-
 def oca_parse(data: Mapping, alphabet: PriorityAlphabet) -> Oca:
     try:
         states = _names(data["states"], "state")
         initial = _name(data["initial"], "state")
         finals = _names(data["finals"], "state")
         mode = data["acceptMode"]
-        raw_edges = tuple(_parse_edge(item, 4) for item in data["edges"])
+        edges = tuple(_parse_edge(item, 4) for item in data["edges"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed oca data: {exc}") from exc
     try:
         mode = AcceptMode(mode)
     except ValueError as exc:
         raise ValueError(f"unknown acceptMode {mode!r}") from exc
-    return Oca(alphabet, states, _counter_edges(raw_edges), initial, finals, mode)
+    return Oca(alphabet, states, edges, initial, finals, mode)
 
 
 def _parse_simple_oca(data: Mapping, alphabet: PriorityAlphabet) -> SimpleOca:
@@ -433,10 +424,10 @@ def _parse_simple_oca(data: Mapping, alphabet: PriorityAlphabet) -> SimpleOca:
         states = _names(data["states"], "state")
         initial = _name(data["initial"], "state")
         final = _name(data["final"], "state")
-        raw_edges = tuple(_parse_edge(item, 4) for item in data["edges"])
+        edges = tuple(_parse_edge(item, 4) for item in data["edges"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed simple counter automaton: {exc}") from exc
-    return SimpleOca(alphabet, states, _counter_edges(raw_edges), initial, final)
+    return SimpleOca(alphabet, states, edges, initial, final)
 
 
 def oca_to_dot(oca: Oca, name: str = "oca") -> str:

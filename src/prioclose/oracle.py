@@ -17,6 +17,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
+from .automata import Nfa, nfa_enumerate
+from .cfg import Cfg, cfg_enumerate
 from .core import (
     OrderKind,
     PriorityAlphabet,
@@ -26,6 +28,7 @@ from .core import (
     _word_key,
     format_word,
 )
+from .oca import Oca, SimpleOca, oca_enumerate
 
 # Upper bound on the generation steps of one closure computation: the
 # words extended or kept, and the (prefix, block word) pairs tried while
@@ -208,17 +211,10 @@ class ClosureReport:
 def _enumerate_model(model, bound: int, counter_cap: int | None = None) -> list[Word]:
     """The model's words up to ``bound``; ``counter_cap`` is passed to
     ``oca_enumerate`` and ignored for other kinds."""
-    # Late imports keep this module importable on its own.
-    from .automata import Nfa, nfa_enumerate
-
     if isinstance(model, Nfa):
         return nfa_enumerate(model, bound)
-    from .oca import Oca, SimpleOca, oca_enumerate
-
     if isinstance(model, (Oca, SimpleOca)):
         return oca_enumerate(model, bound, counter_cap)
-    from .cfg import Cfg, cfg_enumerate
-
     if isinstance(model, Cfg):
         return cfg_enumerate(model, bound)
     raise TypeError(f"cannot enumerate model of type {type(model).__name__}")
@@ -257,8 +253,6 @@ def compare_closure(
     the model is enumerated deeper than the comparison bound.  Bounds
     that ``check_bounds`` rejects raise ValueError.
     """
-    from .automata import nfa_enumerate
-
     dom_bound = check_bounds(bound, dom_bound)
     start = time.monotonic()
     alphabet = constructed.alphabet

@@ -393,7 +393,7 @@ def test_6_grammar_closures_verify():
     the priority order; with every priority at zero the pipeline
     reproduces the classical scattered-subword closure.  Every grammar
     stays within 3 priorities and 5 nonterminals, and the nonterminal
-    count of each starred normal form obeys the stated recurrence.
+    count of each Kleene grammar obeys the stated recurrence.
     """
     g = flagship()
     closed = cfg_block_closure(g)

@@ -593,21 +593,44 @@ class TestKleeneGrammar:
         for u in words:
             assert leq_block(D1, u, w("0a,1b,0a"))
 
-    def test_normal_form_enforced(self):
-        with pytest.raises(ValueError):
-            KleeneGrammar(
-                AB0,
-                ("S", "A"),
-                (("S", (("nt", "A"), ("nt", "A"), ("nt", "A"))),),
-                "S",
-            )
-        with pytest.raises(ValueError):
-            KleeneGrammar(
-                AB0,
-                ("S", "A"),
-                (("S", (("t", "a"), ("nt", "A"))),),
-                "S",
-            )
+    def test_items_are_checked(self):
+        """Any sequence of items is a right-hand side, but each item must
+        be of a known kind, and name a declared nonterminal or a letter
+        of the alphabet."""
+        for bad in (("?", "A"), ("nt", "B"), ("star", "B"), ("t", "c")):
+            with pytest.raises(ValueError):
+                KleeneGrammar(AB0, ("S", "A"), (("S", (("t", "a"), bad)),), "S")
+        # once outside the normal form: three items, and a letter with a nonterminal
+        KleeneGrammar(AB0, ("S", "A"), (("S", (("nt", "A"), ("nt", "A"), ("nt", "A"))),), "S")
+        KleeneGrammar(AB0, ("S", "A"), (("S", (("t", "a"), ("nt", "A"))),), "S")
+
+    def test_letters_between_items(self):
+        h = KleeneGrammar(
+            AB0,
+            ("S", "A"),
+            (("S", (("t", "a"), ("star", "A"), ("t", "b"))), ("A", (("t", "a"),))),
+            "S",
+        )
+        assert nfa_enumerate(acyclic_nfa(h), 4) == [w("a,b"), w("a,a,b"), w("a,a,a,b")]
+
+    def test_open_nonterminal_between_letters(self):
+        """S is open while its own right-hand side is walked, so only c."""
+        h = KleeneGrammar(
+            ALL_ZERO,
+            ("S",),
+            (("S", (("t", "a"), ("nt", "S"), ("t", "b"))), ("S", (("t", "c"),))),
+            "S",
+        )
+        assert nfa_enumerate(acyclic_nfa(h), 4) == [w("c")]
+
+    def test_separators_written_in_place(self):
+        """The rebuild names no nonterminal for a separator or the empty
+        word: each new one is a run wrapper W... or part of a copy k..."""
+        for g in (flagship(), ring(RING_A0B1C2D0)):
+            cnf, _ = to_cnf(replace(g, alphabet=flatten(g.alphabet)))
+            h = flat_kleene(g)
+            made = set(h.nonterminals) - set(cnf.nonterminals)
+            assert all(n[0] in "Wk" for n in made), sorted(made)
 
 
 class TestAcyclicNfa:
@@ -640,10 +663,16 @@ class TestAcyclicNfa:
             acyclic_nfa(kg, max_states=10)
 
     def test_settled_sizes(self):
-        """Pinned: forced ε-moves settle inside the walk (756 and 3,694
-        states unsettled)."""
-        assert len(acyclic_nfa(flat_kleene(flagship())).states) == 144
-        assert len(acyclic_nfa(flat_kleene(ring(RING_A0B1C2D0))).states) == 823
+        """Pinned: forced ε-moves settle inside the walk (396 and 2,392
+        states unsettled), over Kleene grammars of 37 and 66 nonterminals
+        (49 and 82 productions)."""
+        for g, states, nonterminals, productions in (
+            (flagship(), 144, 37, 49),
+            (ring(RING_A0B1C2D0), 823, 66, 82),
+        ):
+            h = flat_kleene(g)
+            assert (len(h.nonterminals), len(h.productions)) == (nonterminals, productions)
+            assert len(acyclic_nfa(h).states) == states
 
 
 def assert_settled_walk_equivalent(h: KleeneGrammar) -> None:

@@ -1,5 +1,7 @@
 """Counter automaton semantics and closure tests."""
 
+import re
+
 import pytest
 
 from prioclose.automata import (
@@ -147,6 +149,16 @@ class TestSemantics:
             Oca(ABC, ("q0",), (("q0", "a", "bump", "q0"),), "q0", ())
         with pytest.raises(ValueError):
             Oca(ABC, ("q0",), (("q0", "z", CounterOp.NOOP, "q0"),), "q0", ())
+
+    def test_unknown_counter_op(self):
+        """Both machine kinds name an unknown op as the CLI prints it."""
+        for op in (3, [], {}, "bump"):
+            edges = (("q0", "a", op, "q0"),)
+            message = f"^{re.escape(f'unknown counter op {op!r}')}$"
+            with pytest.raises(ValueError, match=message):
+                Oca(ABC, ("q0",), edges, "q0", ())
+            with pytest.raises(ValueError, match=message):
+                SimpleOca(ABC, ("q0",), edges, "q0", "q0")
 
     def test_serialize_round_trip(self):
         m = oca_anbnc()

@@ -18,11 +18,15 @@ grammars (``random_grammar``), closes each in all three orders at
 ``GRAMMAR_CAP`` states in process, and digests each closure's JSON form
 (or gives the message of the cap that stopped it); it does the same for
 the shared family (``shared_grammar``) at the sizes and orders of
-``SHARED_ITEMS``.  No benchmark workload times these.  It prints one
-line per item, sorted by item id: the result, then the id.  The last line is the SHA-256 of all item
-lines.  Two checkouts whose lines are equal build byte-identical
-closures, or give identical reports or cap messages.  Nothing under ``bench/`` is
-changed.
+``SHARED_ITEMS``.  For each block and priority item it also prints a
+``:raw`` line, one digest over the JSON forms of every automaton that
+``cfg.acyclic_nfa`` returns during that closure, the skeletons before
+reduction; the function is wrapped for the call, so the lines compare
+checkouts that both have it.  No benchmark workload times these.  It
+prints one line per item, sorted by item id: the result, then the id.
+The last line is the SHA-256 of all item lines.  Two checkouts whose
+lines are equal build byte-identical closures, or give identical
+reports or cap messages.  Nothing under ``bench/`` is changed.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 import run as bench_run  # noqa: E402  (bench/run.py)
 import worker as bench_worker  # noqa: E402  (bench/worker.py)
 import prioclose  # noqa: E402
+import prioclose.cfg as cfg_module  # noqa: E402
 from prioclose import cli  # noqa: E402
 
 
@@ -109,19 +114,41 @@ def closure_digest(g: prioclose.Cfg, order: prioclose.OrderKind) -> str:
     return hashlib.sha256(data.encode()).hexdigest()
 
 
+def closure_lines(g: prioclose.Cfg, order: prioclose.OrderKind, item_id: str) -> list[str]:
+    """The closure's line, and for block and priority order the ``:raw``
+    line of the automata ``cfg.acyclic_nfa`` returns meanwhile."""
+    if order is prioclose.OrderKind.SUBWORD:
+        return [f"{closure_digest(g, order)}  {item_id}"]
+    acyclic_nfa = cfg_module.acyclic_nfa
+    raw = []
+
+    def recorded(*args, **kwargs):
+        nfa = acyclic_nfa(*args, **kwargs)
+        raw.append(prioclose.nfa_serialize(nfa))
+        return nfa
+
+    cfg_module.acyclic_nfa = recorded
+    try:
+        result = closure_digest(g, order)
+    finally:
+        cfg_module.acyclic_nfa = acyclic_nfa
+    raw_digest = hashlib.sha256(json.dumps(raw, sort_keys=True).encode()).hexdigest()
+    return [f"{result}  {item_id}", f"{raw_digest}  {item_id}:raw"]
+
+
 def grammar_digests(seed: int) -> list[str]:
-    """One "<digest> <id>" line per grammar and order, sorted by id."""
+    """One "<digest> <id>" line per grammar and order, and a ``:raw``
+    line per block and priority item, sorted by id."""
     rng = random.Random(seed)
     lines = []
     for n, d, count in GRAMMAR_CELLS:
         for i in range(count):
             g = random_grammar(rng, n, d)
             for order in prioclose.OrderKind:
-                lines.append(f"{closure_digest(g, order)}  n{n}-d{d}-{i}:{order.value}")
+                lines += closure_lines(g, order, f"n{n}-d{d}-{i}:{order.value}")
     for k, orders in SHARED_ITEMS:
         for order in orders:
-            result = closure_digest(shared_grammar(k), prioclose.OrderKind(order))
-            lines.append(f"{result}  shared-{k}:{order}")
+            lines += closure_lines(shared_grammar(k), prioclose.OrderKind(order), f"shared-{k}:{order}")
     return sorted(lines, key=lambda line: line.rsplit("  ", 1)[1])
 
 
