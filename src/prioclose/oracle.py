@@ -9,13 +9,24 @@ checks.  ``nfa_enumerate`` and ``oca_enumerate`` are memoised and pruned
 by each state's distance to acceptance, and ``cfg_enumerate`` is a
 semi-naive fixpoint; none of them reads more of a constructed closure
 than its own NFA, and none calls a closure construction.
+
+A closure call builds its down-sets in one sorted walk over the
+members.  In subword and priority order the members are sorted by
+reversed word and each suffix's down-set is built from the next
+shorter suffix's, so a member starts from the longest suffix it shares
+with the member before it.  In block order each top level's members
+are sorted by word, and a member resumes from the state after the last
+block boundary it shares with the member before it.  Besides the
+members and the result, memory is one path of such states, plus the
+down-sets of inner blocks, memoised per word within the call.
+``check_cap`` counts the steps taken, so a shared step counts once.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Collection, Iterable, Mapping
 
 from .automata import Nfa, nfa_enumerate
 from .cfg import Cfg, cfg_enumerate
@@ -24,7 +35,6 @@ from .core import (
     PriorityAlphabet,
     ResourceLimit,
     Word,
-    _split,
     _word_key,
     format_word,
 )
@@ -36,113 +46,157 @@ from .oca import Oca, SimpleOca, oca_enumerate
 # a partial set, and stops a blow-up before its product is built.
 DEFAULT_CHECK_CAP = 20_000_000
 
+Spend = Callable[[int], None]
+
+
+def _walk_from_right(
+    members: Collection[Word], step: Callable[[str, set[Word]], set[Word]]
+) -> set[Word]:
+    """The union of the members' down-sets, members sorted by reversed word.
+
+    ``step(a, down)`` gives a.w's set from w's set, and ε's set is
+    {ε}.  ``path[k]`` holds the set of the current member's suffix of
+    length k, and the next member keeps the entries of the suffix it
+    shares.
+    """
+    if len(members) == 1:  # nothing to sort or share
+        (v,) = members
+        down = {()}
+        for a in reversed(v):
+            down = step(a, down)
+        return down
+    union: set[Word] = set()
+    path: list[set[Word]] = [{()}]
+    prev: Word = ()
+    for r in sorted(v[::-1] for v in members):
+        shared = 0
+        for a, b in zip(r, prev):
+            if a != b:
+                break
+            shared += 1
+        del path[shared + 1:]
+        down = path[-1]
+        for a in r[shared:]:
+            down = step(a, down)
+            path.append(down)
+        union |= down
+        prev = r
+    return union
+
+
+def _subword_walk(members: Collection[Word], bound: int, spend: Spend) -> set[Word]:
+    """The members' subwords of length at most ``bound``: a nonempty
+    subword of a.w is a subword of w, or a followed by one."""
+
+    def step(a: str, down: set[Word]) -> set[Word]:
+        spend(len(down))
+        return down | {(a,) + u for u in down if len(u) < bound}
+
+    return _walk_from_right(members, step)
+
+
+def _priority_walk(
+    members: Collection[Word], bound: int, pri: Mapping[str, int], spend: Spend
+) -> set[Word]:
+    """The words u <= v in priority order with |u| <= bound for some
+    member v, ε only when ε is a member.
+
+    A nonempty u is below a.w either as a.u' with u' below w, or as u
+    itself when u is below w and a may be dropped before u's first
+    letter (pri(a) <= pri(u[0])).  Nothing may be dropped once u is
+    matched, so ε is below the empty suffix only.
+    """
+
+    def step(a: str, down: set[Word]) -> set[Word]:
+        spend(len(down))
+        pa = pri[a]
+        out = {u for u in down if u and pa <= pri[u[0]]}
+        out.update((a,) + u for u in down if len(u) < bound)
+        return out
+
+    return _walk_from_right(members, step)
+
+
+def _block_walk(
+    members: Collection[Word],
+    p: int,
+    bound: int,
+    pri: Mapping[str, int],
+    down_of: Callable[[Word], set[Word]],
+    spend: Spend,
+) -> set[Word]:
+    """The words u <= w in block order with |u| <= bound for some member
+    w, all members of top priority p >= 1, taken in sorted order.
+
+    u's first block maps to w's first block, its last block to w's last
+    one, and each separator of u to a separator of w between the images
+    of its neighbouring blocks, each block below its image (its set is
+    ``down_of(block)``).  After block j, ``done`` holds the partial
+    words whose last block maps to a block before j, ``ends`` those that
+    then end in a separator of w before block j, and ``part`` those
+    whose last block maps to block j.  ``path`` holds (end of block j,
+    done, ends, part) for each block of the current member, and the
+    next member keeps an entry when it shares the prefix up to that end
+    and has a separator or its own end there too.
+    """
+    union: set[Word] = set()
+    path: list[tuple[int, set[Word], set[Word], set[Word]]] = []
+    prev: Word = ()
+    for w in sorted(members):
+        shared = 0
+        for a, b in zip(w, prev):
+            if a != b:
+                break
+            shared += 1
+        boundary = shared == len(w) or pri[w[shared]] == p
+        while path and (path[-1][0] > shared or (path[-1][0] == shared and not boundary)):
+            path.pop()
+        cuts = [i for i, a in enumerate(w) if pri[a] == p] + [len(w)]
+        if not path:
+            path.append((cuts[0], set(), set(), down_of(w[:cuts[0]])))
+        start, done, ends, part = path[-1]
+        for end in cuts:
+            if end <= start:
+                continue
+            sep = (w[start],)
+            done = done | part
+            spend(len(done))
+            ends = ends | {d + sep for d in done if len(d) < bound}
+            inner = down_of(w[start + 1:end])
+            spend(len(ends) * len(inner))
+            part = {e + c for e in ends for c in inner if len(e) + len(c) <= bound}
+            path.append((end, done, ends, part))
+            start = end
+        union |= part
+        prev = w
+    return union
+
 
 def subwords_up_to(word: Word, bound: int) -> set[Word]:
     """All scattered subwords of ``word`` of length at most ``bound``.
 
-    Built letter by letter, so each distinct subword is made once rather
-    than once per choice of positions.
+    The one-member case of the oracle's subword walk: built letter by
+    letter, so each distinct subword is made once rather than once per
+    choice of positions.
     """
     if bound < 0:
         return set()
-    out: set[Word] = {()}
-    for letter in word:
-        out |= {u + (letter,) for u in out if len(u) < bound}
-    return out
+    return _subword_walk([word], bound, lambda steps: None)
 
 
-def _priority_down(
-    v: Word,
-    bound: int,
-    pri: Mapping[str, int],
-    memo: dict[Word, set[Word]],
-    spend: Callable[[int], None],
-) -> set[Word]:
-    """The words u <= v in priority order with |u| <= bound, ε only for v = ε.
-
-    Built from the right: a nonempty u is below a.w either as a.u' with
-    u' below w, or as u itself when u is below w and a may be dropped
-    before u's first letter (pri(a) <= pri(u[0])).  Nothing may be
-    dropped once u is matched, so ε is below the empty suffix only.
-    ``memo`` holds each suffix's set and starts as {(): {()}}.
-    """
-    i = len(v)
-    while i and v[i - 1:] in memo:
-        i -= 1
-    down = memo[v[i:]]
-    for k in range(i - 1, -1, -1):
-        a = v[k]
-        pa = pri[a]
-        spend(len(down))
-        step = {u for u in down if u and pa <= pri[u[0]]}
-        step.update((a,) + u for u in down if len(u) < bound)
-        memo[v[k:]] = down = step
-    return down
-
-
-def _block_down(
-    w: Word,
-    bound: int,
-    pri: Mapping[str, int],
-    memo: dict[Word, set[Word]],
-    spend: Callable[[int], None],
-) -> set[Word]:
-    """The words u <= w in block order with |u| <= bound.
-
-    At w's top priority p >= 1, u's first block maps to w's first
-    block, its last block to w's last one, and each separator of u to a
-    separator of w between the images of its neighbouring blocks, each
-    block recursively below its image.  ``done`` holds the partial words
-    whose last block maps to a block before separator j-1, ``ends``
-    those that then end in a separator of w up to j-1, and ``part`` those
-    whose last block maps to block j.
-    """
-    got = memo.get(w)
-    if got is not None:
-        return got
-    p = max((pri[a] for a in w), default=0)
-    if p == 0:
-        down = subwords_up_to(w, bound)
-        spend(len(down))
-    else:
-        blocks, separators = _split(pri, w, p)
-        part = _block_down(blocks[0], bound, pri, memo, spend)
-        done: set[Word] = set()
-        ends: set[Word] = set()
-        for j in range(1, len(blocks)):
-            done |= part
-            sep = (separators[j - 1],)
-            spend(len(done))
-            ends.update(d + sep for d in done if len(d) < bound)
-            inner = _block_down(blocks[j], bound, pri, memo, spend)
-            spend(len(ends) * len(inner))
-            part = {e + c for e in ends for c in inner if len(e) + len(c) <= bound}
-        down = part
-    memo[w] = down
-    return down
-
-
-def closure_bounded(
+def _closure_set(
     words: Iterable[Word],
     order: OrderKind,
     alphabet: PriorityAlphabet,
     bound: int,
     check_cap: int = DEFAULT_CHECK_CAP,
-) -> list[Word]:
-    """Every word of length <= bound lying below some member of ``words``.
-
-    The result is the union of the members' bounded down-sets, each
-    generated from the order's definition: all subwords for the subword
-    order, ``_priority_down`` and ``_block_down`` for the others.  No
-    candidate is tested with ``leq``.  A negative bound gives [], a
-    letter outside the alphabet or an unknown order raises ValueError,
-    and more than ``check_cap`` generation steps raise ResourceLimit.
-    """
+) -> set[Word]:
+    """``closure_bounded`` as an unsorted set."""
     if bound < 0:
-        return []
+        return set()
     members = {alphabet.validate_word(w) for w in words}
     if not members:
-        return []
+        return set()
     pri = alphabet._pri  # type: ignore[attr-defined]
     left = check_cap
 
@@ -154,24 +208,63 @@ def closure_bounded(
                 f"closure_bounded exceeded {check_cap} generation steps"
             )
 
-    out: set[Word] = set()
     if order is OrderKind.SUBWORD:
-        for v in members:
-            down = subwords_up_to(v, bound)
-            spend(len(down))
-            out |= down
-    elif order is OrderKind.PRIORITY:
-        memo: dict[Word, set[Word]] = {(): {()}}
-        for v in members:
-            out |= _priority_down(v, bound, pri, memo, spend)
+        return _subword_walk(members, bound, spend)
+    if order is OrderKind.PRIORITY:
+        out = _priority_walk(members, bound, pri, spend)
         out.add(())
-    elif order is OrderKind.BLOCK:
-        memo = {}
-        for v in members:
-            out |= _block_down(v, bound, pri, memo, spend)
-    else:
+        return out
+    if order is not OrderKind.BLOCK:
         raise ValueError(f"unknown order {order!r}")
-    return sorted(out, key=_word_key)
+    memo: dict[Word, set[Word]] = {(): {()}}
+
+    def level(v: Word) -> int:
+        return max(map(pri.__getitem__, v), default=0)
+
+    def walk(vs: Collection[Word], p: int) -> set[Word]:
+        if p == 0:
+            return _subword_walk(vs, bound, spend)
+        return _block_walk(vs, p, bound, pri, down_of, spend)
+
+    def down_of(block: Word) -> set[Word]:
+        got = memo.get(block)
+        if got is None:
+            got = memo[block] = walk([block], level(block))
+        return got
+
+    levels: dict[int, list[Word]] = {}
+    for v in members:
+        levels.setdefault(level(v), []).append(v)
+    out = set()
+    for p, vs in levels.items():
+        out |= walk(vs, p)
+    return out
+
+
+def closure_bounded(
+    words: Iterable[Word],
+    order: OrderKind,
+    alphabet: PriorityAlphabet,
+    bound: int,
+    check_cap: int = DEFAULT_CHECK_CAP,
+) -> list[Word]:
+    """Every word of length <= bound lying below some member of ``words``,
+    in shortlex order.
+
+    The result is the union of the members' bounded down-sets, each
+    generated from the order's definition, never by testing a candidate
+    with ``leq``.  One sorted walk over the members builds them:
+    subword and priority order extend each suffix's set by one letter,
+    from the longest suffix the member shares with the one before it,
+    and block order resumes each top level's members from the last
+    block boundary they share, with inner blocks memoised per word.
+    Memory is one path of states plus that memo, and ``check_cap``
+    counts the generation steps taken, each shared step once.  A
+    negative bound gives [], a letter outside the alphabet or an
+    unknown order raises ValueError, and more than ``check_cap``
+    generation steps raise ResourceLimit.
+    """
+    return sorted(_closure_set(words, order, alphabet, bound, check_cap), key=_word_key)
 
 
 @dataclass(frozen=True)
@@ -256,9 +349,7 @@ def compare_closure(
     dom_bound = check_bounds(bound, dom_bound)
     start = time.monotonic()
     alphabet = constructed.alphabet
-    expected = set(
-        closure_bounded(_enumerate_model(model, dom_bound), order, alphabet, bound)
-    )
+    expected = _closure_set(_enumerate_model(model, dom_bound), order, alphabet, bound)
     actual = set(nfa_enumerate(constructed, bound))
     elapsed = time.monotonic() - start
     return ClosureReport(

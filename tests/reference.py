@@ -13,8 +13,9 @@ settling forced ε-moves, and the binary normal form collapses the unit
 chain of every head before it prunes rather than of the reached ones,
 and the closure product reads every member of a merged state rather
 than each component's moves once, and the oracle's bounded closure
-tests every subword of every member with ``leq`` rather than generating
-each member's down-set, and a grammar's closure rebuilds over the
+tests every subword of every member, drawn as a choice of positions,
+with ``leq`` rather than generating each member's down-set in a walk
+over the members, and a grammar's closure rebuilds over the
 flattened alphabet in every order rather than taking the subword
 closure per component for the orders that cannot see priorities.
 """
@@ -85,7 +86,7 @@ from prioclose.core import (
     max_priority,
 )
 from prioclose.oca import Oca, SimpleOca, _glue_nfa, _machine_parts, oca_accepts_bounded
-from prioclose.oracle import DEFAULT_CHECK_CAP, subwords_up_to
+from prioclose.oracle import DEFAULT_CHECK_CAP
 
 
 def subword_ref(u: Word, v: Word) -> bool:
@@ -788,13 +789,19 @@ def reference_closure_bounded(
     """Every word of length <= bound lying below some member of ``words``.
 
     All three orders refine the subword order, so candidates are drawn
-    from the subwords of each member and checked one by one.
+    from the subwords of each member, one per choice of at most
+    ``bound`` positions, and checked one by one.
     """
     members = {tuple(w) for w in words}
     out: set[Word] = set()
     checks = 0
     for v in sorted(members, key=_word_key):
-        for u in subwords_up_to(v, bound):
+        candidates = {
+            tuple(v[i] for i in positions)
+            for k in range(min(bound, len(v)) + 1)
+            for positions in combinations(range(len(v)), k)
+        }
+        for u in candidates:
             if u in out:
                 continue
             checks += 1
