@@ -204,39 +204,6 @@ def _closed_heads(rules: list[tuple[str, tuple[str, ...]]]) -> set[str]:
     return done
 
 
-def _prune(
-    prods: list[tuple[str, tuple[KItem, ...]]], start: str
-) -> tuple[set[str], list[tuple[str, tuple[KItem, ...]]]]:
-    """Nonterminals and productions of the productive, reachable part.
-
-    Productions are over tagged items.  A production counts once every
-    plain nonterminal item in it derives a word; starred items never
-    block it, since they may repeat zero times, and starred items that
-    derive nothing are dropped.  The start always stays, so a grammar
-    with an empty language comes back production-free.
-    """
-    productive = _closed_heads(
-        [(lhs, tuple(sym for kind, sym in rhs if kind == NT)) for lhs, rhs in prods]
-    )
-    by_head: dict[str, list[tuple[KItem, ...]]] = {}
-    for lhs, rhs in prods:
-        if all(kind != NT or sym in productive for kind, sym in rhs):
-            by_head.setdefault(lhs, []).append(
-                tuple(item for item in rhs if item[0] != STAR or item[1] in productive)
-            )
-    reachable = {start}
-    frontier = [start]
-    while frontier:
-        for rhs in by_head.get(frontier.pop(), ()):
-            for kind, sym in rhs:
-                if kind != LIT and sym not in reachable:
-                    reachable.add(sym)
-                    frontier.append(sym)
-    return reachable, [
-        (lhs, rhs) for lhs in reachable for rhs in by_head.get(lhs, ())
-    ]
-
-
 def to_cnf(g: Cfg) -> tuple[Cfg, bool]:
     """Normalize to binary rules for the empty-word-free language.
 
@@ -798,11 +765,14 @@ def _kleene(cnf: Cfg, max_states: int = DEFAULT_MAX_STATES) -> KleeneGrammar:
     W -> sep if a run may be empty; the right one becomes s's separator,
     then its W*, likewise.  At priority 0 a marker becomes W* alone,
     with W -> run.  Separators are written in place, so no nonterminal
-    stands for one or for the empty word.  A side with no run leaves W
-    without a production, and ``_prune`` drops the starred item.  Each
-    closed part is copied under names made fresh against every name
-    taken so far (``_renamed``), so no copy shares a nonterminal with
-    the input or another copy.
+    stands for one or for the empty word.  A side with no run gets no W,
+    and its marker becomes its separator alone, or nothing at priority
+    0.  Each closed part is copied under names made fresh against every
+    name taken so far (``_renamed``), so no copy shares a nonterminal
+    with the input or another copy.  The input is pruned (``to_cnf``'s),
+    and each copy is a result of this function, so every item of the
+    result names a nonterminal with a production that derives a word,
+    and its nonterminals are the heads of its productions and the start.
     The only priority-0 letters of a flat grammar are the seam markers
     of the calls around it, each at most once in a word.  So a grammar
     with top priority 0 has a finite language and no nonterminal on a
@@ -855,24 +825,26 @@ def _kleene(cnf: Cfg, max_states: int = DEFAULT_MAX_STATES) -> KleeneGrammar:
                 ends_closed = _kleene(ends_cnf, max_states)
                 # A positive-priority run leaves its closing separator out,
                 # because the wrapper below appends it itself.
-                wrappers = {}
-                for side, pri in (("left", r), ("right", s)):
+                splice = {}
+                for side, pri, marker in (("left", r, hat.left), ("right", s, hat.right)):
                     run_cnf, run_empty = _pump_part(
                         pump, transducer(r, s, side), low(max(pri - 1, 0)), max_states
                     )
-                    wrapper = wrappers[side] = _fresh(f"W{counter}.{side}", taken)
+                    bodies = []
                     if run_cnf.productions:
                         closed = _kleene(run_cnf, max_states)
                         run_start, run_prods = _renamed(closed, f"{tag}.{side}", taken)
                         prods += run_prods
-                        prods.append((wrapper, ((NT, run_start),) + sep(pri)))
+                        bodies.append(((NT, run_start),) + sep(pri))
                     if pri >= 1 and run_empty:
-                        prods.append((wrapper, sep(pri)))
-                # a marker becomes its separator then W*, and the seam x's own rules
-                splice = {
-                    ((LIT, hat.left),): sep(r) + ((STAR, wrappers["left"]),),
-                    ((LIT, hat.right),): sep(s) + ((STAR, wrappers["right"]),),
-                }
+                        bodies.append(sep(pri))
+                    # a marker becomes its separator then W*, W written only with a body
+                    star: tuple[KItem, ...] = ()
+                    if bodies:
+                        wrapper = _fresh(f"W{counter}.{side}", taken)
+                        prods += [(wrapper, body) for body in bodies]
+                        star = ((STAR, wrapper),)
+                    splice[((LIT, marker),)] = sep(pri) + star
                 ends_start, ends_prods = _renamed(ends_closed, tag, taken)
                 for head, rhs in ends_prods:
                     if rhs == ((LIT, hat.mid),):
@@ -882,8 +854,8 @@ def _kleene(cnf: Cfg, max_states: int = DEFAULT_MAX_STATES) -> KleeneGrammar:
                 prods.append((x, ((NT, ends_start),)))
                 if len(prods) > max_states:
                     raise ResourceLimit(f"Kleene grammar exceeded {max_states} states")
-    kept, pruned = _prune(prods, cnf.start)
-    return KleeneGrammar(alpha, tuple(kept), tuple(pruned), cnf.start)
+    heads = {cnf.start, *(lhs for lhs, _ in prods)}
+    return KleeneGrammar(alpha, tuple(heads), tuple(prods), cnf.start)
 
 
 def acyclic_nfa(h: KleeneGrammar, max_states: int = DEFAULT_MAX_STATES) -> Nfa:

@@ -32,14 +32,7 @@ from .core import (
     leq,
     parse_word,
 )
-from .oca import (
-    Oca,
-    _machine_parts,
-    _parse_simple_oca,
-    oca_closure,
-    oca_parse,
-    oca_to_dot,
-)
+from .oca import oca_closure, oca_parse, oca_to_dot
 from .oracle import _enumerate_model, check_bounds, compare_closure
 
 
@@ -68,9 +61,6 @@ def _parse_model(kind: str, data, alphabet: PriorityAlphabet):
         return nfa_parse(data, alphabet)
     if kind == "cfg":
         return cfg_parse(data, alphabet)
-    if isinstance(data, dict) and data.get("simple"):
-        # a simple machine accepts in its one final state with counter 0
-        return Oca(*_machine_parts(_parse_simple_oca(data, alphabet)))
     return oca_parse(data, alphabet)
 
 
@@ -145,12 +135,7 @@ def cmd_enumerate(args) -> int:
 def cmd_render(args) -> int:
     alphabet = _load_alphabet(args.alphabet)
     model = _parse_model(args.type, _load_json(args.input), alphabet)
-    if isinstance(model, Nfa):
-        text = nfa_to_dot(model)
-    elif isinstance(model, Oca):
-        text = oca_to_dot(model)
-    else:
-        text = cfg_to_dot(model)
+    text = {"nfa": nfa_to_dot, "oca": oca_to_dot, "cfg": cfg_to_dot}[args.type](model)
     target = args.output or args.dot
     _write_text(target, text)
     return 0

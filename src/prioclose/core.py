@@ -166,22 +166,11 @@ def block_decompose(alphabet: PriorityAlphabet, w: Iterable[str], p: int) -> Blo
     if p < 0:
         raise ValueError("decomposition level must be non-negative")
     word = alphabet.validate_word(w)
-    blocks: list[Word] = []
-    separators: list[str] = []
-    current: list[str] = []
+    pri = alphabet._pri  # type: ignore[attr-defined]
     for letter in word:
-        pri = alphabet.priority(letter)
-        if pri > p:
-            raise ValueError(
-                f"letter {letter!r} has priority {pri}, above level {p}"
-            )
-        if pri == p:
-            blocks.append(tuple(current))
-            current = []
-            separators.append(letter)
-        else:
-            current.append(letter)
-    blocks.append(tuple(current))
+        if pri[letter] > p:
+            raise ValueError(f"letter {letter!r} has priority {pri[letter]}, above level {p}")
+    blocks, separators = _split(pri, word, p)
     return BlockDecomposition(tuple(blocks), tuple(separators), p)
 
 

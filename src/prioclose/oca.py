@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import Callable, Hashable, Iterable, Mapping
+from typing import Callable, Collection, Hashable, Iterable, Mapping
 
 from .automata import (
     Nfa,
@@ -43,6 +43,11 @@ class AcceptMode(str, Enum):
 OcaEdge = tuple[str, str | None, CounterOp, str]
 
 
+def _edge_key(edge: OcaEdge):
+    src, label, op, dst = edge
+    return src, label is not None, label or "", op.value, dst
+
+
 def _normalize_edges(edges, states, letters, allow_zero):
     known = set(states)
     out = []
@@ -58,7 +63,7 @@ def _normalize_edges(edges, states, letters, allow_zero):
         if op is CounterOp.ZERO and not allow_zero:
             raise ValueError("zero tests are not allowed here")
         out.append((src, label, op, dst))
-    return tuple(sorted(set(out), key=lambda e: (e[0], e[1] is not None, e[1] or "", e[2].value, e[3])))
+    return tuple(sorted(set(out), key=_edge_key))
 
 
 @dataclass(frozen=True)
@@ -92,13 +97,20 @@ class Oca:
 @dataclass(frozen=True)
 class SimpleOca:
     """Counter automaton without zero tests; a single final state, and
-    acceptance requires the counter to be zero there."""
+    acceptance requires the counter to be zero there.
+
+    ``finals`` and ``accept_mode`` read it as the ``Oca`` with that one
+    final state in zeroCounter mode, so code that reads machines takes
+    either kind.
+    """
 
     alphabet: PriorityAlphabet
     states: tuple[str, ...]
     edges: tuple[OcaEdge, ...]
     initial: str
     final: str
+    # a class attribute, not a field: no constructor argument, equal by fields
+    accept_mode = AcceptMode.ZERO_COUNTER
 
     def __post_init__(self) -> None:
         states = tuple(sorted(set(self.states)))
@@ -109,25 +121,9 @@ class SimpleOca:
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "edges", edges)
 
-
-def _machine_parts(machine: Oca | SimpleOca):
-    if isinstance(machine, SimpleOca):
-        return (
-            machine.alphabet,
-            machine.states,
-            machine.edges,
-            machine.initial,
-            (machine.final,),
-            AcceptMode.ZERO_COUNTER,
-        )
-    return (
-        machine.alphabet,
-        machine.states,
-        machine.edges,
-        machine.initial,
-        machine.finals,
-        machine.accept_mode,
-    )
+    @property
+    def finals(self) -> tuple[str, ...]:
+        return (self.final,)
 
 
 def _oca_adjacency(edges):
@@ -162,9 +158,9 @@ def _simulator(machine: Oca | SimpleOca, counter_cap: int):
     """
     if counter_cap < 0:
         raise ValueError(f"counter cap {counter_cap} is negative")
-    _, _, edges, initial, finals, mode = _machine_parts(machine)
-    adj = _oca_adjacency(edges)
-    final_set = set(finals)
+    adj = _oca_adjacency(machine.edges)
+    final_set = set(machine.finals)
+    mode = machine.accept_mode
 
     def close(configs: frozenset) -> frozenset:
         seen = set(configs)
@@ -200,7 +196,7 @@ def _simulator(machine: Oca | SimpleOca, counter_cap: int):
                     stepped.add((dst, nxt_counter))
         return close(frozenset(stepped))
 
-    return close(frozenset([(initial, 0)])), step, accepted
+    return close(frozenset([(machine.initial, 0)])), step, accepted
 
 
 def oca_accepts_bounded(
@@ -230,14 +226,13 @@ def oca_enumerate(
     The walk over prefixes and their configuration sets is memoised and
     pruned as in ``nfa_enumerate``.
     """
-    _, states, edges, _, finals, _ = _machine_parts(machine)
     if counter_cap is None:
-        counter_cap = _counter_cap(len(states), bound)
+        counter_cap = _counter_cap(len(machine.states), bound)
     start, step, accepted = _simulator(machine, counter_cap)
     # Fewest letters from each state to a final one, ignoring counter
     # operations: every run is a path of the state graph, so this is a
     # lower bound on the letters left in either accept mode.
-    dist = _letters_to_final(((src, label, dst) for src, label, _, dst in edges), finals)
+    dist = _letters_to_final([(s, a, d) for s, a, _, d in machine.edges], machine.finals)
     return _enumerate_walk(
         machine.alphabet.letters,
         start,
@@ -251,9 +246,10 @@ def oca_enumerate(
     )
 
 
-def _soca_moves(soca: SimpleOca):
+def _soca_moves(states: Collection[str], edges: Iterable[OcaEdge], initial: str, final: str):
     """Initial key and ``successors`` of the three-mode NFA sandwiched
-    between the language and its block closure.
+    between the language and its block closure, for the simple machine
+    with these parts.
 
     Mode 1 simulates exactly while the counter stays <= K, the machine's
     state count; the increment crossing K switches to mode 2, which
@@ -266,9 +262,9 @@ def _soca_moves(soca: SimpleOca):
     The key (mode, q, c) is state q with counter c in mode 1, 2 or 3;
     (anchor, q, c) is a loop from state ``anchor`` that has reached q.
     """
-    k = len(soca.states)
+    k = len(states)
     cap_u = k * k + k + 1
-    out = _oca_adjacency(soca.edges)
+    out = _oca_adjacency(edges)
 
     def successors(key):
         mode, q, c = key
@@ -296,15 +292,16 @@ def _soca_moves(soca: SimpleOca):
                 moves.append((label, (mode, dst, c)))
         if mode == 2:
             moves.append((None, (q, q, c)))
-        return mode != 2 and q == soca.final and c == 0, moves
+        return mode != 2 and q == final and c == 0, moves
 
-    return (1, soca.initial, 0), successors
+    return (1, initial, 0), successors
 
 
 def soca_closure_nfa(soca: SimpleOca, max_states: int = DEFAULT_MAX_STATES) -> Nfa:
     """Trimmed NFA of ``_soca_moves``; more than ``max_states`` states
     raise ResourceLimit."""
-    return _walk(soca.alphabet, *_soca_moves(soca), max_states, "one-counter skeleton")
+    moves = _soca_moves(soca.states, soca.edges, soca.initial, soca.final)
+    return _walk(soca.alphabet, *moves, max_states, "one-counter skeleton")
 
 
 def _glue_nfa(oca: Oca | SimpleOca, max_states: int = DEFAULT_MAX_STATES) -> Nfa:
@@ -321,7 +318,7 @@ def _glue_nfa(oca: Oca | SimpleOca, max_states: int = DEFAULT_MAX_STATES) -> Nfa
     explores the pieces with the rest; the result is trimmed, and
     ``max_states`` caps it.
     """
-    alphabet, states, edges, initial, finals, mode = _machine_parts(oca)
+    edges, initial, finals, mode = oca.edges, oca.initial, oca.finals, oca.accept_mode
     zero_free = tuple(e for e in edges if e[2] is not CounterOp.ZERO)
     zero_edges = tuple(e for e in edges if e[2] is CounterOp.ZERO)
 
@@ -329,7 +326,7 @@ def _glue_nfa(oca: Oca | SimpleOca, max_states: int = DEFAULT_MAX_STATES) -> Nfa
     sources = {initial} | {dst for _, _, _, dst in zero_edges}
     sinks = {src for src, _, _, _ in zero_edges} | zero_finals
     # per zero-configuration state: its zero-test moves, then piece entries
-    zero_moves: dict[str, list[tuple[str | None, Hashable]]] = {q: [] for q in states}
+    zero_moves: dict[str, list[tuple[str | None, Hashable]]] = {q: [] for q in oca.states}
     for src, label, _, dst in zero_edges:
         zero_moves[src].append((label, ("z", dst)))
     pieces: list[tuple[Callable, Hashable]] = []  # successors, exit
@@ -342,8 +339,8 @@ def _glue_nfa(oca: Oca | SimpleOca, max_states: int = DEFAULT_MAX_STATES) -> Nfa
     def glue(p: str, q: str, extra: tuple[OcaEdge, ...], exit_key: Hashable) -> None:
         keep = fwd[p] & bwd[q]
         if q in keep:
-            kept = tuple(e for e in zero_free if e[0] in keep and e[3] in keep) + extra
-            start, moves = _soca_moves(SimpleOca(alphabet, tuple(keep), kept, p, q))
+            kept = {e for e in zero_free if e[0] in keep and e[3] in keep}.union(extra)
+            start, moves = _soca_moves(keep, sorted(kept, key=_edge_key), p, q)
             zero_moves[p].append((None, (len(pieces), start)))
             pieces.append((moves, exit_key))
 
@@ -368,7 +365,7 @@ def _glue_nfa(oca: Oca | SimpleOca, max_states: int = DEFAULT_MAX_STATES) -> Nfa
             moves.append((None, exit_key))
         return False, moves
 
-    return _walk(alphabet, ("z", initial), successors, max_states, "glued one-counter skeleton")
+    return _walk(oca.alphabet, ("z", initial), successors, max_states, "glued one-counter skeleton")
 
 
 def oca_closure(
@@ -403,15 +400,25 @@ def oca_serialize(oca: Oca) -> dict:
     }
 
 
-def oca_parse(data: Mapping, alphabet: PriorityAlphabet) -> Oca:
+def oca_parse(data: Mapping, alphabet: PriorityAlphabet) -> Oca | SimpleOca:
+    """The machine of ``oca_serialize``'s form, or the ``SimpleOca`` of
+    the form with ``"simple": true`` and one ``"final"`` state instead of
+    ``"finals"`` and ``"acceptMode"``."""
+    simple = isinstance(data, Mapping) and bool(data.get("simple"))
     try:
         states = _names(data["states"], "state")
         initial = _name(data["initial"], "state")
-        finals = _names(data["finals"], "state")
-        mode = data["acceptMode"]
+        if simple:
+            final = _name(data["final"], "state")
+        else:
+            finals = _names(data["finals"], "state")
+            mode = data["acceptMode"]
         edges = tuple(_parse_edge(item, 4) for item in data["edges"])
     except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed oca data: {exc}") from exc
+        kind = "simple counter automaton" if simple else "oca data"
+        raise ValueError(f"malformed {kind}: {exc}") from exc
+    if simple:
+        return SimpleOca(alphabet, states, edges, initial, final)
     try:
         mode = AcceptMode(mode)
     except ValueError as exc:
@@ -419,18 +426,7 @@ def oca_parse(data: Mapping, alphabet: PriorityAlphabet) -> Oca:
     return Oca(alphabet, states, edges, initial, finals, mode)
 
 
-def _parse_simple_oca(data: Mapping, alphabet: PriorityAlphabet) -> SimpleOca:
-    try:
-        states = _names(data["states"], "state")
-        initial = _name(data["initial"], "state")
-        final = _name(data["final"], "state")
-        edges = tuple(_parse_edge(item, 4) for item in data["edges"])
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed simple counter automaton: {exc}") from exc
-    return SimpleOca(alphabet, states, edges, initial, final)
-
-
-def oca_to_dot(oca: Oca, name: str = "oca") -> str:
+def oca_to_dot(oca: Oca | SimpleOca, name: str = "oca") -> str:
     edges = [
         (src, dst, f"{'&epsilon;' if a is None else a} / {op.value}")
         for src, a, op, dst in oca.edges

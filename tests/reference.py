@@ -17,7 +17,9 @@ tests every subword of every member, drawn as a choice of positions,
 with ``leq`` rather than generating each member's down-set in a walk
 over the members, and a grammar's closure rebuilds over the
 flattened alphabet in every order rather than taking the subword
-closure per component for the orders that cannot see priorities.
+closure per component for the orders that cannot see priorities, and
+useless symbols are pruned by round-robin fixpoints over plain
+grammars rather than by the library's counter worklist.
 """
 
 from __future__ import annotations
@@ -62,9 +64,7 @@ from prioclose.cfg import (
     _ends_transducer,
     _fresh,
     _identity,
-    _items,
     _kleene,
-    _prune,
     _pump_from_cnf,
     _pump_sides,
     _repeat_transducer,
@@ -85,7 +85,7 @@ from prioclose.core import (
     leq,
     max_priority,
 )
-from prioclose.oca import Oca, SimpleOca, _glue_nfa, _machine_parts, oca_accepts_bounded
+from prioclose.oca import Oca, SimpleOca, _glue_nfa, oca_accepts_bounded
 from prioclose.oracle import DEFAULT_CHECK_CAP
 
 
@@ -320,23 +320,21 @@ def _last_letter_nfa(alphabet: PriorityAlphabet, letter: str) -> Nfa:
 def _last_letter_oca(oca: Oca | SimpleOca, letter: str) -> Oca:
     """Product with the two-state tracker of whether the last letter
     read so far is the chosen one."""
-    alphabet, states, edges, initial, finals, mode = _machine_parts(oca)
-
     def name(q: str, bit: int) -> str:
         return f"{q}~{bit}"
 
     tracked = []
-    for src, label, op, dst in edges:
+    for src, label, op, dst in oca.edges:
         for bit in (0, 1):
             nxt = bit if label is None else (1 if label == letter else 0)
             tracked.append((name(src, bit), label, op, name(dst, nxt)))
     return Oca(
-        alphabet,
-        tuple(name(q, bit) for q in states for bit in (0, 1)),
+        oca.alphabet,
+        tuple(name(q, bit) for q in oca.states for bit in (0, 1)),
         tuple(tracked),
-        name(initial, 0),
-        tuple(name(f, 1) for f in finals),
-        mode,
+        name(oca.initial, 0),
+        tuple(name(f, 1) for f in oca.finals),
+        oca.accept_mode,
     )
 
 
@@ -390,12 +388,38 @@ def per_letter_priority_closure(
 
 
 def pruned_cfg(g: Cfg) -> Cfg:
-    """Drop nonterminals that derive nothing or are unreachable."""
-    letters = set(g.alphabet.letters)
-    tagged = [(lhs, _items(rhs, letters)) for lhs, rhs in g.productions]
-    nts, prods = _prune(tagged, g.start)
-    final = [(lhs, tuple(sym for _, sym in rhs)) for lhs, rhs in prods]
-    return Cfg(g.alphabet, tuple(nts), tuple(final), g.start)
+    """Drop nonterminals that derive nothing or are unreachable.
+
+    The two round-robin fixpoints of the textbook, written here rather
+    than shared with ``cfg``: the productive nonterminals, then those the
+    start reaches through productions whose nonterminals are all
+    productive.  The start always stays, so a grammar with an empty
+    language comes back production-free.
+    """
+    nts = set(g.nonterminals)
+    productive: set[str] = set()
+    grew = True
+    while grew:
+        grew = False
+        for lhs, rhs in g.productions:
+            if lhs not in productive and all(s in productive for s in rhs if s in nts):
+                productive.add(lhs)
+                grew = True
+    prods = [
+        (lhs, rhs)
+        for lhs, rhs in g.productions
+        if all(s in productive for s in rhs if s in nts)
+    ]
+    reachable = {g.start}
+    grew = True
+    while grew:
+        grew = False
+        for lhs, rhs in prods:
+            if lhs in reachable and not reachable.issuperset(s for s in rhs if s in nts):
+                reachable.update(s for s in rhs if s in nts)
+                grew = True
+    kept = [(lhs, rhs) for lhs, rhs in prods if lhs in reachable]
+    return Cfg(g.alphabet, tuple(reachable), tuple(kept), g.start)
 
 
 def mid_sides(g: Cfg, mid: str) -> tuple[tuple[str, ...], tuple[str, ...]]:

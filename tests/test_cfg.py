@@ -19,6 +19,8 @@ from prioclose.automata import (
     subword_transducer,
 )
 from prioclose.cfg import (
+    LIT,
+    STAR,
     Cfg,
     KleeneGrammar,
     _kleene,
@@ -631,6 +633,40 @@ class TestKleeneGrammar:
             h = flat_kleene(g)
             made = set(h.nonterminals) - set(cnf.nonterminals)
             assert all(n[0] in "Wk" for n in made), sorted(made)
+
+    def test_every_nonterminal_is_live(self, monkeypatch):
+        """The rebuild writes only what it keeps: in every ``_kleene``
+        result of the block and priority closures of the corpus, of
+        random grammars and of the shared family, each nonterminal but
+        the start heads a production, and each plain or starred item
+        names a nonterminal that does."""
+        results: list[KleeneGrammar] = []
+
+        def watched(*args, **kwargs):
+            h = _kleene(*args, **kwargs)
+            results.append(h)
+            return h
+
+        monkeypatch.setattr(cfg_module, "_kleene", watched)
+        grammars = PIPELINE_GRAMMARS + [shared(6)] + [
+            random_cfg(random.Random(seed), PriorityAlphabet.from_map(priorities))
+            for priorities in RANDOM_PRIORITIES
+            for seed in range(15)
+        ]
+        for g in grammars:
+            for order in (OrderKind.BLOCK, OrderKind.PRIORITY):
+                try:
+                    cfg_closure(g, order, max_states=2000)
+                except ResourceLimit:
+                    pass
+        starred = 0
+        for h in results:
+            heads = {lhs for lhs, _ in h.productions}
+            assert set(h.nonterminals) - heads <= {h.start}, h
+            items = [item for _, rhs in h.productions for item in rhs if item[0] != LIT]
+            assert all(sym in heads for _, sym in items), h
+            starred += sum(kind == STAR for kind, _ in items)
+        assert len(results) >= 1000 and starred
 
 
 class TestAcyclicNfa:

@@ -16,13 +16,9 @@ import pytest
 import prioclose.cfg as cfg_module
 from prioclose.automata import Nfa, nfa_accepts, nfa_parse
 from prioclose.cfg import (
-    LIT,
-    NT,
-    STAR,
     Cfg,
     HatAlphabet,
     _identity,
-    _prune,
     _pump_from_cnf,
     _pump_sides,
     apply_transducer_to_cfg,
@@ -224,15 +220,9 @@ def test_side_draws_cover_the_cases():
     assert one_sided and two_sided and bare
 
 
-def test_prune_drops_dead_stars_and_blocked_productions():
-    prods = [
-        ("S", ((STAR, "D"), (NT, "A"))),
-        ("S", ((NT, "D"), (NT, "A"))),
-        ("A", ((LIT, "a"),)),
-        ("D", ((NT, "D"),)),
-    ]
-    nts, kept = _prune(prods, "S")
-    assert nts == {"S", "A"}
-    assert sorted(kept) == [("A", ((LIT, "a"),)), ("S", ((NT, "A"),))]
+def test_pruned_cfg_drops_blocked_and_unreachable_productions():
     g = Cfg(AB01, ("S", "D"), (("S", ("a", "D")), ("S", ("b",)), ("D", ("D", "a"))), "S")
+    assert pruned_cfg(g) == Cfg(AB01, ("S",), (("S", ("b",)),), "S")
+    # U derives a word but the start does not reach it
+    g = Cfg(AB01, ("S", "U"), (("S", ("b",)), ("U", ("a",))), "S")
     assert pruned_cfg(g) == Cfg(AB01, ("S",), (("S", ("b",)),), "S")

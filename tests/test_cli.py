@@ -786,6 +786,48 @@ class TestRender:
         assert err.value.code == 2
 
 
+SOCA_LOOP_JSON = {
+    "simple": True,
+    "states": ["p", "q"],
+    "initial": "p",
+    "final": "p",
+    "edges": [["p", "a", "inc", "q"], ["q", "b", "dec", "p"], ["q", "a", "inc", "q"]],
+}
+
+
+def plain_form(simple: dict) -> dict:
+    """The same machine as an ``oca`` with one final, in zeroCounter mode."""
+    plain = {k: v for k, v in simple.items() if k not in ("simple", "final")}
+    return dict(plain, finals=[simple["final"]], acceptMode="zeroCounter")
+
+
+@pytest.mark.parametrize("simple", [SOCA_ANBN_JSON, SOCA_LOOP_JSON], ids=["anbn", "loop"])
+def test_simple_form_reads_as_its_plain_form(files, capsys, simple):
+    """A ``"simple": true`` machine and its plain form give the same
+    closures, words, verdicts and drawing."""
+    tmp_path, save = files
+    alpha = alphabet_file(save, "ab.json", AB01)
+    outputs = {}
+    for form, model in (("simple", simple), ("plain", plain_form(simple))):
+        common = ["--type", "oca", "--alphabet", alpha, "--input", save(f"{form}.json", model)]
+        got = []
+        for order in ("subword", "priority", "block"):
+            out = tmp_path / f"{form}-{order}.json"
+            assert main(["closure", *common, "--order", order, "--output", str(out)]) == 0
+            capsys.readouterr()
+            got.append(out.read_bytes())
+            main(["verify", *common, "--order", order, "--bound", "4"])
+            got.append(capsys.readouterr().out)
+        assert main(["enumerate", *common, "--bound", "6"]) == 0
+        got.append(capsys.readouterr().out)
+        dot = tmp_path / f"{form}.dot"
+        assert main(["render", *common, "--output", str(dot)]) == 0
+        got.append(dot.read_text(encoding="utf-8"))
+        outputs[form] = got
+    assert outputs["simple"] == outputs["plain"]
+    assert outputs["simple"][-1].startswith("digraph")
+
+
 def test_one_parser_serves_every_call(files, capsys):
     # the parser is built once per process, so a rejected call must leave
     # nothing behind that changes the next one

@@ -25,7 +25,6 @@ from prioclose.oca import (
     SimpleOca,
     _apply_op,
     _counter_cap,
-    _machine_parts,
     _oca_adjacency,
     oca_accepts_bounded,
     oca_enumerate,
@@ -86,11 +85,11 @@ def plain_subwords_up_to(word: Word, bound: int) -> set[Word]:
 
 
 def plain_oca_enumerate(machine, bound: int, counter_cap: int | None = None):
-    _, states, edges, initial, finals, mode = _machine_parts(machine)
     if counter_cap is None:
-        counter_cap = _counter_cap(len(states), bound)
-    adj = _oca_adjacency(edges)
-    final_set = set(finals)
+        counter_cap = _counter_cap(len(machine.states), bound)
+    adj = _oca_adjacency(machine.edges)
+    final_set = set(machine.finals)
+    mode = machine.accept_mode
 
     def close(configs):
         seen = set(configs)
@@ -113,7 +112,7 @@ def plain_oca_enumerate(machine, bound: int, counter_cap: int | None = None):
             for state, counter in configs
         )
 
-    frontier = {(): close(frozenset([(initial, 0)]))}
+    frontier = {(): close(frozenset([(machine.initial, 0)]))}
     found = []
     for _ in range(bound + 1):
         for word in sorted(frontier):
@@ -357,7 +356,7 @@ def test_oca_accepts_bounded_agrees_with_oca_enumerate(seed):
     modes = set()
     for i in range(40):
         machine = random_oca(rng, AB)
-        modes.add(_machine_parts(machine)[5])
+        modes.add(machine.accept_mode)
         for cap in (0, 1, 3, None):
             for n in range(7):
                 accepted = set(oca_enumerate(machine, n, cap))
